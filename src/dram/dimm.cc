@@ -184,6 +184,13 @@ Dimm::flatLookup(BankRows &b, std::uint64_t row, Ns now)
         b.pool.emplace_back();
         rs = &b.pool.back();
         rs->lastRefresh = autoRefreshBefore(row, now);
+        // Weak cells materialize lazily (see disturbCells): every
+        // threshold is at least hcMin, so hcMin bounds them before the
+        // list exists and the usual threshold compare doubles as the
+        // materialization trigger.
+        rs->minUnflipped = prof.flippable
+            ? static_cast<double>(prof.hcMin)
+            : std::numeric_limits<double>::infinity();
         std::size_t mask = b.keys.size() - 1;
         std::size_t i = splitMix64(row) & mask;
         while (b.keys[i] != BankRows::emptyKey)
@@ -291,16 +298,27 @@ Dimm::disturbCells(RowState &rs, std::uint32_t bank, std::uint64_t victim,
     RHO_TRACE(tracer, now, EventKind::Disturb, 0, bank, victim,
               traceBits(weight));
 
-    if (!rs.cellsInit)
-        initCells(rs, bank, victim);
-    if (rs.cells.empty())
-        return;
-    // Common-case O(1) exit: no unlatched cell can have crossed its
-    // threshold yet (minUnflipped is a conservative lower bound), so
-    // the scan below — including its fault-injection draws — cannot
-    // do anything.
-    if (store == RowStoreKind::Flat && rs.disturb < rs.minUnflipped)
-        return;
+    if (store == RowStoreKind::Flat) {
+        // Common-case O(1) exit: no unlatched cell can have crossed
+        // its threshold yet (minUnflipped is a conservative lower
+        // bound), so the scan below — including its fault-injection
+        // draws — cannot do anything. Before the row's weak cells
+        // exist, minUnflipped is hcMin: below it no cell of the row
+        // can flip, so the cell list is only built once it could.
+        // (A row without weak cells keeps minUnflipped at +inf.)
+        if (rs.disturb < rs.minUnflipped)
+            return;
+        if (!rs.cellsInit)
+            initCells(rs, bank, victim);
+        if (rs.disturb < rs.minUnflipped)
+            return;
+    } else {
+        // Reference: eager materialization, linear scan every time.
+        if (!rs.cellsInit)
+            initCells(rs, bank, victim);
+        if (rs.cells.empty())
+            return;
+    }
 
     scanCells(rs, bank, victim, now);
 }
@@ -530,16 +548,18 @@ Dimm::doAct(std::uint32_t bank, std::uint64_t row, Ns now)
             if (!(now < nb.arBoundary && nb.lastRefresh >= nb.arLast))
                 applyAutoRefresh(nb, bank, victim, now);
             // Inlined disturbCells fast path (same checks, same order):
-            // accumulate, trace, lazily materialize the cell list, and
-            // only fall into the scan when an unlatched cell could
-            // actually have crossed its threshold.
+            // accumulate, trace, and only when an unlatched cell could
+            // actually have crossed its threshold, materialize the cell
+            // list and scan.
             nb.disturb += w;
             RHO_TRACE(tracer, now, EventKind::Disturb, 0, bank, victim,
                       traceBits(w));
-            if (!nb.cellsInit)
-                initCells(nb, bank, victim);
-            if (!nb.cells.empty() && nb.disturb >= nb.minUnflipped)
-                scanCells(nb, bank, victim, now);
+            if (nb.disturb >= nb.minUnflipped) {
+                if (!nb.cellsInit)
+                    initCells(nb, bank, victim);
+                if (nb.disturb >= nb.minUnflipped)
+                    scanCells(nb, bank, victim, now);
+            }
         }
         return;
     }

@@ -236,6 +236,10 @@ class Dimm
          * runs only when `disturb` reaches it. Invariant:
          * minUnflipped <= min{threshold(c) : c unlatched}, so a stale
          * (too-low) bound costs a wasted scan but never skips a flip.
+         * Flat rows start at the profile's hcMin (every threshold is
+         * clamped to at least hcMin) and build `cells` only when
+         * `disturb` first reaches it; Reference rows build `cells` at
+         * their first disturbance.
          */
         double minUnflipped = std::numeric_limits<double>::infinity();
 

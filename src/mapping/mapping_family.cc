@@ -1,6 +1,7 @@
 #include "mapping/mapping_family.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/bits.hh"
 #include "common/logging.hh"
@@ -39,18 +40,42 @@ MappingFamily::MappingFamily(unsigned phys_bits,
         m.addRow(1ULL << b);
     solver = std::make_shared<Gf2Solver>(m);
     bijective = solver->fullRank();
+
+    // Packed image of each single address bit: bank function i at
+    // bit i, row bit i at numBankFns() + i, column bit i after the
+    // row field.
+    std::array<std::uint64_t, 64> basis{};
+    for (std::size_t i = 0; i < bankFns.size(); ++i) {
+        for (unsigned j : bitsOfMask(bankFns[i]))
+            basis[j] |= 1ULL << i;
+    }
+    unsigned pos = bankFns.size();
+    for (unsigned b : rowBits)
+        basis[b] |= 1ULL << pos++;
+    for (unsigned b : colBits)
+        basis[b] |= 1ULL << pos++;
+    // Each entry extends an already-built one by its lowest set bit.
+    for (unsigned k = 0; k < 8; ++k) {
+        auto &t = decodeTable[k];
+        t[0] = 0;
+        for (unsigned v = 1; v < 256; ++v)
+            t[v] = t[v & (v - 1)] ^ basis[8 * k + std::countr_zero(v)];
+    }
+    rowFieldMask = (1ULL << rowBits.size()) - 1;
+    colFieldMask = (1ULL << colBits.size()) - 1;
 }
 
 DramAddr
 MappingFamily::coreDecode(PhysAddr norm) const
 {
+    std::uint64_t packed = 0;
+    for (unsigned k = 0; k < 8; ++k)
+        packed ^= decodeTable[k][(norm >> (8 * k)) & 0xff];
     DramAddr da;
-    for (std::size_t i = 0; i < bankFns.size(); ++i)
-        da.bank |= static_cast<std::uint32_t>(parity(norm, bankFns[i])) << i;
-    for (std::size_t i = 0; i < rowBits.size(); ++i)
-        da.row |= bit(norm, rowBits[i]) << i;
-    for (std::size_t i = 0; i < colBits.size(); ++i)
-        da.col |= bit(norm, colBits[i]) << i;
+    unsigned nb = bankFns.size();
+    da.bank = static_cast<std::uint32_t>(packed & ((1ULL << nb) - 1));
+    da.row = (packed >> nb) & rowFieldMask;
+    da.col = (packed >> (nb + rowBits.size())) & colFieldMask;
     return da;
 }
 

@@ -26,6 +26,7 @@
 #ifndef RHO_MAPPING_MAPPING_FAMILY_HH
 #define RHO_MAPPING_MAPPING_FAMILY_HH
 
+#include <array>
 #include <memory>
 #include <string>
 #include <vector>
@@ -155,6 +156,17 @@ class MappingFamily
     std::vector<unsigned> colBits;
     std::shared_ptr<const Gf2Solver> solver;
     bool bijective;
+
+    /**
+     * coreDecode() as table lookups. The core is linear over GF(2), so
+     * the packed result — bank bits, then row bits, then column bits,
+     * nPhysBits <= 63 in all — is the XOR of the images of the
+     * address's set bits. decodeTable[k][v] is the image of byte k of
+     * the address having value v.
+     */
+    std::array<std::array<std::uint64_t, 256>, 8> decodeTable;
+    std::uint64_t rowFieldMask; //!< numRows() - 1
+    std::uint64_t colFieldMask; //!< numCols() - 1
 };
 
 /** Intel-style fully linear mapping: normalize is the identity. */

@@ -99,7 +99,7 @@ PhysPool::PhysPool(BuddyAllocator &buddy, double fraction)
     std::uint64_t target =
         static_cast<std::uint64_t>(fraction * total_pages);
     unsigned misses = 0;
-    while (pageList.size() < target) {
+    while (nPages < target) {
         // Grab large blocks first (fast and realistic: the kernel
         // serves large anonymous mappings from high orders).
         auto blk = buddy.alloc(BuddyAllocator::maxOrder);
@@ -118,11 +118,11 @@ PhysPool::PhysPool(BuddyAllocator &buddy, double fraction)
         }
         misses = 0;
         std::uint64_t npages = 1ULL << order;
-        for (std::uint64_t i = 0; i < npages; ++i) {
-            PhysAddr pa = *blk + i * pageBytes;
-            ownedBitmap[pa / pageBytes] = true;
-            pageList.push_back(pa);
-        }
+        std::uint64_t first = *blk / pageBytes;
+        std::fill(ownedBitmap.begin() + first,
+                  ownedBitmap.begin() + first + npages, true);
+        blocks.push_back({nPages, *blk});
+        nPages += npages;
     }
 }
 
@@ -130,6 +130,8 @@ std::optional<PhysAddr>
 PhysPool::pairBase(Rng &rng, std::uint64_t diff_mask,
                    unsigned max_tries) const
 {
+    if (empty())
+        return std::nullopt;
     for (unsigned i = 0; i < max_tries; ++i) {
         PhysAddr a = randomAddr(rng);
         PhysAddr b = a ^ diff_mask;
@@ -142,8 +144,7 @@ PhysPool::pairBase(Rng &rng, std::uint64_t diff_mask,
 double
 PhysPool::coverage() const
 {
-    return static_cast<double>(pageList.size())
-        / (memBytes / pageBytes);
+    return static_cast<double>(nPages) / (memBytes / pageBytes);
 }
 
 } // namespace rho

@@ -30,7 +30,11 @@ DareReverseEngineer::run()
     sys.advance(static_cast<double>(cfg.superpages) *
                 cfg.superpageSetupNs);
 
-    double thres = robustSeparatingThreshold(probe, pool, rng, 400);
+    std::optional<double> found =
+        robustSeparatingThreshold(probe, pool, rng, 400);
+    if (!found)
+        return emptyPoolRecovery(sys.now() - t0);
+    double thres = *found;
     out.thresholdNs = thres;
 
     // In-superpage measurements: all pairwise tests over bits the

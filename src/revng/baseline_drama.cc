@@ -31,7 +31,11 @@ DramaReverseEngineer::run()
     // Threshold from a latency histogram of random pairs, collected
     // in time-separated chunks so an interference burst cannot
     // contaminate the whole distribution.
-    double thres = robustSeparatingThreshold(probe, pool, rng, 600);
+    std::optional<double> found =
+        robustSeparatingThreshold(probe, pool, rng, 600);
+    if (!found)
+        return emptyPoolRecovery(sys.now() - t0);
+    double thres = *found;
     out.thresholdNs = thres;
 
     // Coloring: each sampled address joins the first bank set whose

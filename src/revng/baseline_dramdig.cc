@@ -30,7 +30,11 @@ DramDigReverseEngineer::run()
     sys.advance(static_cast<Ns>(pool.ownedPages()) *
                 cfg.setupCostPerPageNs);
 
-    double thres = robustSeparatingThreshold(probe, pool, rng, 800);
+    std::optional<double> found =
+        robustSeparatingThreshold(probe, pool, rng, 800);
+    if (!found)
+        return emptyPoolRecovery(sys.now() - t0);
+    double thres = *found;
     out.thresholdNs = thres;
 
     unsigned phys_bits = sys.mapping().physBits();

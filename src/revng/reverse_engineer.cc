@@ -38,6 +38,16 @@ sameFnSpan(const std::vector<std::uint64_t> &a,
     return true;
 }
 
+MappingRecovery
+emptyPoolRecovery(Ns sim_time_ns)
+{
+    MappingRecovery out;
+    out.failureReason = "physical page pool is empty";
+    out.code = FailureCode::AllocationFailed;
+    out.simTimeNs = sim_time_ns;
+    return out;
+}
+
 bool
 MappingRecovery::matches(const AddressMapping &truth) const
 {
@@ -286,7 +296,7 @@ RhoReverseEngineer::recoverOffset(double thres, unsigned phys_bits)
     return offset;
 }
 
-double
+std::optional<double>
 RhoReverseEngineer::findThreshold()
 {
     // Probability-distribution method: random pairs fall into two
@@ -317,7 +327,15 @@ RhoReverseEngineer::run()
                 cfg.setupCostPerPageNs);
 
     // Step 0: threshold.
-    double thres = findThreshold();
+    std::optional<double> found = findThreshold();
+    if (!found) {
+        out = emptyPoolRecovery(sys.now() - t0);
+        RHO_TRACE(sys.tracer(), sys.now(), EventKind::PhaseEnd, 0,
+                  static_cast<std::uint32_t>(SimPhase::ReverseEng), 0,
+                  0);
+        return out;
+    }
+    double thres = *found;
     out.thresholdNs = thres;
 
     unsigned phys_bits = sys.mapping().physBits();

@@ -87,6 +87,13 @@ struct MappingRecovery
     bool matches(const AddressMapping &truth) const;
 };
 
+/**
+ * The result of a tool whose page pool is empty: nothing can be
+ * timed, so it fails with FailureCode::AllocationFailed after
+ * `sim_time_ns` of setup.
+ */
+MappingRecovery emptyPoolRecovery(Ns sim_time_ns);
+
 /** GF(2) span equality of two bank-function sets. */
 bool sameFnSpan(const std::vector<std::uint64_t> &a,
                 const std::vector<std::uint64_t> &b, unsigned bits);
@@ -112,8 +119,11 @@ class RhoReverseEngineer
      */
     double tSbdr(std::uint64_t diff_mask);
 
-    /** Step 0: find the SBDR/non-SBDR separating threshold. */
-    double findThreshold();
+    /**
+     * Step 0: find the SBDR/non-SBDR separating threshold (nullopt
+     * for an empty pool).
+     */
+    std::optional<double> findThreshold();
 
     /**
      * Step 0b: scan region-offset candidates (multiples of the

@@ -7,11 +7,13 @@
 namespace rho
 {
 
-double
+std::optional<double>
 robustSeparatingThreshold(TimingProbe &probe, const PhysPool &pool,
                           Rng &rng, unsigned total_pairs, unsigned rounds,
                           unsigned chunks, Ns chunk_gap_ns)
 {
+    if (pool.empty())
+        return std::nullopt;
     chunks = std::max(1u, chunks);
     unsigned per_chunk = std::max(1u, total_pairs / chunks);
 

@@ -18,6 +18,8 @@
 #ifndef RHO_REVNG_THRESHOLD_HH
 #define RHO_REVNG_THRESHOLD_HH
 
+#include <optional>
+
 #include "common/rng.hh"
 #include "memsys/timing_probe.hh"
 #include "os/pagemap.hh"
@@ -29,9 +31,10 @@ namespace rho
  * Measure `total_pairs` random pool pairs in `chunks` time-separated
  * chunks (`chunk_gap_ns` of simulated time apart — longer than a
  * co-running workload burst) and return the median of the per-chunk
- * separating thresholds.
+ * separating thresholds; nullopt, without measuring, when the pool is
+ * empty.
  */
-double robustSeparatingThreshold(TimingProbe &probe, const PhysPool &pool,
+std::optional<double> robustSeparatingThreshold(TimingProbe &probe, const PhysPool &pool,
                                  Rng &rng, unsigned total_pairs,
                                  unsigned rounds = 8, unsigned chunks = 6,
                                  Ns chunk_gap_ns = 12.5e6);

@@ -153,6 +153,93 @@ TEST(PhysPool, PairBaseHonorsMask)
     }
 }
 
+namespace
+{
+
+/**
+ * Digest of the first 10k randomAddr() draws and, per draw, a
+ * contains() answer for a near-miss partner address. Pins the pool's
+ * sampling stream (the two Rng draws per address) and membership.
+ */
+std::uint64_t
+poolDrawDigest(const PhysPool &pool, std::uint64_t seed)
+{
+    Rng rng(seed);
+    std::uint64_t h = 0;
+    for (unsigned i = 0; i < 10000; ++i) {
+        PhysAddr a = pool.randomAddr(rng);
+        h = hashCombine(h, a);
+        h = hashCombine(h, pool.contains(a ^ (1ULL << (12 + i % 18))));
+    }
+    return h;
+}
+
+} // namespace
+
+TEST(PhysPool, DrawStreamPinnedAcrossSeeds)
+{
+    // Recorded on the per-page pool; the block-based pool must
+    // reproduce the exact stream, owned page count and coverage.
+    struct Pin
+    {
+        std::uint64_t seed;
+        std::uint64_t digest;
+        std::uint64_t pages;
+    };
+    const Pin pins[] = {
+        {1, 0x8a30ded2bd946540ULL, 184320},
+        {2, 0x6fbeeaa6a5f057b2ULL, 184320},
+        {3, 0x9a21fe90b666e6edULL, 184320},
+    };
+    for (const Pin &pin : pins) {
+        BuddyAllocator b(1ULL << 30, 0.02, pin.seed);
+        PhysPool pool(b, 0.70);
+        EXPECT_EQ(pool.ownedPages(), pin.pages) << "seed " << pin.seed;
+        EXPECT_DOUBLE_EQ(pool.coverage(),
+                         static_cast<double>(pin.pages)
+                             / ((1ULL << 30) / pageBytes));
+        EXPECT_EQ(poolDrawDigest(pool, pin.seed), pin.digest)
+            << "seed " << pin.seed;
+    }
+}
+
+TEST(PhysPool, DrawStreamPinnedUnderAllocationFaults)
+{
+    // Injected failures make max-order allocations miss, so order-0
+    // fallback pages interleave with 4 MiB blocks in the pool.
+    BuddyAllocator b(1ULL << 30, 0.02, 4);
+    FaultInjector inj(FaultSchedule::allocPressure(0.3, 0.0), 4);
+    b.setFaultInjector(&inj);
+    PhysPool pool(b, 0.70);
+    b.setFaultInjector(nullptr);
+    EXPECT_NE(pool.ownedPages() % (1ULL << BuddyAllocator::maxOrder), 0u)
+        << "no order-0 fallback pages in the pool";
+    EXPECT_EQ(pool.ownedPages(), 184382u);
+    EXPECT_EQ(poolDrawDigest(pool, 4), 0x1d9c9bc909048b29ULL);
+}
+
+TEST(PhysPool, EmptyPoolHasNoPairs)
+{
+    // A tiny fraction owns nothing; so does a pool whose allocator
+    // fails from the start. Neither may sample out of range.
+    BuddyAllocator tiny(1ULL << 28, 0.02);
+    PhysPool none(tiny, 0.0);
+    BuddyAllocator failing(1ULL << 28, 0.02);
+    FaultInjector inj(FaultSchedule::allocPressure(1.0, 0.0), 9);
+    failing.setFaultInjector(&inj);
+    PhysPool starved(failing, 0.70);
+    for (const PhysPool *pool : {&none, &starved}) {
+        EXPECT_TRUE(pool->empty());
+        EXPECT_EQ(pool->ownedPages(), 0u);
+        EXPECT_EQ(pool->coverage(), 0.0);
+        EXPECT_FALSE(pool->contains(0));
+        Rng rng(1);
+        EXPECT_FALSE(pool->pairBase(rng, 1ULL << 13));
+    }
+    Rng rng(1);
+    EXPECT_DEATH(none.randomAddr(rng), "empty pool");
+}
+
 TEST(PageTable, MapAndTranslateThroughDram)
 {
     MemorySystem sys(Arch::RaptorLake, DimmProfile::byId("S2"));

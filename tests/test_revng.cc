@@ -232,6 +232,44 @@ TEST(FailurePaths, DramaFunctionSearchIncompleteIsStructured)
     }
 }
 
+TEST(FailurePaths, EmptyPoolIsAllocationFailed)
+{
+    // A pool that owns nothing (fraction 0) has no pair to time; every
+    // tool must report the allocation failure instead of sampling out
+    // of range.
+    auto expectAllocationFailed = [](const MappingRecovery &rec,
+                                     const char *tool) {
+        EXPECT_FALSE(rec.success) << tool;
+        EXPECT_EQ(rec.code, FailureCode::AllocationFailed) << tool;
+        EXPECT_EQ(rec.timedAccesses, 0u) << tool;
+    };
+    {
+        Rig rig(Arch::CometLake, "S2", 28, 0.0);
+        ASSERT_TRUE(rig.pool.empty());
+        expectAllocationFailed(RhoReverseEngineer(rig.probe, rig.pool, 28)
+                                   .run(),
+                               "rho");
+    }
+    {
+        Rig rig(Arch::CometLake, "S2", 28, 0.0);
+        expectAllocationFailed(
+            DramaReverseEngineer(rig.probe, rig.pool, 28).run(), "drama");
+    }
+    {
+        Rig rig(Arch::CometLake, "S2", 28, 0.0);
+        expectAllocationFailed(
+            DramDigReverseEngineer(rig.probe, rig.pool, 28).run(),
+            "dramdig");
+    }
+    {
+        Rig rig(Arch::CometLake, "S2", 28, 0.0);
+        expectAllocationFailed(DareReverseEngineer(rig.probe, rig.pool,
+                                                   rig.sys.mapping(), 28)
+                                   .run(),
+                               "dare");
+    }
+}
+
 TEST(ReTiming, RhoFasterThanDare)
 {
     Rig rig(Arch::CometLake, "S2", 41);

@@ -3,8 +3,10 @@
  * Row-state storage tests: differential equivalence of the flat
  * fast-path store against the reference hash-map store (byte-identical
  * traces, identical flip sequences, across seeds and job counts), the
- * Dimm::reset() mitigation-state regression, and the flip-latch
- * re-arm semantics documented in dimm.hh.
+ * flat store's lazy weak-cell materialization at the hcMin boundary
+ * and on the broad-row reverse-engineering path, the Dimm::reset()
+ * mitigation-state regression, and the flip-latch re-arm semantics
+ * documented in dimm.hh.
  */
 
 #include <cmath>
@@ -16,8 +18,12 @@
 
 #include "dram/dimm.hh"
 #include "dram/dimm_profile.hh"
+#include "fault/fault_injector.hh"
 #include "hammer/sweep.hh"
 #include "hammer/tuned_configs.hh"
+#include "os/buddy_allocator.hh"
+#include "os/pagemap.hh"
+#include "revng/reverse_engineer.hh"
 #include "trace/golden.hh"
 #include "trace/tracer.hh"
 
@@ -59,6 +65,17 @@ sameFlips(const std::vector<FlipRecord> &a,
             return false;
     }
     return true;
+}
+
+/** Double-sided hammer around a victim until well past threshold. */
+Ns
+hammerVictim(Dimm &d, std::uint64_t victim, Ns now, int rounds = 3000)
+{
+    for (int i = 0; i < rounds; ++i) {
+        now += d.access({0, victim - 1, 0}, now).latency;
+        now += d.access({0, victim + 1, 0}, now).latency;
+    }
+    return now;
 }
 
 /** The pinned quickstart campaign, through either row store. */
@@ -185,6 +202,243 @@ TEST(RowStoreDifferential, ColdRowChurnMatchesReference)
     EXPECT_TRUE(sameFlips(flat_fl, ref_fl));
 }
 
+// ---------------------------------------------------------------------
+// Lazy weak-cell materialization (flat store) vs. eager (reference)
+// ---------------------------------------------------------------------
+
+namespace
+{
+
+/**
+ * Run `script` on a flat and a reference device built alike and
+ * require byte-identical traces, flip logs and counters. Returns the
+ * flat device's flip log.
+ */
+template <typename Script>
+std::vector<FlipRecord>
+expectStoresAgree(const DimmProfile &p, const DramTiming &timing,
+                  const TrrConfig &trr, Script script)
+{
+    auto run = [&](RowStoreKind kind, std::vector<TraceEvent> &events,
+                   std::vector<std::uint64_t> &counters) {
+        Dimm d(p, timing, trr);
+        d.setRowStore(kind);
+        Tracer tr(TraceConfig{true, CatAll, std::size_t{1} << 22});
+        d.setTracer(&tr);
+        script(d);
+        d.setTracer(nullptr);
+        EXPECT_EQ(tr.dropped(), 0u);
+        events = tr.events();
+        counters = {d.totalActs(), d.trrRefreshCount(),
+                    d.rfmCommandCount(), d.pracAlertCount()};
+        return d.flipLog();
+    };
+    std::vector<TraceEvent> flat_tr, ref_tr;
+    std::vector<std::uint64_t> flat_ctr, ref_ctr;
+    auto flat = run(RowStoreKind::Flat, flat_tr, flat_ctr);
+    auto ref = run(RowStoreKind::Reference, ref_tr, ref_ctr);
+    EXPECT_FALSE(flat_tr.empty());
+    EXPECT_EQ(goldenSerialize(flat_tr), goldenSerialize(ref_tr));
+    EXPECT_TRUE(sameFlips(flat, ref));
+    EXPECT_EQ(flat_ctr, ref_ctr);
+    return flat;
+}
+
+/**
+ * Thresholds straddling hcMin: about half the cells draw below it and
+ * are clamped to exactly hcMin.
+ */
+DimmProfile
+clampedProfile()
+{
+    DimmProfile p = DimmProfile::byId("S4");
+    p.weakCellsPerRow = 4.0;
+    p.hcLogMean = std::log(1000.0);
+    p.hcLogSigma = 0.3;
+    p.hcMin = 1000;
+    return p;
+}
+
+/**
+ * Single-sided ACTs of victim-1, each followed by a far row of the
+ * same bank so every access activates: the victim's disturbance
+ * reaches exactly `acts`.
+ */
+void
+driveVictim(Dimm &d, std::uint64_t victim, unsigned acts, Ns &now)
+{
+    for (unsigned i = 0; i < acts; ++i) {
+        now += d.access({0, victim - 1, 0}, now).latency;
+        now += d.access({0, victim + 4096, 0}, now).latency;
+    }
+}
+
+std::size_t
+flipsInRow(const std::vector<FlipRecord> &flips, std::uint64_t row)
+{
+    std::size_t n = 0;
+    for (const FlipRecord &f : flips)
+        n += f.row == row;
+    return n;
+}
+
+} // namespace
+
+TEST(LazyCells, FlipsExactlyAtHcMinBoundary)
+{
+    DimmProfile p = clampedProfile();
+    // A victim holding an anti cell (flips 0 -> 1 under the default
+    // all-zero fill) whose threshold is clamped to exactly hcMin.
+    std::uint64_t victim = 0;
+    for (std::uint64_t r = 2000; r < 4000 && !victim; ++r) {
+        for (const WeakCell &c : p.weakCellsFor(0, r)) {
+            if (!c.trueCell && c.threshold == p.hcMin)
+                victim = r;
+        }
+    }
+    ASSERT_NE(victim, 0u) << "no clamped anti cell in the search range";
+
+    for (unsigned acts : {p.hcMin - 1, p.hcMin, p.hcMin + 1}) {
+        auto flips = expectStoresAgree(
+            p, DramTiming::ddr4(p.freqMts), noTrr(), [&](Dimm &d) {
+                Ns now = 0.0;
+                driveVictim(d, victim, acts, now);
+            });
+        if (acts < p.hcMin)
+            EXPECT_EQ(flipsInRow(flips, victim), 0u);
+        else
+            EXPECT_GT(flipsInRow(flips, victim), 0u) << acts << " ACTs";
+    }
+}
+
+TEST(LazyCells, FractionalHalfDoubleWeightsMatchReference)
+{
+    // LPDDR4 Half-Double board: distance-2 victims accumulate the
+    // fractional direct coupling (0.12 per ACT) and the refresh-sweep
+    // disturbance (0.30 per TRR refresh), so their disturbance reaches
+    // hcMin at non-integer steps.
+    DimmProfile p = DimmProfile::lpddr4Sample();
+    p.weakCellsPerRow = 4.0;
+    p.hcLogMean = std::log(400.0);
+    p.hcLogSigma = 0.3;
+    p.hcMin = 300;
+    TrrConfig trr;
+    trr.sampleProb = 0.5;
+    trr.matchThreshold = 8;
+    trr.maxRefreshesPerTick = 4;
+    auto flips = expectStoresAgree(
+        p, DramTiming::lpddr4(p.freqMts), trr, [](Dimm &d) {
+            Ns now = 0.0;
+            for (std::uint64_t r = 4995; r <= 5005; ++r)
+                d.fillRow(0, r, 0x55, now);
+            for (int i = 0; i < 20000; ++i) {
+                now += d.access({0, 4999, 0}, now).latency;
+                now += d.access({0, 5001, 0}, now).latency;
+            }
+        });
+    EXPECT_GT(flipsInRow(flips, 4997) + flipsInRow(flips, 5003), 0u);
+}
+
+TEST(LazyCells, FaultInjectorDrawsMatchReference)
+{
+    // Flip suppression draws only at threshold crossings and spurious
+    // refreshes per ACT: both streams must line up across stores.
+    DimmProfile p = denseProfile();
+    auto flips = expectStoresAgree(
+        p, DramTiming::ddr4(2666), noTrr(), [](Dimm &d) {
+            FaultInjector inj(FaultSchedule::flipNonReproduction(0.3).merge(
+                                  FaultSchedule::spuriousTrr(0.0005)),
+                              17);
+            d.setFaultInjector(&inj);
+            Ns now = 0.0;
+            for (std::uint64_t victim : {3001, 3101, 3201})
+                now = hammerVictim(d, victim, now, 4000);
+            d.setFaultInjector(nullptr);
+        });
+    EXPECT_GT(flips.size(), 0u);
+}
+
+TEST(LazyCells, WritesToUnmaterializedRowsMatchReference)
+{
+    // fillRow/writeBytes on rows whose disturbance never reached
+    // hcMin (so the flat store has not built their cells yet), then a
+    // hammer that flips them: the writes' latch re-arming must be
+    // invisible, and the read-back views identical.
+    DimmProfile p = denseProfile();
+    std::vector<std::vector<FlipRecord>> diffs[2];
+    std::vector<std::uint8_t> reads[2];
+    int k = 0;
+    auto flips = expectStoresAgree(
+        p, DramTiming::ddr4(2666), noTrr(), [&](Dimm &d) {
+            Ns now = 0.0;
+            driveVictim(d, 6001, p.hcMin / 2, now);
+            driveVictim(d, 6011, p.hcMin / 2, now);
+            d.fillRow(0, 6001, 0xff, now);
+            std::vector<std::uint8_t> ones(256, 0xff);
+            d.writeBytes({0, 6011, 512}, ones.data(), ones.size(), now);
+            d.fillRow(0, 6021, 0xff, now); // never disturbed at all
+            for (std::uint64_t victim : {6001, 6011, 6021}) {
+                now = hammerVictim(d, victim, now);
+                reads[k].push_back(d.readByte({0, victim, 600}, now));
+                diffs[k].push_back(d.diffRow(0, victim, 0xff, now));
+            }
+            ++k;
+        });
+    EXPECT_GT(flipsInRow(flips, 6001), 0u);
+    EXPECT_EQ(reads[0], reads[1]);
+    ASSERT_EQ(diffs[0].size(), diffs[1].size());
+    for (std::size_t i = 0; i < diffs[0].size(); ++i)
+        EXPECT_TRUE(sameFlips(diffs[0][i], diffs[1][i])) << "row " << i;
+}
+
+class LazyCellsBroadRow : public ::testing::TestWithParam<Arch>
+{
+};
+
+TEST_P(LazyCellsBroadRow, ReverseEngineeringMatchesReference)
+{
+    // The broad-row path: reverse engineering disturbs rows across
+    // most of the DIMM, nearly all of them far below hcMin. Both
+    // stores must recover the same mapping through the same device.
+    struct Outcome
+    {
+        MappingRecovery rec;
+        std::uint64_t acts, trr;
+        std::vector<FlipRecord> flips;
+    };
+    auto run = [](Arch arch, RowStoreKind kind) {
+        MemorySystem sys(arch, DimmProfile::byId("S2"), TrrConfig{}, 11);
+        sys.dimm().setRowStore(kind);
+        BuddyAllocator buddy(sys.mapping().memBytes(), 0.02, 11);
+        PhysPool pool(buddy, 0.70);
+        TimingProbe probe(sys, 11);
+        Outcome o;
+        o.rec = RhoReverseEngineer(probe, pool, 11).run();
+        EXPECT_TRUE(o.rec.matches(sys.mapping())) << archName(arch);
+        o.acts = sys.dimm().totalActs();
+        o.trr = sys.dimm().trrRefreshCount();
+        o.flips = sys.dimm().flipLog();
+        return o;
+    };
+    Outcome flat = run(GetParam(), RowStoreKind::Flat);
+    Outcome ref = run(GetParam(), RowStoreKind::Reference);
+    EXPECT_EQ(flat.rec.code, ref.rec.code);
+    EXPECT_EQ(flat.rec.bankFns, ref.rec.bankFns);
+    EXPECT_EQ(flat.rec.rowBits, ref.rec.rowBits);
+    EXPECT_EQ(flat.rec.regionOffset, ref.rec.regionOffset);
+    EXPECT_EQ(flat.rec.thresholdNs, ref.rec.thresholdNs);
+    EXPECT_EQ(flat.rec.simTimeNs, ref.rec.simTimeNs);
+    EXPECT_EQ(flat.rec.timedAccesses, ref.rec.timedAccesses);
+    EXPECT_EQ(flat.rec.measureRetry.retries, ref.rec.measureRetry.retries);
+    EXPECT_EQ(flat.acts, ref.acts);
+    EXPECT_GT(flat.acts, 0u);
+    EXPECT_EQ(flat.trr, ref.trr);
+    EXPECT_TRUE(sameFlips(flat.flips, ref.flips));
+}
+
+INSTANTIATE_TEST_SUITE_P(AllArchs, LazyCellsBroadRow,
+                         ::testing::ValuesIn(allArchs));
+
 TEST(RowStore, SwitchAfterStateMaterializedPanics)
 {
     const DimmProfile &p = DimmProfile::byId("S2");
@@ -268,22 +522,6 @@ TEST(DimmReset, ResetDeviceMatchesFreshDevice)
 // ---------------------------------------------------------------------
 // Flip-latch re-arm semantics (documented in dimm.hh)
 // ---------------------------------------------------------------------
-
-namespace
-{
-
-/** Double-sided hammer around a victim until well past threshold. */
-Ns
-hammerVictim(Dimm &d, std::uint64_t victim, Ns now, int rounds = 3000)
-{
-    for (int i = 0; i < rounds; ++i) {
-        now += d.access({0, victim - 1, 0}, now).latency;
-        now += d.access({0, victim + 1, 0}, now).latency;
-    }
-    return now;
-}
-
-} // namespace
 
 TEST(FlipLatch, ReadDoesNotRearmLatches)
 {
