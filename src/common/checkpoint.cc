@@ -113,9 +113,6 @@ TaskJournal::TaskJournal(const std::string &path, std::uint64_t key,
 {
     header = strFormat("rho-journal v2 %s %016llx", kind.c_str(),
                        (unsigned long long)key);
-    std::string v1_header =
-        strFormat("rho-journal v1 %s %016llx", kind.c_str(),
-                  (unsigned long long)key);
 
     std::vector<LoadedLine> good;
     bool reusable = false;
@@ -127,11 +124,10 @@ TaskJournal::TaskJournal(const std::string &path, std::uint64_t key,
         if (in && std::getline(in, line)) {
             file_existed = true;
             if (line == header) {
-                // v2: verify every record; stop at the first corrupt
-                // one — everything after it is untrusted (a splice or
+                // Verify every record; stop at the first corrupt one —
+                // everything after it is untrusted (a splice or
                 // bit-rot can shift the tail arbitrarily).
                 reusable = true;
-                recov.fileVersion = 2;
                 std::uint64_t prev_seq = 0;
                 std::size_t total = 0;
                 while (std::getline(in, line)) {
@@ -172,31 +168,13 @@ TaskJournal::TaskJournal(const std::string &path, std::uint64_t key,
                     needs_rewrite = true;
                 }
                 nextSeq = prev_seq + 1;
-            } else if (line == v1_header) {
-                // v1 (PR 2–6): no seq, no CRC. A line is a complete
-                // record only if the stream did not hit EOF mid-line.
-                reusable = true;
-                recov.fileVersion = 1;
-                recov.upgradedFromV1 = true;
-                needs_rewrite = true;
-                while (std::getline(in, line) && !in.eof()) {
-                    std::istringstream rec(line);
-                    std::string tag;
-                    unsigned index;
-                    if (!(rec >> tag >> index) || tag != "task") {
-                        ++recov.recordsDropped;
-                        continue; // unreadable: skip, keep the rest
-                    }
-                    good.push_back(
-                        {index, nextSeq++, restOfLine(rec), false});
-                }
-                recov.recordsLoaded = good.size();
             }
         }
     }
 
     if (!reusable) {
-        // Fresh journal (or a stale one from different parameters).
+        // Fresh journal, or a stale one: different parameters, kind or
+        // format version.
         recov.discarded = file_existed;
         needs_rewrite = true;
         good.clear();

@@ -35,12 +35,9 @@
  * repaired file is rewritten atomically (write temp + rename) so a
  * later kill mid-repair cannot make things worse.
  *
- * v1 files (PR 2–6 binaries: no seq, no CRC) still load: complete,
- * parseable lines are restored with the legacy rules, then the file is
- * upgraded in place to v2 via the same atomic rewrite.
- *
  * The key fingerprints the campaign parameters; opening a journal
- * whose key (or kind) differs from the current campaign discards it.
+ * whose key, kind or format version differs from the current campaign
+ * discards it.
  * Doubles are serialized as bit-exact hex so replayed results
  * round-trip exactly.
  */
@@ -105,12 +102,10 @@ struct JournalOptions
 /** What TaskJournal found (and did) while opening a file. */
 struct JournalRecovery
 {
-    unsigned fileVersion = 0;       //!< 1 or 2; 0 = no reusable file
     std::size_t recordsLoaded = 0;  //!< restorable records
     std::size_t recordsDropped = 0; //!< corrupt record + lost suffix
-    bool truncatedAtCorruption = false; //!< v2 self-healing fired
-    bool upgradedFromV1 = false;    //!< v1 file rewritten as v2
-    bool discarded = false;         //!< key/kind mismatch: file reset
+    bool truncatedAtCorruption = false; //!< self-healing fired
+    bool discarded = false; //!< key/kind/version mismatch: file reset
 };
 
 /** Append-only, crash-tolerant, corruption-detecting task journal. */
@@ -121,10 +116,9 @@ class TaskJournal
      * Open (or create) the journal at `path` for a campaign
      * fingerprinted by `key`. An existing v2 file with a matching
      * header has its verified task records loaded for replay (and is
-     * repaired in place if a corrupt suffix is found); a v1 file is
-     * loaded with the legacy rules and upgraded. A mismatched or
-     * unparsable file is discarded and rewritten. `kind` names the
-     * campaign type ("sweep3", "fuzz3") and is part of the match.
+     * repaired in place if a corrupt suffix is found). Any other file
+     * is discarded and rewritten. `kind` names the campaign type
+     * ("sweep3", "fuzz4") and is part of the match.
      */
     TaskJournal(const std::string &path, std::uint64_t key,
                 const std::string &kind,

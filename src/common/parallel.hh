@@ -3,11 +3,11 @@
  * Deterministic ordered parallel map on top of the work-stealing
  * ThreadPool.
  *
- * The contract every campaign engine builds on: task i writes only
- * result slot i, results are consumed in index order, and each task
- * derives all of its randomness from hashCombine(seed, i) — so the
- * merged output is bit-identical for any job count, including the
- * jobs == 1 serial path (which runs inline without a pool).
+ * The contract the campaign runner (hammer/campaign.hh) builds on:
+ * task i writes only result slot i, results are consumed in index
+ * order, and each task derives all of its randomness from its index —
+ * so the merged output is bit-identical for any job count, including
+ * the jobs == 1 serial path (which runs inline without a pool).
  */
 
 #ifndef RHO_COMMON_PARALLEL_HH
@@ -37,7 +37,9 @@ resolveJobs(unsigned jobs)
  * order. With more than one job, tasks run on a work-stealing pool;
  * the first exception (by task index) is rethrown after all tasks
  * quiesce. `fn` must be callable concurrently from multiple threads
- * and must not share mutable state across indices.
+ * and must not share mutable state across indices. `stats`, when
+ * given, accumulates: tasksRun, steals, wallNs and taskWallMs add to
+ * what it already holds, and jobs is overwritten.
  */
 template <typename Fn>
 auto
@@ -51,7 +53,6 @@ parallelMapOrdered(unsigned num_tasks, unsigned jobs, Fn &&fn,
     unsigned n_jobs = resolveJobs(jobs);
     std::vector<Result> results(num_tasks);
     std::vector<std::exception_ptr> errors(num_tasks);
-    RunningStat task_ms;
     std::mutex task_ms_mutex;
 
     auto t0 = Clock::now();
@@ -62,38 +63,35 @@ parallelMapOrdered(unsigned num_tasks, unsigned jobs, Fn &&fn,
         } catch (...) {
             errors[i] = std::current_exception();
         }
+        if (!stats)
+            return;
         double ms = std::chrono::duration<double, std::milli>(
                         Clock::now() - task_start)
                         .count();
         std::lock_guard<std::mutex> lk(task_ms_mutex);
-        task_ms.add(ms);
+        stats->taskWallMs.add(ms);
     };
 
     if (n_jobs <= 1 || num_tasks <= 1) {
         for (unsigned i = 0; i < num_tasks; ++i)
             run_one(i);
-        if (stats) {
+        if (stats)
             stats->jobs = 1;
-            stats->tasksRun = num_tasks;
-            stats->steals = 0;
-        }
     } else {
         ThreadPool pool(std::min<unsigned>(n_jobs, num_tasks));
         for (unsigned i = 0; i < num_tasks; ++i)
             pool.submit([&run_one, i] { run_one(i); });
         pool.wait();
         if (stats) {
-            PoolCounters c = pool.counters();
             stats->jobs = pool.numThreads();
-            stats->tasksRun = c.tasksRun;
-            stats->steals = c.steals;
+            stats->steals += pool.counters().steals;
         }
     }
     if (stats) {
-        stats->wallNs = std::chrono::duration<double, std::nano>(
-                            Clock::now() - t0)
-                            .count();
-        stats->taskWallMs = task_ms;
+        stats->tasksRun += num_tasks;
+        stats->wallNs += std::chrono::duration<double, std::nano>(
+                             Clock::now() - t0)
+                             .count();
     }
 
     for (unsigned i = 0; i < num_tasks; ++i) {

@@ -144,12 +144,13 @@ struct RetryStats
 /**
  * Execution counters of one parallel campaign (sweep / fuzz fan-out):
  * how the work was scheduled and how wall-clock time relates to the
- * simulated time the tasks covered. Filled by parallelMapOrdered().
+ * simulated time the tasks covered. Filled by the campaign runner
+ * (hammer/campaign.hh) through parallelMapOrdered().
  */
 struct ParallelStats
 {
     unsigned jobs = 1;            //!< worker threads used
-    std::uint64_t tasksRun = 0;   //!< tasks executed
+    std::uint64_t tasksRun = 0;   //!< tasks executed (not restored)
     std::uint64_t tasksRestored = 0; //!< tasks restored from a checkpoint
     std::uint64_t steals = 0;     //!< tasks migrated between workers
     double wallNs = 0.0;          //!< host wall-clock for the fan-out

@@ -108,19 +108,9 @@ bypassSearch(Arch arch, const DimmProfile &dimm, const HammerConfig &cfg,
             EvoResult er = evolvedFuzzCampaign(spec, cfg, evo,
                                                params.seed, nullptr,
                                                &local);
-            // Project into the FuzzResult shape so callers (and the
-            // comparison tests) read both engines uniformly.
-            r.fuzz.totalFlips = er.totalFlips;
-            r.fuzz.bestPatternFlips = er.bestPatternFlips;
-            r.fuzz.bestPattern = std::move(er.bestPattern);
-            r.fuzz.effectivePatterns = er.effectivePatterns;
-            r.fuzz.unplaceablePatterns = er.unplaceablePatterns;
-            r.fuzz.simTimeNs = er.simTimeNs;
-            r.fuzz.dramAccesses = er.dramAccesses;
-            r.fuzz.failure = er.failure;
-            r.fuzz.failureReason = er.failureReason;
             r.trialsRun = er.trialsRun;
             r.generationBestFlips = std::move(er.bestFlipsPerGeneration);
+            r.fuzz = std::move(er); // the FuzzResult part of both engines
         }
         if (r.fuzz.failure != FailureCode::None &&
             report.failure == FailureCode::None) {

@@ -120,7 +120,7 @@ struct BypassReport
 /**
  * Run the fuzzer against each mitigation configuration on one
  * machine. Deterministic: every configuration's campaign derives its
- * task seeds from hashCombine(params.seed, task_index) on a fresh
+ * task seeds from campaignTaskSeed(params.seed, task_index) on a fresh
  * system, so the report is bit-identical for any fuzz.jobs value and
  * across checkpoint/resume.
  *

@@ -1,12 +1,8 @@
 #include "hammer/evo_fuzzer.hh"
 
 #include <algorithm>
-#include <atomic>
-#include <memory>
 #include <numeric>
-#include <sstream>
 
-#include "common/parallel.hh"
 #include "common/table.hh"
 #include "hammer/sweep.hh"
 
@@ -37,46 +33,6 @@ evoParamsError(const EvoParams &params)
 
 namespace
 {
-
-/** One trial's evaluation outcome (same shape as a fuzz task). */
-struct EvoTaskResult
-{
-    std::uint64_t flips = 0;
-    std::uint64_t dramAccesses = 0;
-    unsigned unplaceable = 0;
-    Ns simTimeNs = 0.0;
-    std::uint64_t acts = 0;
-    std::uint64_t trrRefreshes = 0;
-    std::uint64_t rfmCommands = 0;
-    std::uint64_t pracAlerts = 0;
-};
-
-std::string
-serializeEvoTask(const EvoTaskResult &r)
-{
-    std::ostringstream out;
-    out << r.flips << " " << r.dramAccesses << " "
-        << encodeDouble(r.simTimeNs) << " " << r.acts << " "
-        << r.trrRefreshes << " " << r.rfmCommands << " " << r.pracAlerts
-        << " " << r.unplaceable;
-    return out.str();
-}
-
-bool
-parseEvoTask(const std::string &payload, EvoTaskResult &r)
-{
-    std::istringstream in(payload);
-    std::string sim_hex;
-    if (!(in >> r.flips >> r.dramAccesses >> sim_hex >> r.acts
-          >> r.trrRefreshes >> r.rfmCommands >> r.pracAlerts
-          >> r.unplaceable))
-        return false;
-    auto sim = decodeDouble(sim_hex);
-    if (!sim)
-        return false;
-    r.simTimeNs = *sim;
-    return true;
-}
 
 /**
  * Fitness of one evaluated genome: flips dominate, then TRR sampler
@@ -159,12 +115,13 @@ evolvedFuzzCampaign(const SystemSpec &spec, const HammerConfig &cfg,
     if (params.refSync)
         run_cfg.refSync = true;
 
-    std::shared_ptr<TaskJournal> journal;
-    if (!params.checkpointPath.empty()) {
-        journal = std::make_shared<TaskJournal>(
-            params.checkpointPath, evoJournalKey(spec, cfg, params, seed),
-            EvoJournalKind, params.journal);
-    }
+    CampaignRunner<HammerTrial> runner(
+        {.seed = seed,
+         .jobs = params.jobs,
+         .checkpointPath = params.checkpointPath,
+         .journalKey = evoJournalKey(spec, cfg, params, seed),
+         .journal = params.journal},
+        {EvoJournalKind, serializeTrial, parseTrial}, stats, nullptr);
 
     const unsigned pop_size = params.populationSize;
     const PatternParams &pp = params.patternParams;
@@ -196,12 +153,6 @@ evolvedFuzzCampaign(const SystemSpec &spec, const HammerConfig &cfg,
         pop.push_back(std::move(p));
     }
 
-    // Restored trial records are trusted only while every generation
-    // digest matches the replayed trajectory; after a mismatch the
-    // journal is from a diverged run and the tail re-executes live.
-    bool trust = journal != nullptr;
-    std::atomic<std::uint64_t> restored{0};
-
     auto tournament = [&](const std::vector<Fitness> &fit) -> unsigned {
         unsigned best = static_cast<unsigned>(
             evo.uniformInt(0, pop_size - 1));
@@ -215,95 +166,32 @@ evolvedFuzzCampaign(const SystemSpec &spec, const HammerConfig &cfg,
     };
 
     for (unsigned g = 0; g < params.generations; ++g) {
-        if (journal) {
-            std::string digest = strFormat(
-                "%016llx",
-                (unsigned long long)populationDigest(g, pop));
-            if (auto m = journal->lookupMeta(g)) {
-                if (*m != digest) {
-                    trust = false;
-                    journal->recordMeta(g, digest);
-                }
-            } else {
-                journal->recordMeta(g, digest);
-            }
-        }
-
-        auto task = [&](unsigned j) -> EvoTaskResult {
-            unsigned t = g * pop_size + j;
-            EvoTaskResult r;
-            if (journal && trust) {
-                if (auto payload = journal->lookup(t)) {
-                    if (parseEvoTask(*payload, r)) {
-                        restored.fetch_add(1,
-                                           std::memory_order_relaxed);
-                        return r;
-                    }
-                }
-            }
-            std::uint64_t task_seed = hashCombine(seed, t);
-            MemorySystem sys = spec.instantiate(task_seed);
-            HammerSession session(sys, task_seed);
-            Ns t0 = sys.now();
-            for (unsigned l = 0; l < params.locationsPerPattern; ++l) {
-                LocationPick pick =
-                    session.tryRandomLocation(pop[j], run_cfg);
-                if (!pick.ok()) {
-                    r.unplaceable = 1;
-                    break;
-                }
-                HammerOutcome out =
-                    session.hammer(pop[j], *pick.loc, run_cfg);
-                r.flips += out.flips;
-                r.dramAccesses += out.perf.dramAccesses;
-            }
-            r.simTimeNs = sys.now() - t0;
-            r.acts = sys.dimm().totalActs();
-            r.trrRefreshes = sys.dimm().trrRefreshCount();
-            r.rfmCommands = sys.dimm().rfmCommandCount();
-            r.pracAlerts = sys.dimm().pracAlertCount();
-            if (journal)
-                journal->record(t, serializeEvoTask(r));
-            return r;
-        };
-
-        ParallelStats gen_stats;
-        auto evals = parallelMapOrdered(pop_size, params.jobs, task,
-                                        stats ? &gen_stats : nullptr);
-        if (stats) {
-            stats->jobs = gen_stats.jobs;
-            stats->tasksRun += gen_stats.tasksRun;
-            stats->steals += gen_stats.steals;
-            stats->wallNs += gen_stats.wallNs;
-        }
+        // Restored trial records are trusted only while every
+        // generation digest matches the replayed trajectory; after a
+        // mismatch the journal is from a diverged run and the tail
+        // re-executes live.
+        runner.gate(g, strFormat("%016llx", (unsigned long long)
+                                                populationDigest(g, pop)));
 
         // Merge in trial order: the earliest strict maximum (across
         // the whole search) keeps the best-pattern slot.
         std::vector<Fitness> fit(pop_size);
-        for (unsigned j = 0; j < pop_size; ++j) {
-            const EvoTaskResult &t = evals[j];
-            ++res.trialsRun;
-            res.unplaceablePatterns += t.unplaceable;
-            if (t.flips > 0) {
-                ++res.effectivePatterns;
-                res.totalFlips += t.flips;
-            }
-            if (t.flips > res.bestPatternFlips) {
-                res.bestPatternFlips = t.flips;
-                res.bestPattern = pop[j];
-            }
-            res.dramAccesses += t.dramAccesses;
-            res.simTimeNs += t.simTimeNs;
-            fit[j] = Fitness{t.flips, t.trrRefreshes, t.acts};
-            if (metrics) {
-                metrics->add("dram.acts", t.acts);
-                metrics->add("dram.refreshes.trr", t.trrRefreshes);
-                metrics->add("dram.refreshes.rfm", t.rfmCommands);
-                metrics->add("dram.alerts.prac", t.pracAlerts);
-                metrics->add("cpu.dram_accesses", t.dramAccesses);
-                metrics->add("hammer.flips", t.flips);
-            }
-        }
+        res.trialsRun += runner.run(
+            g * pop_size, pop_size,
+            [&](unsigned j, std::uint64_t task_seed, Tracer *) {
+                return runHammerTrial(spec, pop[j], run_cfg,
+                                      params.locationsPerPattern,
+                                      task_seed, nullptr);
+            },
+            [&](unsigned j, const HammerTrial &t) {
+                if (res.absorb(t))
+                    res.bestPattern = pop[j];
+                fit[j] = Fitness{t.flips, t.device.trrRefreshes,
+                                 t.device.acts};
+                if (metrics)
+                    addTaskMetrics(*metrics, t.device, t.dramAccesses,
+                                   t.flips);
+            });
         res.bestFlipsPerGeneration.push_back(res.bestPatternFlips);
 
         if (g + 1 == params.generations)
@@ -338,21 +226,12 @@ evolvedFuzzCampaign(const SystemSpec &spec, const HammerConfig &cfg,
         pop = std::move(next);
     }
 
-    if (stats) {
-        stats->tasksRestored = restored.load();
-        stats->tasksRun -= std::min<std::uint64_t>(stats->tasksRun,
-                                                   restored.load());
-        stats->simNs = res.simTimeNs;
-    }
+    runner.finish(res.simTimeNs);
     if (metrics) {
         metrics->add("campaign.patterns", res.trialsRun);
         metrics->add("campaign.generations", params.generations);
     }
-    if (res.trialsRun > 0 && res.unplaceablePatterns == res.trialsRun) {
-        res.failure = FailureCode::PatternUnplaceable;
-        res.failureReason =
-            "every pattern footprint exceeded the bank's row space";
-    }
+    res.checkPlaceable(static_cast<unsigned>(res.trialsRun));
     return res;
 }
 

@@ -10,21 +10,21 @@
  * (targeted refreshes the pattern provoked — a pattern the sampler
  * chases is learning the sampler's blind spots), then raw activations.
  *
- * Determinism contract (same as every campaign engine in src/hammer):
+ * Determinism contract (the campaign runner's, hammer/campaign.hh):
  * all genetics (seeding, selection, breeding) run serially on a master
- * Rng derived from the campaign seed, and every evaluation task
- * derives its randomness from hashCombine(seed, trial_index) with
- * trial_index = generation * populationSize + individual. Results
- * merge in trial order, so the search is bit-identical for any
- * `jobs` value.
+ * Rng derived from the campaign seed, and each generation is one
+ * runner round over trial indices generation * populationSize +
+ * individual, each a runHammerTrial() seeded campaignTaskSeed(seed,
+ * trial_index). Results merge in trial order, so the search is
+ * bit-identical for any `jobs` value.
  *
  * Resume contract: each evaluated trial is journaled exactly like a
- * fuzz task, and each generation's population digest is journaled as
- * a `meta` record. On resume the digest is recomputed from the replayed
- * genetics and must match the journaled one before any of that
- * generation's trial records are trusted — a mismatch (journal from a
- * diverged trajectory) falls back to live evaluation from that
- * generation on.
+ * fuzz task, and each generation's population digest is the runner's
+ * phase gate (a `meta` record). On resume the digest is recomputed
+ * from the replayed genetics and must match the journaled one before
+ * any of that generation's trial records are trusted — a mismatch
+ * (journal from a diverged trajectory) falls back to live evaluation
+ * from that generation on.
  */
 
 #ifndef RHO_HAMMER_EVO_FUZZER_HH
@@ -74,27 +74,18 @@ struct EvoParams
     unsigned trialBudget() const { return populationSize * generations; }
 };
 
-/** Merged outcome of an evolutionary search. */
-struct EvoResult
+/**
+ * Merged outcome of an evolutionary search: the blind campaign's
+ * totals (effective/unplaceable counts are per trial) plus the
+ * search's own progress.
+ */
+struct EvoResult : FuzzResult
 {
-    std::uint64_t totalFlips = 0;   //!< across all effective trials
-    std::uint64_t bestPatternFlips = 0;
-    std::optional<HammerPattern> bestPattern;
-    unsigned effectivePatterns = 0; //!< trials with >= 1 flip
-    unsigned unplaceablePatterns = 0;
     std::uint64_t trialsRun = 0;    //!< evaluations merged (all gens)
 
     /** Best per-trial flip count seen up to and including each
      *  generation — the search's learning curve. */
     std::vector<std::uint64_t> bestFlipsPerGeneration;
-
-    Ns simTimeNs = 0.0;
-    std::uint64_t dramAccesses = 0;
-
-    FailureCode failure = FailureCode::None;
-    std::string failureReason;
-
-    bool ok() const { return failure == FailureCode::None; }
 };
 
 /**
@@ -111,7 +102,7 @@ std::string evoParamsError(const EvoParams &params);
  * kill/resume point (see file comment).
  *
  * @param stats optional scheduling counters, accumulated across
- *        generations.
+ *        generations (tasksRun excludes journal-restored trials).
  * @param metrics optional unified counters (same keys as
  *        fuzzCampaign, plus "campaign.generations").
  */

@@ -1,11 +1,7 @@
 #include "hammer/pattern_fuzzer.hh"
 
-#include <atomic>
-#include <memory>
 #include <sstream>
 
-#include "common/checkpoint.hh"
-#include "common/parallel.hh"
 #include "hammer/sweep.hh"
 
 namespace rho
@@ -14,6 +10,32 @@ namespace rho
 PatternFuzzer::PatternFuzzer(HammerSession &session_, std::uint64_t seed)
     : session(session_), rng(seed)
 {
+}
+
+bool
+FuzzResult::absorb(const HammerTrial &t)
+{
+    unplaceablePatterns += t.unplaceable;
+    if (t.flips > 0) {
+        ++effectivePatterns;
+        totalFlips += t.flips;
+    }
+    dramAccesses += t.dramAccesses;
+    simTimeNs += t.simTimeNs;
+    if (t.flips <= bestPatternFlips)
+        return false;
+    bestPatternFlips = t.flips;
+    return true;
+}
+
+void
+FuzzResult::checkPlaceable(unsigned trials)
+{
+    if (trials > 0 && unplaceablePatterns == trials) {
+        failure = FailureCode::PatternUnplaceable;
+        failureReason =
+            "every pattern footprint exceeded the bank's row space";
+    }
 }
 
 FuzzResult
@@ -34,90 +56,98 @@ PatternFuzzer::run(const HammerConfig &cfg, const FuzzParams &params)
     for (unsigned i = 0; i < params.numPatterns; ++i) {
         HammerPattern pattern =
             HammerPattern::randomNonUniform(rng, params.patternParams);
+        HammerTrial trial;
         LocationPick first = session.tryRandomLocation(pattern, run_cfg);
-        if (!first.ok()) {
-            ++res.unplaceablePatterns;
-            continue;
-        }
-        std::uint64_t pattern_flips = 0;
-        for (unsigned l = 0; l < params.locationsPerPattern; ++l) {
+        if (!first.ok())
+            trial.unplaceable = 1;
+        for (unsigned l = 0; first.ok() && l < params.locationsPerPattern;
+             ++l) {
             HammerLocation loc =
                 l == 0 ? *first.loc
                        : session.randomLocation(pattern, run_cfg);
             HammerOutcome out = session.hammer(pattern, loc, run_cfg);
-            pattern_flips += out.flips;
-            res.dramAccesses += out.perf.dramAccesses;
+            trial.flips += out.flips;
+            trial.dramAccesses += out.perf.dramAccesses;
         }
-        if (pattern_flips > 0) {
-            ++res.effectivePatterns;
-            res.totalFlips += pattern_flips;
-        }
-        if (pattern_flips > res.bestPatternFlips) {
-            res.bestPatternFlips = pattern_flips;
+        if (res.absorb(trial))
             res.bestPattern = pattern;
-        }
     }
     res.simTimeNs = session.system().now() - t0;
-    if (params.numPatterns > 0 &&
-        res.unplaceablePatterns == params.numPatterns) {
-        res.failure = FailureCode::PatternUnplaceable;
-        res.failureReason =
-            "every pattern footprint exceeded the bank's row space";
-    }
+    res.checkPlaceable(params.numPatterns);
     return res;
+}
+
+HammerTrial
+runHammerTrial(const SystemSpec &spec, const HammerPattern &pattern,
+               const HammerConfig &cfg, unsigned locations,
+               std::uint64_t task_seed, Tracer *tracer)
+{
+    MemorySystem sys = spec.instantiate(task_seed);
+    HammerSession session(sys, task_seed);
+    if (tracer)
+        sys.attachTracer(tracer);
+    HammerTrial t;
+    Ns t0 = sys.now();
+    for (unsigned l = 0; l < locations; ++l) {
+        LocationPick pick = session.tryRandomLocation(pattern, cfg);
+        if (!pick.ok()) {
+            t.unplaceable = 1;
+            break;
+        }
+        HammerOutcome out = session.hammer(pattern, *pick.loc, cfg);
+        t.flips += out.flips;
+        t.dramAccesses += out.perf.dramAccesses;
+    }
+    t.simTimeNs = sys.now() - t0;
+    t.device = DeviceTotals::of(sys.dimm());
+    return t;
+}
+
+/**
+ * The payload is the numeric outcome only; the pattern is a pure
+ * function of the campaign and is regenerated on replay. Earlier
+ * fuzz formats ("fuzz" .. "fuzz3", without the placement flag) are
+ * discarded via the journal kind mismatch.
+ */
+std::string
+serializeTrial(const HammerTrial &t)
+{
+    std::ostringstream out;
+    out << t.flips << " " << t.dramAccesses << " "
+        << encodeDouble(t.simTimeNs) << " " << t.device.acts << " "
+        << t.device.trrRefreshes << " " << t.device.rfmCommands << " "
+        << t.device.pracAlerts << " " << t.unplaceable;
+    return out.str();
+}
+
+bool
+parseTrial(const std::string &payload, HammerTrial &t)
+{
+    std::istringstream in(payload);
+    std::string sim_hex;
+    if (!(in >> t.flips >> t.dramAccesses >> sim_hex >> t.device.acts
+          >> t.device.trrRefreshes >> t.device.rfmCommands
+          >> t.device.pracAlerts >> t.unplaceable))
+        return false;
+    auto sim = decodeDouble(sim_hex);
+    if (!sim)
+        return false;
+    t.simTimeNs = *sim;
+    return true;
 }
 
 namespace
 {
 
-/** What one pattern-trial task reports back for the ordered merge. */
-struct FuzzTaskResult
-{
-    HammerPattern pattern;
-    std::uint64_t flips = 0;
-    std::uint64_t dramAccesses = 0;
-    unsigned unplaceable = 0; //!< 1 when the pattern did not fit
-    Ns simTimeNs = 0.0;
-    // Device totals for the unified metrics (journaled).
-    std::uint64_t acts = 0;
-    std::uint64_t trrRefreshes = 0;
-    std::uint64_t rfmCommands = 0;
-    std::uint64_t pracAlerts = 0;
-    // Per-task trace; never journaled (tracing bypasses restores).
-    std::vector<TraceEvent> events;
-};
-
 /**
- * Journal payload: the numeric outcome only. The pattern itself is a
- * pure function of the task seed and is regenerated on replay. The
- * kind is "fuzz4" — earlier formats ("fuzz" .. "fuzz3" without the
- * placement flag) are discarded via the kind mismatch.
+ * The pattern of the fuzz task seeded `task_seed`. The merge rebuilds
+ * the best task's pattern from its seed, so none is stored.
  */
-std::string
-serializeFuzzTask(const FuzzTaskResult &r)
+HammerPattern
+fuzzPattern(std::uint64_t task_seed, const PatternParams &pp)
 {
-    std::ostringstream out;
-    out << r.flips << " " << r.dramAccesses << " "
-        << encodeDouble(r.simTimeNs) << " " << r.acts << " "
-        << r.trrRefreshes << " " << r.rfmCommands << " " << r.pracAlerts
-        << " " << r.unplaceable;
-    return out.str();
-}
-
-bool
-parseFuzzTask(const std::string &payload, FuzzTaskResult &r)
-{
-    std::istringstream in(payload);
-    std::string sim_hex;
-    if (!(in >> r.flips >> r.dramAccesses >> sim_hex >> r.acts
-          >> r.trrRefreshes >> r.rfmCommands >> r.pracAlerts
-          >> r.unplaceable))
-        return false;
-    auto sim = decodeDouble(sim_hex);
-    if (!sim)
-        return false;
-    r.simTimeNs = *sim;
-    return true;
+    Rng pattern_rng(task_seed);
+    return HammerPattern::randomNonUniform(pattern_rng, pp);
 }
 
 } // namespace
@@ -150,11 +180,9 @@ fuzzCampaign(const SystemSpec &spec, const HammerConfig &cfg,
              ParallelStats *stats, MetricsRegistry *metrics,
              std::vector<TraceEvent> *trace)
 {
-    const bool tracing = spec.trace.enabled;
-    const std::vector<std::uint8_t> *mask = params.taskMask;
+    FuzzResult res;
     if (std::string err = patternParamsError(params.patternParams);
         !err.empty()) {
-        FuzzResult res;
         res.failure = FailureCode::InvalidPatternParams;
         res.failureReason = err;
         return res;
@@ -162,116 +190,39 @@ fuzzCampaign(const SystemSpec &spec, const HammerConfig &cfg,
     HammerConfig run_cfg = cfg;
     if (params.refSync)
         run_cfg.refSync = true;
-    std::shared_ptr<TaskJournal> journal;
-    if (!params.checkpointPath.empty()) {
-        journal = std::make_shared<TaskJournal>(
-            params.checkpointPath,
-            fuzzJournalKey(spec, cfg, params, seed), FuzzJournalKind,
-            params.journal);
-    }
-    std::atomic<std::uint64_t> restored{0};
+    CampaignRunner<HammerTrial> runner(
+        {.seed = seed,
+         .jobs = params.jobs,
+         .taskMask = params.taskMask,
+         .trace = &spec.trace,
+         .checkpointPath = params.checkpointPath,
+         .journalKey = fuzzJournalKey(spec, cfg, params, seed),
+         .journal = params.journal},
+        {FuzzJournalKind, serializeTrial, parseTrial}, stats, trace);
 
-    auto task = [&](unsigned i) -> FuzzTaskResult {
-        if (mask && !(*mask)[i])
-            return FuzzTaskResult{}; // another shard's task
-        std::uint64_t task_seed = hashCombine(seed, i);
-        Rng pattern_rng(task_seed);
-        FuzzTaskResult r;
-        r.pattern = HammerPattern::randomNonUniform(pattern_rng,
-                                                    params.patternParams);
-        // Tracing bypasses restores: a restored task has no events.
-        if (journal && !tracing) {
-            if (auto payload = journal->lookup(i)) {
-                if (parseFuzzTask(*payload, r)) {
-                    restored.fetch_add(1, std::memory_order_relaxed);
-                    return r;
-                }
-            }
-        }
-        MemorySystem sys = spec.instantiate(task_seed);
-        HammerSession session(sys, task_seed);
-        Tracer tracer(spec.trace);
-        if (tracing) {
-            tracer.setTid(static_cast<std::uint16_t>(i));
-            sys.attachTracer(&tracer);
-        }
-        Ns t0 = sys.now();
-        for (unsigned l = 0; l < params.locationsPerPattern; ++l) {
-            LocationPick pick =
-                session.tryRandomLocation(r.pattern, run_cfg);
-            if (!pick.ok()) {
-                r.unplaceable = 1;
-                break;
-            }
-            HammerOutcome out =
-                session.hammer(r.pattern, *pick.loc, run_cfg);
-            r.flips += out.flips;
-            r.dramAccesses += out.perf.dramAccesses;
-        }
-        r.simTimeNs = sys.now() - t0;
-        r.acts = sys.dimm().totalActs();
-        r.trrRefreshes = sys.dimm().trrRefreshCount();
-        r.rfmCommands = sys.dimm().rfmCommandCount();
-        r.pracAlerts = sys.dimm().pracAlertCount();
-        if (tracing) {
-            r.events = tracer.events();
-            sys.attachTracer(nullptr);
-        }
-        if (journal)
-            journal->record(i, serializeFuzzTask(r));
-        return r;
-    };
-
-    auto tasks = parallelMapOrdered(params.numPatterns, params.jobs,
-                                    task, stats);
-    if (stats) {
-        stats->tasksRestored = restored.load();
-        // Restored tasks did no simulation work; tasksRun counts only
-        // tasks actually executed.
-        stats->tasksRun -= stats->tasksRestored;
-    }
-
-    // Merge in task-index order: the serial reduction semantics
-    // (earliest strict maximum wins the best-pattern slot) hold for
-    // any job count.
-    FuzzResult res;
-    unsigned merged = 0;
-    for (unsigned i = 0; i < tasks.size(); ++i) {
-        if (mask && !(*mask)[i])
-            continue; // another shard's task: no merge contribution
-        FuzzTaskResult &t = tasks[i];
-        ++merged;
-        res.unplaceablePatterns += t.unplaceable;
-        if (t.flips > 0) {
-            ++res.effectivePatterns;
-            res.totalFlips += t.flips;
-        }
-        if (t.flips > res.bestPatternFlips) {
-            res.bestPatternFlips = t.flips;
-            res.bestPattern = std::move(t.pattern);
-        }
-        res.dramAccesses += t.dramAccesses;
-        res.simTimeNs += t.simTimeNs;
-        if (metrics) {
-            metrics->add("dram.acts", t.acts);
-            metrics->add("dram.refreshes.trr", t.trrRefreshes);
-            metrics->add("dram.refreshes.rfm", t.rfmCommands);
-            metrics->add("dram.alerts.prac", t.pracAlerts);
-            metrics->add("cpu.dram_accesses", t.dramAccesses);
-            metrics->add("hammer.flips", t.flips);
-        }
-        if (trace)
-            trace->insert(trace->end(), t.events.begin(), t.events.end());
+    std::optional<unsigned> best;
+    unsigned merged = runner.run(
+        0, params.numPatterns,
+        [&](unsigned, std::uint64_t task_seed, Tracer *tracer) {
+            return runHammerTrial(
+                spec, fuzzPattern(task_seed, params.patternParams), run_cfg,
+                params.locationsPerPattern, task_seed, tracer);
+        },
+        [&](unsigned i, const HammerTrial &t) {
+            if (res.absorb(t))
+                best = i;
+            if (metrics)
+                addTaskMetrics(*metrics, t.device, t.dramAccesses,
+                               t.flips);
+        });
+    if (best) {
+        res.bestPattern = fuzzPattern(campaignTaskSeed(seed, *best),
+                                      params.patternParams);
     }
     if (metrics)
         metrics->add("campaign.patterns", merged);
-    if (stats)
-        stats->simNs = res.simTimeNs;
-    if (merged > 0 && res.unplaceablePatterns == merged) {
-        res.failure = FailureCode::PatternUnplaceable;
-        res.failureReason =
-            "every pattern footprint exceeded the bank's row space";
-    }
+    runner.finish(res.simTimeNs);
+    res.checkPlaceable(merged);
     return res;
 }
 

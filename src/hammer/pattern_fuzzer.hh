@@ -8,11 +8,10 @@
  * Two drivers are provided:
  *  - PatternFuzzer::run(): the single-session serial path (device
  *    state carries over between patterns);
- *  - fuzzCampaign(): the parallel campaign engine. Every pattern
- *    trial is an independent task with its own MemorySystem and
- *    HammerSession seeded hashCombine(seed, task_index); results
- *    merge in task order, so totalFlips / bestPatternFlips and the
- *    best-pattern choice are bit-identical for any `jobs` count.
+ *  - fuzzCampaign(): one runHammerTrial() per pattern through the
+ *    campaign runner (hammer/campaign.hh); results merge in task
+ *    order, so totalFlips / bestPatternFlips and the best-pattern
+ *    choice are bit-identical for any `jobs` count.
  */
 
 #ifndef RHO_HAMMER_PATTERN_FUZZER_HH
@@ -24,6 +23,7 @@
 
 #include "common/checkpoint.hh"
 #include "common/stats.hh"
+#include "hammer/campaign.hh"
 #include "hammer/hammer_session.hh"
 #include "trace/metrics.hh"
 
@@ -56,7 +56,8 @@ struct FuzzParams
      * next run with the same parameters — merged output stays
      * bit-identical to an uninterrupted run for any `jobs` value.
      * Patterns are not stored: task i's pattern regenerates from
-     * Rng(hashCombine(seed, i)) exactly as the live path builds it.
+     * Rng(campaignTaskSeed(seed, i)) exactly as the live path builds
+     * it.
      */
     std::string checkpointPath;
 
@@ -70,6 +71,33 @@ struct FuzzParams
      */
     const std::vector<std::uint8_t> *taskMask = nullptr;
 };
+
+/**
+ * One pattern trial on a fresh system: the task of fuzzCampaign() and
+ * evolvedFuzzCampaign(), journaled as one record by both.
+ */
+struct HammerTrial
+{
+    std::uint64_t flips = 0;
+    std::uint64_t dramAccesses = 0;
+    unsigned unplaceable = 0; //!< 1 when the pattern did not fit
+    Ns simTimeNs = 0.0;
+    DeviceTotals device;
+};
+
+/**
+ * Trial `pattern` at up to `locations` random placements on a system
+ * instantiated from `task_seed`, stopping at the first placement that
+ * does not fit. `tracer` (may be null) records the trial's events.
+ */
+HammerTrial runHammerTrial(const SystemSpec &spec,
+                           const HammerPattern &pattern,
+                           const HammerConfig &cfg, unsigned locations,
+                           std::uint64_t task_seed, Tracer *tracer);
+
+/** The trial journal codec ("fuzz4" and "evofuzz1" payloads). */
+std::string serializeTrial(const HammerTrial &t);
+bool parseTrial(const std::string &payload, HammerTrial &t);
 
 /** Campaign outcome (Table 6 reports totalFlips, bestPatternFlips). */
 struct FuzzResult
@@ -92,6 +120,16 @@ struct FuzzResult
     std::string failureReason;
 
     bool ok() const { return failure == FailureCode::None; }
+
+    /**
+     * Fold one trial into the totals (call in trial order). Returns
+     * true when it is the new strict best; the caller then stores its
+     * pattern in bestPattern, so the earliest maximum wins.
+     */
+    bool absorb(const HammerTrial &t);
+
+    /** Flag PatternUnplaceable when all of `trials` (> 0) did not fit. */
+    void checkPlaceable(unsigned trials);
 };
 
 /** Drives serial fuzzing campaigns over one shared HammerSession. */
@@ -110,7 +148,7 @@ class PatternFuzzer
 /**
  * Parallel fuzzing campaign: one independent task per pattern, fanned
  * out over `params.jobs` workers. Pattern i is generated from
- * Rng(hashCombine(seed, i)) and trialled on a fresh system, so the
+ * Rng(campaignTaskSeed(seed, i)) and trialled on a fresh system, so the
  * outcome is a pure function of (spec, cfg, params, seed) no matter
  * how many threads run it.
  *

@@ -1,12 +1,9 @@
 #include "hammer/sweep.hh"
 
 #include <algorithm>
-#include <atomic>
-#include <memory>
 #include <sstream>
 
-#include "common/checkpoint.hh"
-#include "common/parallel.hh"
+#include "hammer/campaign.hh"
 
 namespace rho
 {
@@ -106,15 +103,8 @@ struct SweepTaskResult
     std::uint64_t flips = 0;
     Ns simTimeNs = 0.0;
     std::vector<FlipRecord> flipList;
-    // Device/core totals for the unified metrics (journaled so a
-    // checkpoint-restored task contributes identical counters).
-    std::uint64_t acts = 0;
-    std::uint64_t trrRefreshes = 0;
-    std::uint64_t rfmCommands = 0;
-    std::uint64_t pracAlerts = 0;
+    DeviceTotals device;
     std::uint64_t dramAccesses = 0;
-    // Per-task trace; never journaled (tracing bypasses restores).
-    std::vector<TraceEvent> events;
 };
 
 /**
@@ -133,23 +123,23 @@ serializeSweepTask(const SweepTaskResult &r)
         out << " " << f.bank << " " << f.row << " " << f.bitOffset << " "
             << (f.toOne ? 1 : 0) << " " << encodeDouble(f.when);
     }
-    out << " " << r.acts << " " << r.trrRefreshes << " " << r.rfmCommands
-        << " " << r.pracAlerts << " " << r.dramAccesses;
+    out << " " << r.device.acts << " " << r.device.trrRefreshes << " "
+        << r.device.rfmCommands << " " << r.device.pracAlerts << " "
+        << r.dramAccesses;
     return out.str();
 }
 
-std::optional<SweepTaskResult>
-parseSweepTask(const std::string &payload)
+bool
+parseSweepTask(const std::string &payload, SweepTaskResult &r)
 {
     std::istringstream in(payload);
-    SweepTaskResult r;
     std::string sim_hex;
     std::size_t n = 0;
     if (!(in >> r.flips >> sim_hex >> n))
-        return std::nullopt;
+        return false;
     auto sim = decodeDouble(sim_hex);
     if (!sim)
-        return std::nullopt;
+        return false;
     r.simTimeNs = *sim;
     r.flipList.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
@@ -157,18 +147,17 @@ parseSweepTask(const std::string &payload)
         int to_one = 0;
         std::string when_hex;
         if (!(in >> f.bank >> f.row >> f.bitOffset >> to_one >> when_hex))
-            return std::nullopt;
+            return false;
         auto when = decodeDouble(when_hex);
         if (!when)
-            return std::nullopt;
+            return false;
         f.toOne = to_one != 0;
         f.when = *when;
         r.flipList.push_back(f);
     }
-    if (!(in >> r.acts >> r.trrRefreshes >> r.rfmCommands >> r.pracAlerts
-          >> r.dramAccesses))
-        return std::nullopt;
-    return r;
+    return static_cast<bool>(in >> r.device.acts >> r.device.trrRefreshes
+                             >> r.device.rfmCommands
+                             >> r.device.pracAlerts >> r.dramAccesses);
 }
 
 } // namespace
@@ -191,99 +180,50 @@ sweepCampaign(const SystemSpec &spec, const HammerPattern &pattern,
               MetricsRegistry *metrics, std::vector<TraceEvent> *trace)
 {
     const DimmGeometry &geom = spec.dimm->geom;
-    const bool tracing = spec.trace.enabled;
-    const std::vector<std::uint8_t> *mask = params.taskMask;
+    CampaignRunner<SweepTaskResult> runner(
+        {.seed = seed,
+         .jobs = params.jobs,
+         .taskMask = params.taskMask,
+         .trace = &spec.trace,
+         .checkpointPath = params.checkpointPath,
+         .journalKey = sweepJournalKey(spec, cfg, params, pattern, seed),
+         .journal = params.journal},
+        {SweepJournalKind, serializeSweepTask, parseSweepTask}, stats,
+        trace);
 
-    std::shared_ptr<TaskJournal> journal;
-    if (!params.checkpointPath.empty()) {
-        journal = std::make_shared<TaskJournal>(
-            params.checkpointPath,
-            sweepJournalKey(spec, cfg, params, pattern, seed),
-            SweepJournalKind, params.journal);
-    }
-    std::atomic<std::uint64_t> restored{0};
-
-    auto task = [&](unsigned i) -> SweepTaskResult {
-        if (mask && !(*mask)[i])
-            return SweepTaskResult{}; // another shard's task
-        // A journal restore has no event stream, so a tracing run
-        // recomputes every task to keep the merged trace complete.
-        if (journal && !tracing) {
-            if (auto payload = journal->lookup(i)) {
-                if (auto r = parseSweepTask(*payload)) {
-                    restored.fetch_add(1, std::memory_order_relaxed);
-                    return std::move(*r);
-                }
-            }
-        }
-        std::uint64_t task_seed = hashCombine(seed, i);
-        MemorySystem sys = spec.instantiate(task_seed);
-        HammerSession session(sys, task_seed);
-        Tracer tracer(spec.trace);
-        if (tracing) {
-            tracer.setTid(static_cast<std::uint16_t>(i));
-            sys.attachTracer(&tracer);
-        }
-        HammerLocation loc = sweepLocationAt(geom, pattern, seed, i);
-
-        Ns t0 = sys.now();
-        HammerOutcome out = session.hammer(pattern, loc, cfg);
-        SweepTaskResult r;
-        r.flips = out.flips;
-        r.simTimeNs = sys.now() - t0;
-        r.flipList = std::move(out.flipList);
-        r.acts = sys.dimm().totalActs();
-        r.trrRefreshes = sys.dimm().trrRefreshCount();
-        r.rfmCommands = sys.dimm().rfmCommandCount();
-        r.pracAlerts = sys.dimm().pracAlertCount();
-        r.dramAccesses = out.perf.dramAccesses;
-        if (tracing)
-            r.events = tracer.events();
-        if (tracing)
-            sys.attachTracer(nullptr);
-        if (journal)
-            journal->record(i, serializeSweepTask(r));
-        return r;
-    };
-
-    auto tasks = parallelMapOrdered(params.numLocations, params.jobs,
-                                    task, stats);
-    if (stats) {
-        stats->tasksRestored = restored.load();
-        // Restored tasks did no simulation work; tasksRun counts only
-        // tasks actually executed.
-        stats->tasksRun -= stats->tasksRestored;
-    }
-
-    // Merge in task-index order: identical output for any job count.
     SweepResult res;
-    unsigned merged = 0;
-    for (unsigned i = 0; i < tasks.size(); ++i) {
-        if (mask && !(*mask)[i])
-            continue; // another shard's task: no merge contribution
-        const SweepTaskResult &t = tasks[i];
-        ++merged;
-        res.totalFlips += t.flips;
-        res.flipsPerLocation.push_back(t.flips);
-        res.simTimeNs += t.simTimeNs;
-        res.cumulativeTimeNs.push_back(res.simTimeNs);
-        for (const auto &f : t.flipList)
-            res.flipList.push_back(f);
-        if (metrics) {
-            metrics->add("dram.acts", t.acts);
-            metrics->add("dram.refreshes.trr", t.trrRefreshes);
-            metrics->add("dram.refreshes.rfm", t.rfmCommands);
-            metrics->add("dram.alerts.prac", t.pracAlerts);
-            metrics->add("cpu.dram_accesses", t.dramAccesses);
-            metrics->add("hammer.flips", t.flips);
-        }
-        if (trace)
-            trace->insert(trace->end(), t.events.begin(), t.events.end());
-    }
+    unsigned merged = runner.run(
+        0, params.numLocations,
+        [&](unsigned i, std::uint64_t task_seed, Tracer *tracer) {
+            MemorySystem sys = spec.instantiate(task_seed);
+            HammerSession session(sys, task_seed);
+            if (tracer)
+                sys.attachTracer(tracer);
+            HammerLocation loc = sweepLocationAt(geom, pattern, seed, i);
+            Ns t0 = sys.now();
+            HammerOutcome out = session.hammer(pattern, loc, cfg);
+            SweepTaskResult r;
+            r.flips = out.flips;
+            r.simTimeNs = sys.now() - t0;
+            r.flipList = std::move(out.flipList);
+            r.device = DeviceTotals::of(sys.dimm());
+            r.dramAccesses = out.perf.dramAccesses;
+            return r;
+        },
+        [&](unsigned, const SweepTaskResult &t) {
+            res.totalFlips += t.flips;
+            res.flipsPerLocation.push_back(t.flips);
+            res.simTimeNs += t.simTimeNs;
+            res.cumulativeTimeNs.push_back(res.simTimeNs);
+            res.flipList.insert(res.flipList.end(), t.flipList.begin(),
+                                t.flipList.end());
+            if (metrics)
+                addTaskMetrics(*metrics, t.device, t.dramAccesses,
+                               t.flips);
+        });
     if (metrics)
         metrics->add("campaign.locations", merged);
-    if (stats)
-        stats->simNs = res.simTimeNs;
+    runner.finish(res.simTimeNs);
     return res;
 }
 

@@ -9,10 +9,10 @@
  *  - sweep(): the single-session serial path, where TRR/refresh state
  *    carries over between locations (useful for studying state
  *    accumulation on one simulated machine);
- *  - sweepCampaign(): the parallel campaign engine. Every location is
- *    an independent task with its own MemorySystem/HammerSession
- *    seeded hashCombine(seed, task_index); results merge in task
- *    order, so output is bit-identical for any `jobs` count.
+ *  - sweepCampaign(): one task per location through the campaign
+ *    runner (hammer/campaign.hh), each on its own MemorySystem /
+ *    HammerSession; results merge in task order, so output is
+ *    bit-identical for any `jobs` count.
  */
 
 #ifndef RHO_HAMMER_SWEEP_HH
@@ -116,7 +116,8 @@ SweepResult sweep(HammerSession &session, const HammerPattern &pattern,
  *        (tid = task index) and streams concatenate in task order, so
  *        the result is byte-identical for any `jobs` value. Tracing
  *        bypasses checkpoint-journal restores (a restored task has no
- *        events), keeping the stream complete.
+ *        events), keeping the stream complete. The stats, metrics and
+ *        trace contracts are the campaign runner's (campaign.hh).
  */
 SweepResult sweepCampaign(const SystemSpec &spec,
                           const HammerPattern &pattern,

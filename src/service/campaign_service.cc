@@ -66,14 +66,15 @@ workerJournalOptions(const ServiceParams &service)
 
 /**
  * Shard, supervise, and absorb completed shard journals into the
- * merged journal. On return `mask_out`/`use_mask` describe which tasks
- * the parent's merge run may execute (quarantined shards masked out).
+ * merged journal. On return `mask_out` marks the tasks the parent's
+ * merge run may execute; it is only applied when the report says
+ * ShardQuarantined (those shards' tasks are masked out).
  */
 ServiceReport
 superviseAndMerge(unsigned total_tasks, const ServiceParams &service,
                   std::uint64_t journal_key, const char *kind,
                   const WorkerBody &body,
-                  std::vector<std::uint8_t> &mask_out, bool &use_mask)
+                  std::vector<std::uint8_t> &mask_out)
 {
     if (service.journalBase.empty())
         fatal("campaign service: ServiceParams::journalBase is required");
@@ -99,11 +100,10 @@ superviseAndMerge(unsigned total_tasks, const ServiceParams &service,
     // Quarantined shards are excluded from the merge; their tasks are
     // the degradation the FailureCode reports.
     mask_out.assign(std::max(total_tasks, 1u), 1);
-    use_mask = false;
     for (const ShardReport &r : report.supervisor.shards) {
         if (r.state != ShardState::Quarantined)
             continue;
-        use_mask = true;
+        report.code = FailureCode::ShardQuarantined;
         for (unsigned i = 0; i < r.spec.taskCount; ++i)
             mask_out[r.spec.firstTask + i] = 0;
     }
@@ -145,9 +145,69 @@ superviseAndMerge(unsigned total_tasks, const ServiceParams &service,
         }
     }
 
-    report.code = use_mask ? FailureCode::ShardQuarantined
-                           : FailureCode::None;
     return report;
+}
+
+/**
+ * The worker side of one shard attempt, for any campaign kind: write
+ * the status trail, run the campaign (`run(params)`) masked to the
+ * shard against the shard journal, and execute any chaos plan.
+ */
+template <typename Params, typename Run>
+int
+runShardWorker(Params params, unsigned total_tasks, const ShardSpec &shard,
+               unsigned attempt, const WorkerChaos &chaos, Run &&run)
+{
+    StatusFile status(shard.statusPath);
+    status.start(shard.id, static_cast<int>(::getpid()), attempt);
+
+    std::vector<std::uint8_t> mask = shard.mask(total_tasks);
+    params.checkpointPath = shard.journalPath;
+    params.taskMask = &mask;
+    params.journal = withWorkerHooks(std::move(params.journal), status,
+                                     chaos);
+    run(params);
+
+    status.finish(shard.taskCount);
+    return 0;
+}
+
+/**
+ * The one service path, for any campaign kind whose Params carry
+ * jobs/checkpointPath/journal/taskMask: shard and supervise the
+ * workers, absorb their journals, then run the campaign in-process
+ * over the merged journal — replaying everything the workers proved,
+ * re-executing whatever was lost, skipping quarantined tasks.
+ */
+template <typename Params, typename Run>
+auto
+serviceCampaign(const Params &params, unsigned total_tasks,
+                std::uint64_t journal_key, const char *kind,
+                const ServiceParams &service, Run &&run)
+{
+    Params base = params;
+    base.checkpointPath.clear();
+    base.journal = JournalOptions{};
+    base.taskMask = nullptr;
+
+    WorkerBody body = [&](const ShardSpec &shard, unsigned attempt,
+                          const WorkerChaos &chaos) {
+        Params wp = base;
+        wp.jobs = std::max(1u, service.jobsPerWorker);
+        wp.journal = workerJournalOptions(service);
+        return runShardWorker(std::move(wp), total_tasks, shard, attempt,
+                              chaos, run);
+    };
+
+    std::vector<std::uint8_t> mask;
+    ServiceReport report = superviseAndMerge(total_tasks, service,
+                                             journal_key, kind, body, mask);
+    Params fin = base;
+    fin.checkpointPath = report.mergedJournalPath;
+    fin.journal.fsync = service.fsync;
+    if (report.code == FailureCode::ShardQuarantined)
+        fin.taskMask = &mask;
+    return ServiceOutcome<decltype(run(fin))>{run(fin), report};
 }
 
 } // namespace
@@ -175,38 +235,11 @@ runSweepShardWorker(const SystemSpec &spec, const HammerPattern &pattern,
                     std::uint64_t seed, const ShardSpec &shard,
                     unsigned attempt, const WorkerChaos &chaos)
 {
-    StatusFile status(shard.statusPath);
-    status.start(shard.id, static_cast<int>(::getpid()), attempt);
-
-    std::vector<std::uint8_t> mask = shard.mask(params.numLocations);
-    params.checkpointPath = shard.journalPath;
-    params.taskMask = &mask;
-    params.journal = withWorkerHooks(std::move(params.journal), status,
-                                     chaos);
-    sweepCampaign(spec, pattern, cfg, params, seed);
-
-    status.finish(shard.taskCount);
-    return 0;
-}
-
-int
-runFuzzShardWorker(const SystemSpec &spec, const HammerConfig &cfg,
-                   FuzzParams params, std::uint64_t seed,
-                   const ShardSpec &shard, unsigned attempt,
-                   const WorkerChaos &chaos)
-{
-    StatusFile status(shard.statusPath);
-    status.start(shard.id, static_cast<int>(::getpid()), attempt);
-
-    std::vector<std::uint8_t> mask = shard.mask(params.numPatterns);
-    params.checkpointPath = shard.journalPath;
-    params.taskMask = &mask;
-    params.journal = withWorkerHooks(std::move(params.journal), status,
-                                     chaos);
-    fuzzCampaign(spec, cfg, params, seed);
-
-    status.finish(shard.taskCount);
-    return 0;
+    unsigned total_tasks = params.numLocations;
+    return runShardWorker(std::move(params), total_tasks, shard, attempt,
+                          chaos, [&](const SweepParams &p) {
+                              sweepCampaign(spec, pattern, cfg, p, seed);
+                          });
 }
 
 SweepServiceOutcome
@@ -214,36 +247,12 @@ serviceSweepCampaign(const SystemSpec &spec, const HammerPattern &pattern,
                      const HammerConfig &cfg, const SweepParams &params,
                      std::uint64_t seed, const ServiceParams &service)
 {
-    SweepParams base = params;
-    base.checkpointPath.clear();
-    base.journal = JournalOptions{};
-    base.taskMask = nullptr;
-
-    std::uint64_t key = sweepJournalKey(spec, cfg, base, pattern, seed);
-
-    WorkerBody body = [&](const ShardSpec &shard, unsigned attempt,
-                          const WorkerChaos &chaos) {
-        SweepParams wp = base;
-        wp.jobs = std::max(1u, service.jobsPerWorker);
-        wp.journal = workerJournalOptions(service);
-        return runSweepShardWorker(spec, pattern, cfg, std::move(wp), seed,
-                                   shard, attempt, chaos);
-    };
-
-    SweepServiceOutcome out;
-    std::vector<std::uint8_t> mask;
-    bool use_mask = false;
-    out.report = superviseAndMerge(base.numLocations, service, key,
-                                   SweepJournalKind, body, mask, use_mask);
-
-    // The merge run: replay everything the workers proved, re-execute
-    // whatever was lost, skip quarantined tasks.
-    SweepParams fin = base;
-    fin.checkpointPath = out.report.mergedJournalPath;
-    fin.journal.fsync = service.fsync;
-    fin.taskMask = use_mask ? &mask : nullptr;
-    out.result = sweepCampaign(spec, pattern, cfg, fin, seed);
-    return out;
+    return serviceCampaign(
+        params, params.numLocations,
+        sweepJournalKey(spec, cfg, params, pattern, seed), SweepJournalKind,
+        service, [&](const SweepParams &p) {
+            return sweepCampaign(spec, pattern, cfg, p, seed);
+        });
 }
 
 FuzzServiceOutcome
@@ -251,34 +260,12 @@ serviceFuzzCampaign(const SystemSpec &spec, const HammerConfig &cfg,
                     const FuzzParams &params, std::uint64_t seed,
                     const ServiceParams &service)
 {
-    FuzzParams base = params;
-    base.checkpointPath.clear();
-    base.journal = JournalOptions{};
-    base.taskMask = nullptr;
-
-    std::uint64_t key = fuzzJournalKey(spec, cfg, base, seed);
-
-    WorkerBody body = [&](const ShardSpec &shard, unsigned attempt,
-                          const WorkerChaos &chaos) {
-        FuzzParams wp = base;
-        wp.jobs = std::max(1u, service.jobsPerWorker);
-        wp.journal = workerJournalOptions(service);
-        return runFuzzShardWorker(spec, cfg, std::move(wp), seed, shard,
-                                  attempt, chaos);
-    };
-
-    FuzzServiceOutcome out;
-    std::vector<std::uint8_t> mask;
-    bool use_mask = false;
-    out.report = superviseAndMerge(base.numPatterns, service, key,
-                                   FuzzJournalKind, body, mask, use_mask);
-
-    FuzzParams fin = base;
-    fin.checkpointPath = out.report.mergedJournalPath;
-    fin.journal.fsync = service.fsync;
-    fin.taskMask = use_mask ? &mask : nullptr;
-    out.result = fuzzCampaign(spec, cfg, fin, seed);
-    return out;
+    return serviceCampaign(params, params.numPatterns,
+                           fuzzJournalKey(spec, cfg, params, seed),
+                           FuzzJournalKind, service,
+                           [&](const FuzzParams &p) {
+                               return fuzzCampaign(spec, cfg, p, seed);
+                           });
 }
 
 } // namespace rho::service

@@ -3,29 +3,31 @@
  * The campaign service: sweep/fuzz campaigns sharded across supervised
  * worker processes, with crash-safe journals and a bit-identical merge.
  *
- * Flow for one campaign (serviceSweepCampaign / serviceFuzzCampaign):
+ * Both entry points (serviceSweepCampaign / serviceFuzzCampaign) are
+ * thin wrappers over one supervise-then-merge path. Flow for one
+ * campaign:
  *
  *  1. The task keyspace [0, N) is split into contiguous shards
  *     (shard.hh). Each shard gets its own journal + status file under
  *     `ServiceParams::journalBase`.
  *  2. The Supervisor drives one worker process per shard (fork in body
  *     mode; the example binary also exposes an exec-mode `--worker`
- *     entry via runSweepShardWorker/runFuzzShardWorker). Workers run
- *     the ordinary campaign engine with a task mask restricted to
- *     their shard, journaling every completed task. Crashed / hung
- *     workers are retried with backoff and resume from their journal.
+ *     entry via runSweepShardWorker). Workers run the ordinary
+ *     campaign engine with a task mask restricted to their shard,
+ *     journaling every completed task. Crashed / hung workers are
+ *     retried with backoff and resume from their journal.
  *  3. The parent absorbs all completed shards' verified journal
  *     records into one merged journal (all shard journals share the
  *     campaign's journal key), then runs the campaign in-process over
  *     the merged journal: every journaled task replays, and any task
  *     lost to a kill, a torn line or bit-rot silently re-executes.
  *
- * Because each task is a pure function of hashCombine(seed, index) and
- * merging is in index order, the final result is byte-identical to an
- * uninterrupted single-process run — for any worker count, any --jobs,
- * any kill point, any corrupted record. Shards that exhaust their
- * retry budget are quarantined: their tasks are masked out of the
- * merge and the degradation is reported via
+ * Because each task is a pure function of campaignTaskSeed(seed,
+ * index) and merging is in index order, the final result is
+ * byte-identical to an uninterrupted single-process run — for any
+ * worker count, any --jobs, any kill point, any corrupted record.
+ * Shards that exhaust their retry budget are quarantined: their tasks
+ * are masked out of the merge and the degradation is reported via
  * FailureCode::ShardQuarantined instead of an abort.
  */
 
@@ -85,17 +87,16 @@ struct ServiceReport
     FailureCode code = FailureCode::None;
 };
 
-struct SweepServiceOutcome
+/** A campaign's merged result plus the service accounting. */
+template <typename Result>
+struct ServiceOutcome
 {
-    SweepResult result;
+    Result result;
     ServiceReport report;
 };
 
-struct FuzzServiceOutcome
-{
-    FuzzResult result;
-    ServiceReport report;
-};
+using SweepServiceOutcome = ServiceOutcome<SweepResult>;
+using FuzzServiceOutcome = ServiceOutcome<FuzzResult>;
 
 /**
  * Run `params` as a supervised multi-process campaign. The campaign
@@ -118,11 +119,11 @@ FuzzServiceOutcome serviceFuzzCampaign(const SystemSpec &spec,
                                        const ServiceParams &service);
 
 /**
- * The worker-side entry point for one sweep shard attempt: writes the
- * status trail, runs the masked campaign against the shard journal,
- * and executes any chaos plan. Returns the process exit code. Called
- * in-process by body-mode workers and by the example binary's
- * exec-mode `--worker` entry.
+ * The exec-mode entry point for one sweep shard attempt (the example
+ * binary's `--worker`): the same shard-worker routine body-mode
+ * workers run — write the status trail, run the masked campaign
+ * against the shard journal, execute any chaos plan. Returns the
+ * process exit code.
  *
  * `params.journal` should carry the fsync policy (and any bitRot
  * hook); the status heartbeat and chaos hooks are chained onto it.
@@ -131,12 +132,6 @@ int runSweepShardWorker(const SystemSpec &spec, const HammerPattern &pattern,
                         const HammerConfig &cfg, SweepParams params,
                         std::uint64_t seed, const ShardSpec &shard,
                         unsigned attempt, const WorkerChaos &chaos);
-
-/** Fuzz-shard worker entry point (see runSweepShardWorker). */
-int runFuzzShardWorker(const SystemSpec &spec, const HammerConfig &cfg,
-                       FuzzParams params, std::uint64_t seed,
-                       const ShardSpec &shard, unsigned attempt,
-                       const WorkerChaos &chaos);
 
 /**
  * Deterministic chaos plan for one (shard, attempt) drawn from the

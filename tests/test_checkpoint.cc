@@ -1,8 +1,9 @@
 /**
  * @file
  * TaskJournal v2 robustness: CRC/seq record validation, self-healing
- * recovery, v1 back-compat, and a journal-corruption property fuzz
- * that must never break campaign bit-identity.
+ * recovery, discarding of foreign (including v1) files, a
+ * journal-corruption property fuzz that must never break campaign
+ * bit-identity, and a pin of every campaign kind's payload bytes.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +18,8 @@
 #include "common/rng.hh"
 #include "common/stats.hh"
 #include "common/table.hh"
+#include "hammer/evo_fuzzer.hh"
+#include "hammer/pattern_fuzzer.hh"
 #include "hammer/sweep.hh"
 #include "hammer/tuned_configs.hh"
 
@@ -117,7 +120,7 @@ TEST(Checkpoint, RecordsReloadVerbatim)
     makeJournal(path, 0x1234, 4);
 
     TaskJournal j(path, 0x1234, "test");
-    EXPECT_EQ(j.recovery().fileVersion, 2u);
+    EXPECT_FALSE(j.recovery().discarded);
     EXPECT_EQ(j.restoredCount(), 4u);
     EXPECT_FALSE(j.recovery().truncatedAtCorruption);
     EXPECT_EQ(j.lookup(2), "payload-2 34");
@@ -261,7 +264,7 @@ TEST(Checkpoint, OnRecordReportsMonotonicSeq)
 }
 
 // ---------------------------------------------------------------------
-// v1 back-compat (journals written by PR 2–6 binaries)
+// Campaign-level: foreign files and corruption never break bit-identity
 // ---------------------------------------------------------------------
 
 namespace
@@ -288,40 +291,6 @@ downgradeToV1(const std::string &path)
     }
     writeLines(path, v1);
 }
-
-} // namespace
-
-TEST(Checkpoint, V1JournalLoadsAndUpgrades)
-{
-    std::string path = tempPath("rho_ckpt_v1.journal");
-    makeJournal(path, 0xE1, 4);
-    downgradeToV1(path);
-
-    {
-        TaskJournal j(path, 0xE1, "test");
-        EXPECT_EQ(j.recovery().fileVersion, 1u);
-        EXPECT_TRUE(j.recovery().upgradedFromV1);
-        EXPECT_EQ(j.restoredCount(), 4u);
-        EXPECT_EQ(j.lookup(3), "payload-3 51");
-        j.record(4, "payload-4 68");
-    }
-    // The file on disk is now v2 with CRCs, including the new record.
-    auto lines = readLines(path);
-    ASSERT_FALSE(lines.empty());
-    EXPECT_EQ(lines[0].rfind("rho-journal v2 ", 0), 0u);
-    TaskJournal j(path, 0xE1, "test");
-    EXPECT_EQ(j.recovery().fileVersion, 2u);
-    EXPECT_FALSE(j.recovery().upgradedFromV1);
-    EXPECT_EQ(j.restoredCount(), 5u);
-    std::remove(path.c_str());
-}
-
-// ---------------------------------------------------------------------
-// Campaign-level: corruption never breaks bit-identity
-// ---------------------------------------------------------------------
-
-namespace
-{
 
 struct SweepScenario
 {
@@ -359,31 +328,40 @@ expectSweepEqual(const SweepResult &a, const SweepResult &b)
 
 } // namespace
 
-TEST(Checkpoint, V1CampaignJournalResumesBitIdentical)
+TEST(Checkpoint, V1JournalIsDiscardedAndCampaignReexecutes)
 {
+    // A v1 file (no seq, no CRC) is a foreign format: it is discarded
+    // like a mismatched key, never loaded.
+    std::string path = tempPath("rho_ckpt_v1.journal");
+    makeJournal(path, 0xE1, 4);
+    downgradeToV1(path);
+    {
+        TaskJournal j(path, 0xE1, "test");
+        EXPECT_TRUE(j.recovery().discarded);
+        EXPECT_EQ(j.restoredCount(), 0u);
+    }
+    auto lines = readLines(path);
+    ASSERT_EQ(lines.size(), 1u);
+    EXPECT_EQ(lines[0].rfind("rho-journal v2 ", 0), 0u);
+
+    // A campaign over a v1 journal re-executes every task and still
+    // merges bit-identically.
     SweepScenario sc(3);
     SweepParams params;
     params.numLocations = 6;
     params.jobs = 2;
     SweepResult base = sweepCampaign(sc.spec, sc.pattern, sc.cfg, params,
                                      55);
-
-    std::string path = tempPath("rho_ckpt_v1_campaign.journal");
     params.checkpointPath = path;
     sweepCampaign(sc.spec, sc.pattern, sc.cfg, params, 55);
-
-    // Pretend the journal was written by a PR 2–6 binary, with the
-    // last two tasks lost to a kill.
     downgradeToV1(path);
-    auto lines = readLines(path);
-    lines.resize(lines.size() - 2);
-    writeLines(path, lines);
 
     ParallelStats stats;
-    SweepResult resumed = sweepCampaign(sc.spec, sc.pattern, sc.cfg,
-                                        params, 55, &stats);
-    expectSweepEqual(resumed, base);
-    EXPECT_EQ(stats.tasksRestored, 4u);
+    SweepResult rerun = sweepCampaign(sc.spec, sc.pattern, sc.cfg, params,
+                                      55, &stats);
+    expectSweepEqual(rerun, base);
+    EXPECT_EQ(stats.tasksRestored, 0u);
+    EXPECT_EQ(stats.tasksRun, params.numLocations);
     std::remove(path.c_str());
 }
 
@@ -443,4 +421,109 @@ TEST(Checkpoint, CorruptionPropertyFuzzKeepsBitIdentity)
         }
         std::remove(path.c_str());
     }
+}
+
+// ---------------------------------------------------------------------
+// Journal payload pin: the bytes each campaign kind journals
+// ---------------------------------------------------------------------
+
+namespace
+{
+
+/**
+ * Order-free digest of every restorable (index, payload) record in a
+ * journal: a wrapping sum of per-record hashes, so the completion
+ * order of a parallel run does not matter.
+ */
+std::uint64_t
+journalDigest(const std::string &path, std::uint64_t key, const char *kind,
+              std::size_t expect_records)
+{
+    TaskJournal j(path, key, kind);
+    EXPECT_EQ(j.restoredCount(), expect_records) << kind;
+    std::uint64_t sum = 0;
+    for (const auto &[index, payload] : j.entries()) {
+        std::uint64_t h = hashCombine(index, payload.size());
+        sum += hashCombine(h, crc32(payload.data(), payload.size()));
+    }
+    return sum;
+}
+
+/** A pinned digest per (campaign kind, seed). */
+struct PayloadPin
+{
+    std::uint64_t seed;
+    std::uint64_t sweep;
+    std::uint64_t fuzz;
+    std::uint64_t evo;
+};
+
+} // namespace
+
+TEST(JournalPayloadPin, SweepFuzzEvoPayloadsAreByteStable)
+{
+    // A journal written by one binary must resume under the next, so
+    // the payload bytes of every kind are part of the contract: a
+    // codec or task change that alters these digests breaks resume of
+    // existing journals. Each digest must also hold for any `jobs`.
+    const PayloadPin pins[] = {
+        {5, 0xf3f98803247fbc48ull, 0xdf04618299677502ull,
+         0xf5cc2b7de890803cull},
+        {9, 0x65cdea208b50068full, 0xe451535c38f058caull,
+         0xc9e33d8681374d18ull},
+    };
+    const std::string path = tempPath("rho_ckpt_pin.journal");
+
+    SystemSpec sweep_spec(Arch::AlderLake, DimmProfile::byId("S4"));
+    HammerConfig sweep_cfg = rhoConfig(Arch::AlderLake, false, 30000);
+    SystemSpec fuzz_spec(Arch::RaptorLake, DimmProfile::ddr5Sample());
+    HammerConfig fuzz_cfg = rhoConfig(Arch::RaptorLake, true, 30000);
+
+    for (const PayloadPin &pin : pins) {
+        for (unsigned jobs : {1u, 4u}) {
+            SCOPED_TRACE(strFormat("seed %llu jobs %u",
+                                   (unsigned long long)pin.seed, jobs));
+            HammerPattern pattern = SweepScenario::makePattern(pin.seed);
+            SweepParams sp;
+            sp.numLocations = 4;
+            sp.jobs = jobs;
+            sp.checkpointPath = path;
+            std::remove(path.c_str());
+            sweepCampaign(sweep_spec, pattern, sweep_cfg, sp, pin.seed);
+            EXPECT_EQ(journalDigest(path,
+                                    sweepJournalKey(sweep_spec, sweep_cfg,
+                                                    sp, pattern, pin.seed),
+                                    SweepJournalKind, sp.numLocations),
+                      pin.sweep);
+
+            FuzzParams fp;
+            fp.numPatterns = 4;
+            fp.locationsPerPattern = 1;
+            fp.jobs = jobs;
+            fp.checkpointPath = path;
+            std::remove(path.c_str());
+            fuzzCampaign(fuzz_spec, fuzz_cfg, fp, pin.seed);
+            EXPECT_EQ(journalDigest(path,
+                                    fuzzJournalKey(fuzz_spec, fuzz_cfg, fp,
+                                                   pin.seed),
+                                    FuzzJournalKind, fp.numPatterns),
+                      pin.fuzz);
+
+            EvoParams ep;
+            ep.populationSize = 3;
+            ep.generations = 2;
+            ep.elites = 1;
+            ep.locationsPerPattern = 1;
+            ep.jobs = jobs;
+            ep.checkpointPath = path;
+            std::remove(path.c_str());
+            evolvedFuzzCampaign(fuzz_spec, fuzz_cfg, ep, pin.seed);
+            EXPECT_EQ(journalDigest(path,
+                                    evoJournalKey(fuzz_spec, fuzz_cfg, ep,
+                                                  pin.seed),
+                                    EvoJournalKind, ep.trialBudget()),
+                      pin.evo);
+        }
+    }
+    std::remove(path.c_str());
 }

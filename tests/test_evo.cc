@@ -308,6 +308,33 @@ TEST(EvoSearch, CheckpointResumeIsTransparent)
     std::remove(path.c_str());
 }
 
+TEST(EvoSearch, StatsCountRunAndRestoredTrials)
+{
+    // Regression: the per-generation stats copy dropped taskWallMs,
+    // so a search reported zero timed tasks.
+    std::string path = testing::TempDir() + "rho_evo_stats.journal";
+    std::remove(path.c_str());
+
+    EvoParams params = smallEvo();
+    params.jobs = 2;
+    params.checkpointPath = path;
+    ParallelStats fresh;
+    evolvedFuzzCampaign(trrOnlySpec(), searchConfig(), params, 31,
+                        &fresh);
+    EXPECT_EQ(fresh.tasksRun, params.trialBudget());
+    EXPECT_EQ(fresh.taskWallMs.count(), params.trialBudget());
+    EXPECT_EQ(fresh.tasksRestored, 0u);
+
+    // A fully journaled rerun executes nothing.
+    ParallelStats replay;
+    evolvedFuzzCampaign(trrOnlySpec(), searchConfig(), params, 31,
+                        &replay);
+    EXPECT_EQ(replay.tasksRestored, params.trialBudget());
+    EXPECT_EQ(replay.tasksRun, 0u);
+
+    std::remove(path.c_str());
+}
+
 TEST(EvoSearch, TamperedGenerationDigestFallsBackToLiveEvaluation)
 {
     std::string path = testing::TempDir() + "rho_evo_tamper.journal";

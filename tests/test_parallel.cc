@@ -253,6 +253,39 @@ TEST(Determinism, RestoredTasksAreNotCountedAsRun)
     std::remove(params.checkpointPath.c_str());
 }
 
+TEST(Determinism, MaskedOutTasksAreNotCountedAsRun)
+{
+    // Regression: a task skipped by a service shard mask used to land
+    // in tasksRun and taskWallMs although it never executed.
+    SystemSpec spec = campaignSpec();
+    HammerConfig cfg = rhoConfig(Arch::CometLake, true, 30000);
+    const std::vector<std::uint8_t> mask = {1, 0, 0, 1, 1, 0};
+    const unsigned live = 3;
+
+    Rng pattern_rng(45);
+    HammerPattern pattern = HammerPattern::randomNonUniform(pattern_rng);
+    SweepParams sp;
+    sp.numLocations = static_cast<unsigned>(mask.size());
+    sp.jobs = 2;
+    sp.taskMask = &mask;
+    ParallelStats sweep_stats;
+    SweepResult sr = sweepCampaign(spec, pattern, cfg, sp, 45,
+                                   &sweep_stats);
+    EXPECT_EQ(sr.flipsPerLocation.size(), live);
+    EXPECT_EQ(sweep_stats.tasksRun, live);
+    EXPECT_EQ(sweep_stats.taskWallMs.count(), live);
+
+    FuzzParams fp;
+    fp.numPatterns = static_cast<unsigned>(mask.size());
+    fp.locationsPerPattern = 1;
+    fp.jobs = 2;
+    fp.taskMask = &mask;
+    ParallelStats fuzz_stats;
+    fuzzCampaign(spec, cfg, fp, 45, &fuzz_stats);
+    EXPECT_EQ(fuzz_stats.tasksRun, live);
+    EXPECT_EQ(fuzz_stats.taskWallMs.count(), live);
+}
+
 TEST(Determinism, CampaignStatsReflectScheduling)
 {
     SystemSpec spec = campaignSpec();
