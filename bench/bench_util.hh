@@ -11,6 +11,7 @@
 #ifndef RHO_BENCH_BENCH_UTIL_HH
 #define RHO_BENCH_BENCH_UTIL_HH
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -23,17 +24,35 @@
 namespace rho::bench
 {
 
+/** Print a bad-input message to stderr and exit with status 2. */
+[[noreturn]] inline void
+usageError(const std::string &msg)
+{
+    std::fprintf(stderr, "error: %s\n", msg.c_str());
+    std::exit(2);
+}
+
 /**
  * Parse `--jobs N` (or `-j N`) from argv; any other arguments are
  * left for the bench to interpret. Returns 0 (= hardware_concurrency)
- * when the flag is absent.
+ * when the flag is absent. N must be an integer in [0, 1024]; anything
+ * else, or a missing N, exits via usageError().
  */
 inline unsigned
 parseJobs(int argc, char **argv)
 {
-    for (int i = 1; i + 1 < argc; ++i) {
-        if (!std::strcmp(argv[i], "--jobs") || !std::strcmp(argv[i], "-j"))
-            return static_cast<unsigned>(std::atoi(argv[i + 1]));
+    for (int i = 1; i < argc; ++i) {
+        if (std::strcmp(argv[i], "--jobs") && std::strcmp(argv[i], "-j"))
+            continue;
+        if (i + 1 == argc)
+            usageError(std::string(argv[i]) + " needs a value");
+        const char *v = argv[i + 1];
+        char *end = nullptr;
+        long n = std::strtol(v, &end, 10);
+        if (end == v || *end != '\0' || n < 0 || n > 1024)
+            usageError(std::string(argv[i]) + " " + v
+                       + ": expected an integer in [0, 1024]");
+        return static_cast<unsigned>(n);
     }
     return 0;
 }
@@ -48,14 +67,23 @@ announceJobs(unsigned jobs)
                 jobs == 0 ? " (auto; override with --jobs N)" : "");
 }
 
-/** Global budget multiplier from RHO_BENCH_SCALE. */
+/**
+ * Global budget multiplier from RHO_BENCH_SCALE (unset or empty: 1.0).
+ * Anything but a finite number > 0 exits via usageError().
+ */
 inline double
 scale()
 {
     static const double s = [] {
         const char *env = std::getenv("RHO_BENCH_SCALE");
-        double v = env ? std::atof(env) : 1.0;
-        return v > 0.0 ? v : 1.0;
+        if (env == nullptr || *env == '\0')
+            return 1.0;
+        char *end = nullptr;
+        double v = std::strtod(env, &end);
+        if (end == env || *end != '\0' || !std::isfinite(v) || v <= 0.0)
+            usageError(std::string("RHO_BENCH_SCALE=") + env
+                       + ": expected a finite number > 0");
+        return v;
     }();
     return s;
 }

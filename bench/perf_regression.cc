@@ -1,63 +1,56 @@
 /**
  * @file
- * Perf-regression harness for the activation hot path.
+ * Perf gate for the three ratios only an in-process harness can
+ * measure. Each compares two observably interchangeable engines on the
+ * same fixed, deterministic work in the same process:
  *
- * Times two workloads across 3 seeds (medians reported):
- *  - device loop: raw double-sided hammering straight on Dimm::access,
- *    the loop the flat row-state fast path accelerates. Run through
- *    both row stores, so the flat-vs-reference speedup is measured in
- *    the same process. Mitigations are disabled here: the TRR sampler
- *    is identical (rng-bound) code on both paths and would only dilute
- *    the row-state signal being guarded;
- *  - end to end: a full HammerSession::hammer() with the tuned rho
- *    config (CPU model + controller + device), the configuration every
- *    table/figure bench pays for. Run twice: through the default fast
- *    stack (CpuModelKind::Blocked + RowStoreKind::Flat) and through
- *    the full original stack (Reference + Reference), the same
- *    differential the oracle suites prove bit-identical — so the
- *    speedup is measured between observably interchangeable engines.
+ *  - device_speedup_flat_vs_reference: raw double-sided hammering
+ *    straight on Dimm::access through the flat row store vs the
+ *    reference row store. Mitigations are off: the TRR sampler is the
+ *    same rng-bound code on both paths and would only dilute the
+ *    row-state signal being guarded;
+ *  - e2e_speedup_blocked_vs_reference: a full HammerSession::hammer()
+ *    with the tuned rho config through the default fast stack
+ *    (CpuModelKind::Blocked + RowStoreKind::Flat) vs the original
+ *    stack (Reference + Reference), the differential the oracle suites
+ *    prove bit-identical;
+ *  - service_relative_throughput: one sweep campaign sharded over
+ *    supervised worker processes vs the same sweep in-process with the
+ *    same total parallelism, fsync off on both, so only supervision,
+ *    fork, status files and the journal merge differ.
  *
- * Writes BENCH_rho.json (override with --out PATH) in the stable
- * "rho-bench-v1" schema:
+ * Absolute rates are rhobench's (sim_acts_per_s, run_s), not this
+ * harness's.
+ *
+ * Estimator (the one rhobench/METRICS.md documents): a unit is one
+ * fixed piece of work (three seeded device loops, three seeded hammers,
+ * one 16-location sweep). A ratio runs kPairs pairs of windows,
+ * alternating which side goes first; a window repeats units until
+ * RHO_BENCH_SCALE seconds of timed work have passed. Units are
+ * identical work, so their spread is host interference, which only
+ * adds time: each side's cost is the lower quartile of its unit times,
+ * and the ratio is baseline cost / subject cost. `iqr` is the
+ * interquartile range of the per-pair ratios.
+ *
+ * Output (--out PATH, default BENCH_rho.json), schema "rho-bench-v2":
  *
  *     {
- *       "schema": "rho-bench-v1",
- *       "scale": <RHO_BENCH_SCALE>,
- *       "seeds": [1, 2, 3],
+ *       "schema": "rho-bench-v2",
+ *       "scale": 1,
+ *       "window_s": 1,
+ *       "pairs": 5,
  *       "metrics": {
- *         "device_acts_per_sec": ...,        // higher is better
- *         "device_wall_ns_per_sim_ns": ...,  // lower is better
- *         "device_speedup_flat_vs_reference": ...,
- *         "e2e_acts_per_sec": ...,           // alias of e2e_blocked
- *         "e2e_wall_ns_per_sim_ns": ...,
- *         "e2e_blocked_acts_per_sec": ...,
- *         "e2e_reference_acts_per_sec": ...,
- *         "e2e_reference_wall_ns_per_sim_ns": ...,
- *         "e2e_speedup_blocked_vs_reference": ...,
- *         "service_locs_per_sec": ...,          // supervised campaign
- *         "service_relative_throughput": ...,   // vs in-process run
- *         "device_lpddr4_acts_per_sec": ...,    // per-backend records
- *         "e2e_zen3_acts_per_sec": ...,         //   (informational,
- *         "e2e_cortexa72_acts_per_sec": ...     //    never gated)
+ *         "device_speedup_flat_vs_reference": {"value": ., "iqr": .},
+ *         "e2e_speedup_blocked_vs_reference": {"value": ., "iqr": .},
+ *         "service_relative_throughput": {"value": ., "iqr": .}
  *       }
  *     }
  *
- * service_relative_throughput guards the campaign-service supervisor:
- * a sweep sharded over worker processes (same total parallelism as
- * the in-process run it is divided by) pays only for supervision,
- * fork, status files and the journal merge. The committed baseline
- * (0.95) records the characterized ~5% overhead; the metric carries
- * its own fixed 0.10 check threshold, independent of --threshold, so
- * the supervisor may never fall below ~85% of in-process throughput
- * — i.e. overhead is gated at roughly the 10% mark.
- *
- * Modes:
- *   --out PATH        where to write the JSON (default BENCH_rho.json)
- *   --check BASELINE  compare the higher-is-better metrics against a
- *                     committed baseline; exit 1 if any drops by more
- *                     than the threshold (default 25%, --threshold F)
- *   --selfcheck       re-read the written file and validate the schema
- *                     (used by the bench smoke CTest); exit 1 on error
+ * Flags:
+ *   --out PATH      where to write the JSON
+ *   --check FLOORS  exit 1 if a ratio is below its floor in FLOORS
+ *                   (bench/perf_baseline.json: "floors": {name: min})
+ *   --selfcheck     re-read the written file and validate the schema
  */
 
 #include <unistd.h>
@@ -65,11 +58,11 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
+#include <functional>
 #include <sstream>
-#include <thread>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_util.hh"
@@ -87,6 +80,9 @@ namespace
 
 using Clock = std::chrono::steady_clock;
 
+/** Window pairs per ratio. */
+constexpr unsigned kPairs = 5;
+
 double
 elapsedNs(Clock::time_point t0)
 {
@@ -94,167 +90,219 @@ elapsedNs(Clock::time_point t0)
         .count();
 }
 
-struct LoopResult
-{
-    double actsPerSec = 0.0;
-    double wallNsPerSimNs = 0.0;
-};
+/** One unit of fixed work; returns the host ns of its timed part. */
+using Unit = std::function<double()>;
 
-/** Raw device activation loop (no CPU model), one location per seed. */
-LoopResult
-deviceLoop(RowStoreKind kind, std::uint64_t seed, std::uint64_t rounds,
-           const DimmProfile &p = DimmProfile::byId("S2"),
-           const DramTiming *timing = nullptr)
+/** Double-sided hammering on a fresh DIMM at three seeded locations. */
+double
+deviceUnit(RowStoreKind kind, std::uint64_t rounds)
 {
+    const DimmProfile &p = DimmProfile::byId("S2");
     TrrConfig trr;
     trr.enabled = false; // pure row-state machinery (see file header)
-    Dimm d(p, timing ? *timing : DramTiming::ddr4(p.freqMts), trr);
-    d.setRowStore(kind);
-    std::uint32_t bank =
-        static_cast<std::uint32_t>(seed % d.geometry().flatBanks());
-    std::uint64_t base = 1000 + (seed * 7919) % (d.geometry().rowsPerBank
-                                                 - 1016);
-    d.fillRow(bank, base + 1, 0x55, 0.0);
+    double ns = 0.0;
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        Dimm d(p, DramTiming::ddr4(p.freqMts), trr);
+        d.setRowStore(kind);
+        auto bank =
+            static_cast<std::uint32_t>(seed % d.geometry().flatBanks());
+        std::uint64_t base =
+            1000 + (seed * 7919) % (d.geometry().rowsPerBank - 1016);
+        d.fillRow(bank, base + 1, 0x55, 0.0);
 
-    Ns now = 0.0;
-    Clock::time_point t0 = Clock::now();
-    for (std::uint64_t r = 0; r < rounds; ++r) {
-        now += d.access({bank, base, 0}, now).latency;
-        now += d.access({bank, base + 2, 0}, now).latency;
+        Ns now = 0.0;
+        Clock::time_point t0 = Clock::now();
+        for (std::uint64_t r = 0; r < rounds; ++r) {
+            now += d.access({bank, base, 0}, now).latency;
+            now += d.access({bank, base + 2, 0}, now).latency;
+        }
+        ns += elapsedNs(t0);
     }
-    double wall = elapsedNs(t0);
-    LoopResult res;
-    res.actsPerSec = d.totalActs() / (wall * 1e-9);
-    res.wallNsPerSimNs = wall / now;
-    return res;
+    return ns;
+}
+
+/** The tuned rho attack through the CPU model, seeds 1-3. */
+double
+e2eUnit(CpuModelKind cpu, RowStoreKind row, std::uint64_t budget)
+{
+    double ns = 0.0;
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        MemorySystem sys(Arch::RaptorLake, DimmProfile::byId("S2"),
+                         TrrConfig{}, seed);
+        sys.setCpuModel(cpu);
+        sys.dimm().setRowStore(row);
+        HammerSession session(sys, seed);
+        HammerConfig cfg = rhoConfig(Arch::RaptorLake, true, budget);
+        HammerPattern pattern = HammerPattern::doubleSided();
+        HammerLocation loc = session.randomLocation(pattern, cfg);
+
+        Clock::time_point t0 = Clock::now();
+        session.hammer(pattern, loc, cfg);
+        ns += elapsedNs(t0);
+    }
+    return ns;
 }
 
 /**
- * Full pipeline: tuned rho attack through the CPU model, with the
- * engine pair selected per run (fast stack vs original stack).
+ * One 16-location sweep (seed 1), run in-process (journaled, `par`
+ * jobs) or through the supervisor (2 x `par` shards on `par` worker
+ * processes, 1 job each). More shards than workers lets the supervisor
+ * balance uneven per-location sim times the way the in-process pool
+ * balances tasks.
  */
-LoopResult
-endToEnd(std::uint64_t seed, std::uint64_t budget, CpuModelKind cpu,
-         RowStoreKind row, Arch arch = Arch::RaptorLake,
-         const DimmProfile &profile = DimmProfile::byId("S2"))
+class ServiceSweep
 {
-    MemorySystem sys(arch, profile, TrrConfig{}, seed);
-    sys.setCpuModel(cpu);
-    sys.dimm().setRowStore(row);
-    HammerSession session(sys, seed);
-    HammerConfig cfg = rhoConfig(arch, true, budget);
-    HammerPattern pattern = HammerPattern::doubleSided();
-    HammerLocation loc = session.randomLocation(pattern, cfg);
+  public:
+    explicit ServiceSweep(std::uint64_t budget)
+        : spec(Arch::RaptorLake, DimmProfile::byId("S2")),
+          cfg(rhoConfig(Arch::RaptorLake, false, budget)),
+          base("/tmp/rho_bench_service."
+               + std::to_string(static_cast<long>(::getpid())))
+    {
+        Rng prng(seed);
+        pattern = HammerPattern::randomNonUniform(prng);
+        params.numLocations = 16;
 
-    Clock::time_point t0 = Clock::now();
-    session.hammer(pattern, loc, cfg);
-    double wall = elapsedNs(t0);
-    LoopResult res;
-    res.actsPerSec = sys.dimm().totalActs() / (wall * 1e-9);
-    res.wallNsPerSimNs = wall / std::max(sys.now(), 1.0);
-    return res;
-}
+        // Capped by the machine: on a single-core runner a 2-worker
+        // service would only measure context-switch pressure.
+        unsigned par = std::max(
+            1u, std::min(2u, std::thread::hardware_concurrency()));
+        inproc = params;
+        inproc.jobs = par;
+        inproc.checkpointPath = base + ".inproc";
+        inproc.journal.fsync = FsyncPolicy::Never;
 
-/**
- * Campaign-service supervisor overhead: the same sweep run once
- * in-process (journaled, 2 jobs) and once through the supervisor
- * (2 shards x 2 worker processes, 1 job each — identical total
- * parallelism), fsync disabled on both so only supervision, fork,
- * status traffic and the journal merge differ.
- */
-struct ServicePair
-{
-    double inprocLps = 0.0;  // locations/sec, in-process journaled run
-    double serviceLps = 0.0; // locations/sec, supervised sharded run
-};
+        svc.shards = 2 * par;
+        svc.jobsPerWorker = 1;
+        svc.journalBase = base;
+        svc.fsync = FsyncPolicy::Never;
+        svc.supervisor.workers = par;
+        svc.supervisor.pollIntervalS = 0.002;
+    }
 
-ServicePair
-serviceOverhead(std::uint64_t seed, std::uint64_t budget)
-{
-    SystemSpec spec(Arch::RaptorLake, DimmProfile::byId("S2"));
-    HammerConfig cfg = rhoConfig(Arch::RaptorLake, false, budget);
-    Rng prng(seed);
-    HammerPattern pattern = HammerPattern::randomNonUniform(prng);
+    ~ServiceSweep() { removeServiceFiles(); }
+    ServiceSweep(const ServiceSweep &) = delete;
+    ServiceSweep &operator=(const ServiceSweep &) = delete;
 
-    SweepParams params;
-    params.numLocations = 16;
-    std::string base = "/tmp/rho_bench_service." +
-                       std::to_string(static_cast<long>(::getpid())) +
-                       "." + std::to_string(seed);
-
-    // Same total parallelism on both sides, capped by the machine: on
-    // a single-core runner a 2-worker service would only measure
-    // context-switch pressure, not supervision cost.
-    unsigned par = std::max(
-        1u, std::min(2u, std::thread::hardware_concurrency()));
-
-    SweepParams inproc = params;
-    inproc.jobs = par;
-    inproc.checkpointPath = base + ".inproc";
-    inproc.journal.fsync = FsyncPolicy::Never;
-
-    service::ServiceParams svc;
-    // More shards than workers: the supervisor launches shards as
-    // slots free up, balancing uneven per-location sim times the same
-    // way the in-process pool balances tasks.
-    svc.shards = 2 * par;
-    svc.jobsPerWorker = 1;
-    svc.journalBase = base;
-    svc.fsync = FsyncPolicy::Never;
-    svc.supervisor.workers = par;
-    svc.supervisor.pollIntervalS = 0.002;
-
-    // Min-of-2 walls per engine: the overhead being measured is
-    // structural (fork, polling, journal merge), scheduler noise is
-    // additive — the minimum converges on the structural cost.
-    double inproc_wall = 0.0, service_wall = 0.0;
-    for (int rep = 0; rep < 2; ++rep) {
+    double
+    inProcess()
+    {
         std::remove(inproc.checkpointPath.c_str());
         Clock::time_point t0 = Clock::now();
         sweepCampaign(spec, pattern, cfg, inproc, seed);
-        double w = elapsedNs(t0);
-        inproc_wall = rep ? std::min(inproc_wall, w) : w;
+        double ns = elapsedNs(t0);
         std::remove(inproc.checkpointPath.c_str());
+        return ns;
+    }
 
+    double
+    supervised()
+    {
+        removeServiceFiles();
+        Clock::time_point t0 = Clock::now();
+        service::serviceSweepCampaign(spec, pattern, cfg, params, seed,
+                                      svc);
+        return elapsedNs(t0);
+    }
+
+  private:
+    void
+    removeServiceFiles() const
+    {
         for (unsigned k = 0; k < svc.shards; ++k) {
             std::string shard = base + ".shard" + std::to_string(k);
             std::remove(shard.c_str());
             std::remove((shard + ".status").c_str());
         }
         std::remove((base + ".merged").c_str());
-        t0 = Clock::now();
-        service::serviceSweepCampaign(spec, pattern, cfg, params, seed,
-                                      svc);
-        w = elapsedNs(t0);
-        service_wall = rep ? std::min(service_wall, w) : w;
     }
-    for (unsigned k = 0; k < svc.shards; ++k) {
-        std::string shard = base + ".shard" + std::to_string(k);
-        std::remove(shard.c_str());
-        std::remove((shard + ".status").c_str());
-    }
-    std::remove((base + ".merged").c_str());
 
-    ServicePair r;
-    r.inprocLps = params.numLocations / (inproc_wall * 1e-9);
-    r.serviceLps = params.numLocations / (service_wall * 1e-9);
-    return r;
-}
+    static constexpr std::uint64_t seed = 1;
+    SystemSpec spec;
+    HammerConfig cfg;
+    std::string base;
+    HammerPattern pattern;
+    SweepParams params;
+    SweepParams inproc;
+    service::ServiceParams svc;
+};
 
+/** Linear-interpolated quantile, as in rhobench. */
 double
-median3(double a, double b, double c)
+quantile(std::vector<double> v, double q)
 {
-    double v[3] = {a, b, c};
-    std::sort(v, v + 3);
-    return v[1];
+    std::sort(v.begin(), v.end());
+    double pos = q * static_cast<double>(v.size() - 1);
+    auto lo = static_cast<std::size_t>(pos);
+    std::size_t hi = std::min(lo + 1, v.size() - 1);
+    return v[lo] + (pos - static_cast<double>(lo)) * (v[hi] - v[lo]);
 }
 
-/** Scan `text` for `"key": <number>`; false when the key is absent. */
+/**
+ * Repeat `unit` until `window_ns` of timed work has passed (at least
+ * once). Appends every unit time to `units`; returns the window's mean.
+ */
+double
+runWindow(const Unit &unit, double window_ns, std::vector<double> &units)
+{
+    double total = 0.0;
+    std::size_t n = 0;
+    do {
+        double ns = unit();
+        units.push_back(ns);
+        total += ns;
+        ++n;
+    } while (total < window_ns);
+    return total / static_cast<double>(n);
+}
+
+struct Metric
+{
+    const char *name;
+    double value = 0.0;
+    double iqr = 0.0;
+};
+
+/** baseline cost / subject cost over kPairs alternating window pairs. */
+Metric
+measureRatio(const char *name, const Unit &subject, const Unit &baseline,
+             double window_ns)
+{
+    std::vector<double> subj_units, base_units, pair_ratios;
+    for (unsigned p = 0; p < kPairs; ++p) {
+        double s = 0.0, b = 0.0;
+        if (p % 2 == 0) {
+            s = runWindow(subject, window_ns, subj_units);
+            b = runWindow(baseline, window_ns, base_units);
+        } else {
+            b = runWindow(baseline, window_ns, base_units);
+            s = runWindow(subject, window_ns, subj_units);
+        }
+        pair_ratios.push_back(b / s);
+        std::printf("%s pair %u: subject %.3f ms/unit, baseline %.3f "
+                    "ms/unit, ratio %.4f\n",
+                    name, p + 1, s / 1e6, b / 1e6, pair_ratios.back());
+    }
+    Metric m{name};
+    m.value = quantile(base_units, 0.25) / quantile(subj_units, 0.25);
+    m.iqr = quantile(pair_ratios, 0.75) - quantile(pair_ratios, 0.25);
+    std::printf("%s = %.4f (iqr %.4f; %zu subject / %zu baseline units)"
+                "\n\n",
+                name, m.value, m.iqr, subj_units.size(),
+                base_units.size());
+    return m;
+}
+
+/**
+ * Scan `text` from `from` for `"key": <number>`; false when the key is
+ * absent or not followed by a number.
+ */
 bool
-findNumber(const std::string &text, const std::string &key, double &out)
+findNumber(const std::string &text, const std::string &key, double &out,
+           std::size_t from = 0)
 {
     std::string needle = "\"" + key + "\":";
-    std::size_t pos = text.find(needle);
+    std::size_t pos = text.find(needle, from);
     if (pos == std::string::npos)
         return false;
     const char *s = text.c_str() + pos + needle.size();
@@ -266,64 +314,18 @@ findNumber(const std::string &text, const std::string &key, double &out)
     return true;
 }
 
-const char *const metricNames[] = {
-    "device_acts_per_sec",
-    "device_wall_ns_per_sim_ns",
-    "device_speedup_flat_vs_reference",
-    "e2e_acts_per_sec",
-    "e2e_wall_ns_per_sim_ns",
-    "e2e_blocked_acts_per_sec",
-    "e2e_reference_acts_per_sec",
-    "e2e_reference_wall_ns_per_sim_ns",
-    "e2e_speedup_blocked_vs_reference",
-    "service_locs_per_sec",
-    "service_relative_throughput",
-    // Per-backend throughput records (informational, not gated): the
-    // Zen backend pays for the non-linear mapping + REF-blocking
-    // model, the ARMv8 backend for LPDDR4 timing + synchronous
-    // flushes, the LPDDR4 device loop for the REF-stall branch on the
-    // raw activation path.
-    "device_lpddr4_acts_per_sec",
-    "e2e_zen3_acts_per_sec",
-    "e2e_cortexa72_acts_per_sec",
-};
-constexpr unsigned numMetrics = 14;
-
-/**
- * Higher-is-better metrics gated by --check. A negative threshold
- * defers to the global --threshold; a fixed value pins the gate for
- * that metric regardless of the flag.
- */
-struct CheckedMetric
-{
-    const char *name;
-    double threshold;
-};
-const CheckedMetric checkedMetrics[] = {
-    {"device_acts_per_sec", -1.0},
-    {"device_speedup_flat_vs_reference", -1.0},
-    {"e2e_acts_per_sec", -1.0},
-    {"e2e_blocked_acts_per_sec", -1.0},
-    {"e2e_speedup_blocked_vs_reference", -1.0},
-    // Supervisor overhead gate: the sharded service run must keep
-    // >=90% of in-process throughput (fixed 10% floor).
-    {"service_relative_throughput", 0.10},
-};
-
 std::string
-renderJson(const double metrics[numMetrics],
-           const std::vector<std::uint64_t> &seeds)
+renderJson(const std::vector<Metric> &metrics, double window_s)
 {
     std::ostringstream os;
     os.precision(6);
-    os << "{\n  \"schema\": \"rho-bench-v1\",\n  \"scale\": "
-       << bench::scale() << ",\n  \"seeds\": [";
-    for (std::size_t i = 0; i < seeds.size(); ++i)
-        os << (i ? ", " : "") << seeds[i];
-    os << "],\n  \"metrics\": {\n";
-    for (unsigned i = 0; i < numMetrics; ++i) {
-        os << "    \"" << metricNames[i] << "\": " << metrics[i]
-           << (i + 1 < numMetrics ? ",\n" : "\n");
+    os << "{\n  \"schema\": \"rho-bench-v2\",\n  \"scale\": "
+       << bench::scale() << ",\n  \"window_s\": " << window_s
+       << ",\n  \"pairs\": " << kPairs << ",\n  \"metrics\": {\n";
+    for (std::size_t i = 0; i < metrics.size(); ++i) {
+        os << "    \"" << metrics[i].name << "\": {\"value\": "
+           << metrics[i].value << ", \"iqr\": " << metrics[i].iqr << "}"
+           << (i + 1 < metrics.size() ? ",\n" : "\n");
     }
     os << "  }\n}\n";
     return os.str();
@@ -341,127 +343,125 @@ readFile(const std::string &path, std::string &out)
     return true;
 }
 
+/** Every metric present with value > 0 and iqr >= 0. */
+bool
+selfcheck(const std::string &path, const std::vector<Metric> &metrics)
+{
+    std::string back;
+    if (!readFile(path, back)
+        || back.find("\"schema\": \"rho-bench-v2\"") == std::string::npos) {
+        std::fprintf(stderr, "FAIL: %s missing rho-bench-v2 schema\n",
+                     path.c_str());
+        return false;
+    }
+    for (const Metric &m : metrics) {
+        std::size_t pos = back.find("\"" + std::string(m.name) + "\": {");
+        double v = 0.0, iqr = -1.0;
+        if (pos == std::string::npos || !findNumber(back, "value", v, pos)
+            || !findNumber(back, "iqr", iqr, pos) || !(v > 0.0)
+            || !(iqr >= 0.0)) {
+            std::fprintf(stderr,
+                         "FAIL: %s: metric %s missing, or value not > 0 "
+                         "or iqr not >= 0\n",
+                         path.c_str(), m.name);
+            return false;
+        }
+    }
+    std::printf("selfcheck: schema and all %zu metrics OK\n",
+                metrics.size());
+    return true;
+}
+
+/** Each metric's value against its floor in `path`'s "floors" object. */
+bool
+checkFloors(const std::string &path, const std::vector<Metric> &metrics)
+{
+    std::string text;
+    std::size_t floors = std::string::npos;
+    if (!readFile(path, text)
+        || (floors = text.find("\"floors\":")) == std::string::npos) {
+        std::fprintf(stderr, "FAIL: cannot read floors from %s\n",
+                     path.c_str());
+        return false;
+    }
+    bool ok = true;
+    for (const Metric &m : metrics) {
+        double floor = 0.0;
+        if (!findNumber(text, m.name, floor, floors)) {
+            std::fprintf(stderr, "FAIL: %s lacks a floor for %s\n",
+                         path.c_str(), m.name);
+            ok = false;
+            continue;
+        }
+        bool pass = m.value >= floor;
+        std::printf("check %-34s %g (iqr %g) vs floor %g: %s\n", m.name,
+                    m.value, m.iqr, floor, pass ? "ok" : "REGRESSED");
+        ok = ok && pass;
+    }
+    if (!ok)
+        std::fprintf(stderr, "FAIL: perf below the floors in %s\n",
+                     path.c_str());
+    else
+        std::printf("perf at or above the floors in %s\n", path.c_str());
+    return ok;
+}
+
 } // namespace
 
 int
 main(int argc, char **argv)
 {
     std::string out_path = "BENCH_rho.json";
-    std::string baseline_path;
-    bool selfcheck = false;
-    double threshold = 0.25;
+    std::string floors_path;
+    bool want_selfcheck = false;
     for (int i = 1; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--out") && i + 1 < argc)
-            out_path = argv[++i];
-        else if (!std::strcmp(argv[i], "--check") && i + 1 < argc)
-            baseline_path = argv[++i];
-        else if (!std::strcmp(argv[i], "--threshold") && i + 1 < argc)
-            threshold = std::atof(argv[++i]);
-        else if (!std::strcmp(argv[i], "--selfcheck"))
-            selfcheck = true;
+        std::string flag = argv[i];
+        if (flag == "--selfcheck") {
+            want_selfcheck = true;
+            continue;
+        }
+        if (flag != "--out" && flag != "--check")
+            bench::usageError("unknown flag " + flag
+                              + " (expected --out PATH, --check FLOORS, "
+                                "--selfcheck)");
+        if (i + 1 == argc)
+            bench::usageError(flag + " needs a value");
+        (flag == "--out" ? out_path : floors_path) = argv[++i];
     }
 
-    bench::banner("perf", "activation hot-path regression harness "
-                          "(BENCH_rho.json)");
+    bench::banner("perf", "in-process perf ratios (BENCH_rho.json)");
 
-    const std::vector<std::uint64_t> seeds = {1, 2, 3};
-    std::uint64_t device_rounds = bench::scaled(400000);
-    // The reference store is the slow path being guarded against; a
-    // shorter loop reaches steady state just the same.
-    std::uint64_t ref_rounds = std::max<std::uint64_t>(
-        device_rounds / 8, 1);
-    std::uint64_t e2e_budget = bench::scaled(200000);
-    std::uint64_t service_budget = bench::scaled(120000);
+    const double window_s = bench::scale();
+    const double window_ns = window_s * 1e9;
+    const std::uint64_t device_rounds = bench::scaled(400000);
+    const std::uint64_t e2e_budget = bench::scaled(200000);
+    std::printf("%u alternating window pairs of >= %g s per ratio\n\n",
+                kPairs, window_s);
 
-    double flat_aps[3], flat_wps[3], speedup[3], e2e_aps[3], e2e_wps[3];
-    double e2e_ref_aps[3], e2e_ref_wps[3], e2e_speedup[3];
-    double svc_lps[3], svc_rel[3];
-    double lp_aps[3], zen_aps[3], arm_aps[3];
     // Service first, while the heap is small: body-mode workers fork
-    // this process, and fork cost scales with the parent's page
-    // tables — running after the device/e2e benches would charge
-    // their allocations to the supervisor.
-    for (std::size_t i = 0; i < seeds.size(); ++i) {
-        ServicePair svc = serviceOverhead(seeds[i], service_budget);
-        svc_lps[i] = svc.serviceLps;
-        svc_rel[i] = svc.serviceLps / svc.inprocLps;
-        std::printf("seed %llu: service %.2f locs/s "
-                    "(%.2fx of in-process)\n",
-                    static_cast<unsigned long long>(seeds[i]),
-                    svc_lps[i], svc_rel[i]);
-    }
-    for (std::size_t i = 0; i < seeds.size(); ++i) {
-        LoopResult flat =
-            deviceLoop(RowStoreKind::Flat, seeds[i], device_rounds);
-        LoopResult ref =
-            deviceLoop(RowStoreKind::Reference, seeds[i], ref_rounds);
-        LoopResult e2e = endToEnd(seeds[i], e2e_budget,
-                                  CpuModelKind::Blocked,
-                                  RowStoreKind::Flat);
-        LoopResult e2e_ref = endToEnd(seeds[i], e2e_budget,
-                                      CpuModelKind::Reference,
-                                      RowStoreKind::Reference);
-        flat_aps[i] = flat.actsPerSec;
-        flat_wps[i] = flat.wallNsPerSimNs;
-        speedup[i] = flat.actsPerSec / ref.actsPerSec;
-        e2e_aps[i] = e2e.actsPerSec;
-        e2e_wps[i] = e2e.wallNsPerSimNs;
-        e2e_ref_aps[i] = e2e_ref.actsPerSec;
-        e2e_ref_wps[i] = e2e_ref.wallNsPerSimNs;
-        e2e_speedup[i] = e2e.actsPerSec / e2e_ref.actsPerSec;
+    // this process, and fork cost scales with the parent's page tables.
+    ServiceSweep sweep(bench::scaled(120000));
+    Metric service = measureRatio(
+        "service_relative_throughput", [&] { return sweep.supervised(); },
+        [&] { return sweep.inProcess(); }, window_ns);
+    Metric device = measureRatio(
+        "device_speedup_flat_vs_reference",
+        [&] { return deviceUnit(RowStoreKind::Flat, device_rounds); },
+        [&] { return deviceUnit(RowStoreKind::Reference, device_rounds); },
+        window_ns);
+    Metric e2e = measureRatio(
+        "e2e_speedup_blocked_vs_reference",
+        [&] {
+            return e2eUnit(CpuModelKind::Blocked, RowStoreKind::Flat,
+                           e2e_budget);
+        },
+        [&] {
+            return e2eUnit(CpuModelKind::Reference, RowStoreKind::Reference,
+                           e2e_budget);
+        },
+        window_ns);
+    const std::vector<Metric> metrics = {device, e2e, service};
 
-        // Non-Intel backends, fast stack only (informational records).
-        const DimmProfile &lp = DimmProfile::lpddr4Sample();
-        DramTiming lp_tim = DramTiming::lpddr4(lp.freqMts);
-        LoopResult lp_dev = deviceLoop(RowStoreKind::Flat, seeds[i],
-                                       ref_rounds, lp, &lp_tim);
-        LoopResult zen = endToEnd(seeds[i], e2e_budget,
-                                  CpuModelKind::Blocked,
-                                  RowStoreKind::Flat, Arch::Zen3);
-        LoopResult arm = endToEnd(seeds[i], e2e_budget,
-                                  CpuModelKind::Blocked,
-                                  RowStoreKind::Flat, Arch::CortexA72,
-                                  lp);
-        lp_aps[i] = lp_dev.actsPerSec;
-        zen_aps[i] = zen.actsPerSec;
-        arm_aps[i] = arm.actsPerSec;
-
-        std::printf("seed %llu: device %.2fM acts/s (ref %.2fM, "
-                    "speedup %.2fx), end-to-end %.2fM acts/s "
-                    "(ref %.2fM, speedup %.2fx), zen3 %.2fM, "
-                    "cortex-a72 %.2fM\n",
-                    static_cast<unsigned long long>(seeds[i]),
-                    flat.actsPerSec / 1e6, ref.actsPerSec / 1e6,
-                    speedup[i], e2e.actsPerSec / 1e6,
-                    e2e_ref.actsPerSec / 1e6, e2e_speedup[i],
-                    zen.actsPerSec / 1e6, arm.actsPerSec / 1e6);
-    }
-
-    double metrics[numMetrics] = {
-        median3(flat_aps[0], flat_aps[1], flat_aps[2]),
-        median3(flat_wps[0], flat_wps[1], flat_wps[2]),
-        median3(speedup[0], speedup[1], speedup[2]),
-        median3(e2e_aps[0], e2e_aps[1], e2e_aps[2]),
-        median3(e2e_wps[0], e2e_wps[1], e2e_wps[2]),
-        // e2e_blocked is the same measurement as the legacy
-        // e2e_acts_per_sec (the default stack IS the blocked one);
-        // both keys are emitted so old and new baselines stay valid.
-        median3(e2e_aps[0], e2e_aps[1], e2e_aps[2]),
-        median3(e2e_ref_aps[0], e2e_ref_aps[1], e2e_ref_aps[2]),
-        median3(e2e_ref_wps[0], e2e_ref_wps[1], e2e_ref_wps[2]),
-        median3(e2e_speedup[0], e2e_speedup[1], e2e_speedup[2]),
-        median3(svc_lps[0], svc_lps[1], svc_lps[2]),
-        median3(svc_rel[0], svc_rel[1], svc_rel[2]),
-        median3(lp_aps[0], lp_aps[1], lp_aps[2]),
-        median3(zen_aps[0], zen_aps[1], zen_aps[2]),
-        median3(arm_aps[0], arm_aps[1], arm_aps[2]),
-    };
-
-    std::printf("\nmedians over %zu seeds:\n", seeds.size());
-    for (unsigned i = 0; i < numMetrics; ++i)
-        std::printf("  %-34s %g\n", metricNames[i], metrics[i]);
-
-    std::string json = renderJson(metrics, seeds);
     {
         std::ofstream out(out_path, std::ios::binary);
         if (!out) {
@@ -469,66 +469,13 @@ main(int argc, char **argv)
                          out_path.c_str());
             return 1;
         }
-        out << json;
+        out << renderJson(metrics, window_s);
     }
-    std::printf("\nwrote %s\n", out_path.c_str());
+    std::printf("wrote %s\n", out_path.c_str());
 
-    if (selfcheck) {
-        std::string back;
-        if (!readFile(out_path, back)
-            || back.find("\"rho-bench-v1\"") == std::string::npos) {
-            std::fprintf(stderr, "FAIL: %s missing rho-bench-v1 schema\n",
-                         out_path.c_str());
-            return 1;
-        }
-        for (const char *name : metricNames) {
-            double v = 0.0;
-            if (!findNumber(back, name, v) || !(v > 0.0)) {
-                std::fprintf(stderr,
-                             "FAIL: %s: metric %s missing or not a "
-                             "positive number\n",
-                             out_path.c_str(), name);
-                return 1;
-            }
-        }
-        std::printf("selfcheck: schema and all %u metrics OK\n",
-                    numMetrics);
-    }
-
-    if (!baseline_path.empty()) {
-        std::string base;
-        if (!readFile(baseline_path, base)) {
-            std::fprintf(stderr, "FAIL: cannot read baseline %s\n",
-                         baseline_path.c_str());
-            return 1;
-        }
-        bool ok = true;
-        for (const CheckedMetric &m : checkedMetrics) {
-            double want = 0.0, got = 0.0;
-            if (!findNumber(base, m.name, want)) {
-                std::fprintf(stderr,
-                             "FAIL: baseline %s lacks metric %s\n",
-                             baseline_path.c_str(), m.name);
-                ok = false;
-                continue;
-            }
-            findNumber(json, m.name, got);
-            double t = m.threshold < 0.0 ? threshold : m.threshold;
-            double floor = want * (1.0 - t);
-            bool pass = got >= floor;
-            std::printf("check %-34s %g vs baseline %g (floor %g): %s\n",
-                        m.name, got, want, floor, pass ? "ok" : "REGRESSED");
-            ok = ok && pass;
-        }
-        if (!ok) {
-            std::fprintf(stderr,
-                         "FAIL: perf regressed more than %.0f%% against "
-                         "%s\n",
-                         threshold * 100.0, baseline_path.c_str());
-            return 1;
-        }
-        std::printf("perf within %.0f%% of baseline %s\n",
-                    threshold * 100.0, baseline_path.c_str());
-    }
+    if (want_selfcheck && !selfcheck(out_path, metrics))
+        return 1;
+    if (!floors_path.empty() && !checkFloors(floors_path, metrics))
+        return 1;
     return 0;
 }

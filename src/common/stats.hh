@@ -157,13 +157,6 @@ struct ParallelStats
     double simNs = 0.0;           //!< simulated ns covered (caller-set)
     RunningStat taskWallMs;       //!< per-task host wall-clock, ms
 
-    /** Simulated-vs-wall speed ratio (0 when wall time unknown). */
-    double
-    simSpeedup() const
-    {
-        return wallNs > 0.0 ? simNs / wallNs : 0.0;
-    }
-
     /** One-line human-readable summary for bench output. */
     std::string summary() const;
 };

@@ -30,7 +30,6 @@ AddressSpace::mmap(std::uint64_t bytes)
             for (std::uint64_t j = 0; j < i; ++j) {
                 VirtAddr va = base + j * pageBytes;
                 auto it = pages.find(va);
-                reverse.erase(it->second);
                 buddy.free(it->second, 0);
                 pages.erase(it);
             }
@@ -38,39 +37,9 @@ AddressSpace::mmap(std::uint64_t bytes)
         }
         VirtAddr va = base + i * pageBytes;
         pages[va] = *pa;
-        reverse[*pa] = va;
     }
     nextVirt = base + npages * pageBytes + pageBytes; // guard gap
     return base;
-}
-
-std::optional<VirtAddr>
-AddressSpace::mmapContiguous(unsigned order)
-{
-    auto pa = buddy.alloc(order);
-    if (!pa)
-        return std::nullopt;
-    std::uint64_t npages = 1ULL << order;
-    VirtAddr base = nextVirt;
-    for (std::uint64_t i = 0; i < npages; ++i) {
-        VirtAddr va = base + i * pageBytes;
-        PhysAddr p = *pa + i * pageBytes;
-        pages[va] = p;
-        reverse[p] = va;
-    }
-    nextVirt = base + npages * pageBytes + pageBytes;
-    return base;
-}
-
-void
-AddressSpace::munmapPage(VirtAddr va)
-{
-    auto it = pages.find(pageOf(va));
-    if (it == pages.end())
-        panic("AddressSpace::munmapPage: page not mapped");
-    reverse.erase(it->second);
-    buddy.free(it->second, 0);
-    pages.erase(it);
 }
 
 std::optional<PhysAddr>
@@ -80,15 +49,6 @@ AddressSpace::virtToPhys(VirtAddr va) const
     if (it == pages.end())
         return std::nullopt;
     return it->second + (va & (pageBytes - 1));
-}
-
-std::optional<VirtAddr>
-AddressSpace::physToVirt(PhysAddr pa) const
-{
-    auto it = reverse.find(pageOf(pa));
-    if (it == reverse.end())
-        return std::nullopt;
-    return it->second + (pa & (pageBytes - 1));
 }
 
 PhysPool::PhysPool(BuddyAllocator &buddy, double fraction)

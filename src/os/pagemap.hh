@@ -11,7 +11,6 @@
 #include <algorithm>
 #include <map>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "common/logging.hh"
@@ -41,28 +40,14 @@ class AddressSpace
      */
     std::optional<VirtAddr> mmap(std::uint64_t bytes);
 
-    /**
-     * Map a physically contiguous block of 2^order pages (obtained by
-     * buddy-allocator massaging in real exploits).
-     * @return nullopt if no such block is free.
-     */
-    std::optional<VirtAddr> mmapContiguous(unsigned order);
-
-    /** Unmap and free the page at this virtual page address. */
-    void munmapPage(VirtAddr va);
-
     /** pagemap lookup (requires root on real systems). */
     std::optional<PhysAddr> virtToPhys(VirtAddr va) const;
-
-    /** Reverse lookup within this address space. */
-    std::optional<VirtAddr> physToVirt(PhysAddr pa) const;
 
     std::uint64_t mappedPages() const { return pages.size(); }
 
   private:
     BuddyAllocator &buddy;
     std::map<VirtAddr, PhysAddr> pages;       // per page base
-    std::unordered_map<PhysAddr, VirtAddr> reverse;
     VirtAddr nextVirt = 0x7f0000000000ULL;
 };
 

@@ -72,8 +72,7 @@ workerJournalOptions(const ServiceParams &service)
  */
 ServiceReport
 superviseAndMerge(unsigned total_tasks, const ServiceParams &service,
-                  std::uint64_t journal_key, const char *kind,
-                  const WorkerBody &body,
+                  std::uint64_t journal_key, const WorkerBody &body,
                   std::vector<std::uint8_t> &mask_out)
 {
     if (service.journalBase.empty())
@@ -115,8 +114,8 @@ superviseAndMerge(unsigned total_tasks, const ServiceParams &service,
     {
         JournalOptions mopts;
         mopts.fsync = FsyncPolicy::Never;
-        TaskJournal merged(report.mergedJournalPath, journal_key, kind,
-                           mopts);
+        TaskJournal merged(report.mergedJournalPath, journal_key,
+                           SweepJournalKind, mopts);
         std::vector<std::uint8_t> have(std::max(total_tasks, 1u), 0);
         for (unsigned i = 0; i < total_tasks; ++i)
             if (merged.lookup(i))
@@ -125,7 +124,7 @@ superviseAndMerge(unsigned total_tasks, const ServiceParams &service,
             if (r.state != ShardState::Done)
                 continue;
             TaskJournal shard_journal(r.spec.journalPath, journal_key,
-                                      kind, mopts);
+                                      SweepJournalKind, mopts);
             for (const auto &[index, payload] : shard_journal.entries()) {
                 if (index >= total_tasks || have[index])
                     continue;
@@ -146,68 +145,6 @@ superviseAndMerge(unsigned total_tasks, const ServiceParams &service,
     }
 
     return report;
-}
-
-/**
- * The worker side of one shard attempt, for any campaign kind: write
- * the status trail, run the campaign (`run(params)`) masked to the
- * shard against the shard journal, and execute any chaos plan.
- */
-template <typename Params, typename Run>
-int
-runShardWorker(Params params, unsigned total_tasks, const ShardSpec &shard,
-               unsigned attempt, const WorkerChaos &chaos, Run &&run)
-{
-    StatusFile status(shard.statusPath);
-    status.start(shard.id, static_cast<int>(::getpid()), attempt);
-
-    std::vector<std::uint8_t> mask = shard.mask(total_tasks);
-    params.checkpointPath = shard.journalPath;
-    params.taskMask = &mask;
-    params.journal = withWorkerHooks(std::move(params.journal), status,
-                                     chaos);
-    run(params);
-
-    status.finish(shard.taskCount);
-    return 0;
-}
-
-/**
- * The one service path, for any campaign kind whose Params carry
- * jobs/checkpointPath/journal/taskMask: shard and supervise the
- * workers, absorb their journals, then run the campaign in-process
- * over the merged journal — replaying everything the workers proved,
- * re-executing whatever was lost, skipping quarantined tasks.
- */
-template <typename Params, typename Run>
-auto
-serviceCampaign(const Params &params, unsigned total_tasks,
-                std::uint64_t journal_key, const char *kind,
-                const ServiceParams &service, Run &&run)
-{
-    Params base = params;
-    base.checkpointPath.clear();
-    base.journal = JournalOptions{};
-    base.taskMask = nullptr;
-
-    WorkerBody body = [&](const ShardSpec &shard, unsigned attempt,
-                          const WorkerChaos &chaos) {
-        Params wp = base;
-        wp.jobs = std::max(1u, service.jobsPerWorker);
-        wp.journal = workerJournalOptions(service);
-        return runShardWorker(std::move(wp), total_tasks, shard, attempt,
-                              chaos, run);
-    };
-
-    std::vector<std::uint8_t> mask;
-    ServiceReport report = superviseAndMerge(total_tasks, service,
-                                             journal_key, kind, body, mask);
-    Params fin = base;
-    fin.checkpointPath = report.mergedJournalPath;
-    fin.journal.fsync = service.fsync;
-    if (report.code == FailureCode::ShardQuarantined)
-        fin.taskMask = &mask;
-    return ServiceOutcome<decltype(run(fin))>{run(fin), report};
 }
 
 } // namespace
@@ -235,37 +172,55 @@ runSweepShardWorker(const SystemSpec &spec, const HammerPattern &pattern,
                     std::uint64_t seed, const ShardSpec &shard,
                     unsigned attempt, const WorkerChaos &chaos)
 {
-    unsigned total_tasks = params.numLocations;
-    return runShardWorker(std::move(params), total_tasks, shard, attempt,
-                          chaos, [&](const SweepParams &p) {
-                              sweepCampaign(spec, pattern, cfg, p, seed);
-                          });
+    StatusFile status(shard.statusPath);
+    status.start(shard.id, static_cast<int>(::getpid()), attempt);
+
+    std::vector<std::uint8_t> mask = shard.mask(params.numLocations);
+    params.checkpointPath = shard.journalPath;
+    params.taskMask = &mask;
+    params.journal = withWorkerHooks(std::move(params.journal), status,
+                                     chaos);
+    sweepCampaign(spec, pattern, cfg, params, seed);
+
+    status.finish(shard.taskCount);
+    return 0;
 }
 
+/*
+ * Shard and supervise the workers, absorb their journals, then run the
+ * sweep in-process over the merged journal: replaying everything the
+ * workers proved, re-executing whatever was lost, skipping quarantined
+ * tasks.
+ */
 SweepServiceOutcome
 serviceSweepCampaign(const SystemSpec &spec, const HammerPattern &pattern,
                      const HammerConfig &cfg, const SweepParams &params,
                      std::uint64_t seed, const ServiceParams &service)
 {
-    return serviceCampaign(
-        params, params.numLocations,
-        sweepJournalKey(spec, cfg, params, pattern, seed), SweepJournalKind,
-        service, [&](const SweepParams &p) {
-            return sweepCampaign(spec, pattern, cfg, p, seed);
-        });
-}
+    SweepParams base = params;
+    base.checkpointPath.clear();
+    base.journal = JournalOptions{};
+    base.taskMask = nullptr;
 
-FuzzServiceOutcome
-serviceFuzzCampaign(const SystemSpec &spec, const HammerConfig &cfg,
-                    const FuzzParams &params, std::uint64_t seed,
-                    const ServiceParams &service)
-{
-    return serviceCampaign(params, params.numPatterns,
-                           fuzzJournalKey(spec, cfg, params, seed),
-                           FuzzJournalKind, service,
-                           [&](const FuzzParams &p) {
-                               return fuzzCampaign(spec, cfg, p, seed);
-                           });
+    WorkerBody body = [&](const ShardSpec &shard, unsigned attempt,
+                          const WorkerChaos &chaos) {
+        SweepParams wp = base;
+        wp.jobs = std::max(1u, service.jobsPerWorker);
+        wp.journal = workerJournalOptions(service);
+        return runSweepShardWorker(spec, pattern, cfg, std::move(wp),
+                                   seed, shard, attempt, chaos);
+    };
+
+    std::vector<std::uint8_t> mask;
+    ServiceReport report = superviseAndMerge(
+        params.numLocations, service,
+        sweepJournalKey(spec, cfg, params, pattern, seed), body, mask);
+    SweepParams fin = base;
+    fin.checkpointPath = report.mergedJournalPath;
+    fin.journal.fsync = service.fsync;
+    if (report.code == FailureCode::ShardQuarantined)
+        fin.taskMask = &mask;
+    return {sweepCampaign(spec, pattern, cfg, fin, seed), report};
 }
 
 } // namespace rho::service

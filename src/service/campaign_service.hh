@@ -1,11 +1,9 @@
 /**
  * @file
- * The campaign service: sweep/fuzz campaigns sharded across supervised
+ * The campaign service: sweep campaigns sharded across supervised
  * worker processes, with crash-safe journals and a bit-identical merge.
  *
- * Both entry points (serviceSweepCampaign / serviceFuzzCampaign) are
- * thin wrappers over one supervise-then-merge path. Flow for one
- * campaign:
+ * Flow for one campaign (serviceSweepCampaign):
  *
  *  1. The task keyspace [0, N) is split into contiguous shards
  *     (shard.hh). Each shard gets its own journal + status file under
@@ -38,7 +36,6 @@
 #include <string>
 
 #include "fault/fault_injector.hh"
-#include "hammer/pattern_fuzzer.hh"
 #include "hammer/sweep.hh"
 #include "service/supervisor.hh"
 
@@ -88,15 +85,11 @@ struct ServiceReport
 };
 
 /** A campaign's merged result plus the service accounting. */
-template <typename Result>
-struct ServiceOutcome
+struct SweepServiceOutcome
 {
-    Result result;
+    SweepResult result;
     ServiceReport report;
 };
-
-using SweepServiceOutcome = ServiceOutcome<SweepResult>;
-using FuzzServiceOutcome = ServiceOutcome<FuzzResult>;
 
 /**
  * Run `params` as a supervised multi-process campaign. The campaign
@@ -110,13 +103,6 @@ SweepServiceOutcome serviceSweepCampaign(const SystemSpec &spec,
                                          const SweepParams &params,
                                          std::uint64_t seed,
                                          const ServiceParams &service);
-
-/** fuzzCampaign() under the same service contract. */
-FuzzServiceOutcome serviceFuzzCampaign(const SystemSpec &spec,
-                                       const HammerConfig &cfg,
-                                       const FuzzParams &params,
-                                       std::uint64_t seed,
-                                       const ServiceParams &service);
 
 /**
  * The exec-mode entry point for one sweep shard attempt (the example

@@ -17,9 +17,8 @@
  *     macro whose guard is a single pointer test plus a `bool` load;
  *     argument expressions are not evaluated when tracing is off.
  *     Building with -DRHO_TRACE_DISABLED compiles emission out
- *     entirely (the acceptance bar is <5% on micro_kernels with
- *     tracing compiled in but disabled — the macro guard meets it
- *     without the kill switch, which exists for belt-and-braces).
+ *     entirely. rhobench's `trace.overhead_frac` (`--trace 1`)
+ *     measures what an attached tracer costs on a sweep location.
  *
  *  3. Bounded memory. The buffer is a ring with drop-oldest
  *     semantics: a long run keeps the most recent `capacity` events

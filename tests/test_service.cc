@@ -473,36 +473,6 @@ TEST(Service, QuarantinedShardReportsFailureCodeInsteadOfAborting)
     removeServiceFiles(jbase, 3);
 }
 
-TEST(Service, FuzzServiceMatchesInProcessRunUnderChaos)
-{
-    SystemSpec spec(Arch::RaptorLake, DimmProfile::byId("S4"));
-    HammerConfig cfg = rhoConfig(Arch::RaptorLake, false, 30000);
-    FuzzParams params;
-    params.numPatterns = 6;
-    params.locationsPerPattern = 1;
-    FuzzResult base = fuzzCampaign(spec, cfg, params, 77);
-
-    std::string jbase = tempBase("rho_svc_fuzz");
-    ServiceParams service = testService(jbase, 3);
-    service.supervisor.chaos = [](const ShardSpec &shard,
-                                  unsigned attempt) {
-        WorkerChaos chaos;
-        if (shard.id % 2 == 0 && attempt == 1)
-            chaos.crashAfterRecords = 1;
-        return chaos;
-    };
-    FuzzServiceOutcome out =
-        serviceFuzzCampaign(spec, cfg, params, 77, service);
-    EXPECT_EQ(out.result.totalFlips, base.totalFlips);
-    EXPECT_EQ(out.result.bestPatternFlips, base.bestPatternFlips);
-    EXPECT_EQ(out.result.effectivePatterns, base.effectivePatterns);
-    EXPECT_EQ(out.result.simTimeNs, base.simTimeNs);
-    EXPECT_EQ(out.result.dramAccesses, base.dramAccesses);
-    EXPECT_EQ(out.report.code, FailureCode::None);
-    EXPECT_GE(out.report.supervisor.crashes, 2u);
-    removeServiceFiles(jbase, 3);
-}
-
 TEST(Service, ChaosFromFaultsIsDeterministic)
 {
     ShardSpec shard;
