@@ -43,8 +43,7 @@ main()
         TextTable table({"configuration", "total flips", "best",
                          "ACT rate (M/s)", "miss rate"});
         for (const Step &s : steps) {
-            MemorySystem sys(arch, DimmProfile::byId("S3"), TrrConfig{},
-                             33);
+            MemorySystem sys(SystemSpec(arch, DimmProfile::byId("S3")));
             HammerSession session(sys, 33);
             PatternFuzzer fuzzer(session, 34);
 
@@ -62,7 +61,7 @@ main()
             // Activation-rate / miss-rate probe on one extra pattern.
             Rng rng(35);
             auto probe_pat = HammerPattern::randomNonUniform(rng);
-            auto loc = session.randomLocation(probe_pat, cfg);
+            auto loc = session.tryRandomLocation(probe_pat, cfg).loc.value();
             auto out = session.hammer(probe_pat, loc, cfg);
 
             table.addRow({s.name, std::to_string(res.totalFlips),

@@ -11,7 +11,10 @@
 #ifndef RHO_BENCH_BENCH_UTIL_HH
 #define RHO_BENCH_BENCH_UTIL_HH
 
+#include <cctype>
+#include <cerrno>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -33,28 +36,61 @@ usageError(const std::string &msg)
 }
 
 /**
+ * Parse `v`, the value of `what` (a flag or argument name), as an
+ * unsigned integer in [0, max], in `base` as for strtoull (0 also
+ * takes a 0x prefix). A sign, whitespace, trailing text or an
+ * out-of-range value exits via usageError().
+ */
+inline std::uint64_t
+parseUnsigned(const std::string &what, const char *v,
+              std::uint64_t max = UINT64_MAX, int base = 10)
+{
+    char *end = nullptr;
+    errno = 0;
+    unsigned long long n = std::strtoull(v, &end, base);
+    if (std::isalnum(static_cast<unsigned char>(*v)) && *end == '\0'
+        && errno != ERANGE && n <= max)
+        return n;
+    std::string want = base == 16 ? "a hexadecimal integer" : "an integer";
+    if (max != UINT64_MAX)
+        want += " in [0, " + std::to_string(max) + "]";
+    usageError(what + " " + v + ": expected " + want);
+}
+
+/**
+ * The value of `--flag N` in argv, read by parseUnsigned(), or
+ * `fallback` when the flag is absent. `alias` (e.g. "-j") is accepted
+ * in its place. A flag without a value exits via usageError().
+ */
+inline std::uint64_t
+parseFlag(int argc, char **argv, const char *flag, std::uint64_t fallback,
+          std::uint64_t max = UINT64_MAX, const char *alias = nullptr)
+{
+    for (int i = 1; i < argc; ++i) {
+        if (std::strcmp(argv[i], flag)
+            && (!alias || std::strcmp(argv[i], alias)))
+            continue;
+        if (i + 1 == argc)
+            usageError(std::string(argv[i]) + " needs a value");
+        return parseUnsigned(argv[i], argv[i + 1], max);
+    }
+    return fallback;
+}
+
+/** Most worker threads a `--jobs` value may ask for. */
+constexpr unsigned maxJobs = 1024;
+
+/**
  * Parse `--jobs N` (or `-j N`) from argv; any other arguments are
  * left for the bench to interpret. Returns 0 (= hardware_concurrency)
- * when the flag is absent. N must be an integer in [0, 1024]; anything
- * else, or a missing N, exits via usageError().
+ * when the flag is absent. N must be an integer in [0, maxJobs];
+ * anything else, or a missing N, exits via usageError().
  */
 inline unsigned
 parseJobs(int argc, char **argv)
 {
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--jobs") && std::strcmp(argv[i], "-j"))
-            continue;
-        if (i + 1 == argc)
-            usageError(std::string(argv[i]) + " needs a value");
-        const char *v = argv[i + 1];
-        char *end = nullptr;
-        long n = std::strtol(v, &end, 10);
-        if (end == v || *end != '\0' || n < 0 || n > 1024)
-            usageError(std::string(argv[i]) + " " + v
-                       + ": expected an integer in [0, 1024]");
-        return static_cast<unsigned>(n);
-    }
-    return 0;
+    return static_cast<unsigned>(
+        parseFlag(argc, argv, "--jobs", 0, maxJobs, "-j"));
 }
 
 /** Announce the fan-out width a campaign bench will use. */

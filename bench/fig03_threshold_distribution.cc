@@ -18,7 +18,7 @@ main()
                   "latency density distribution and SBDR threshold");
 
     for (Arch arch : allArchs) {
-        MemorySystem sys(arch, DimmProfile::byId("S1"), TrrConfig{}, 3);
+        MemorySystem sys(SystemSpec(arch, DimmProfile::byId("S1")));
         BuddyAllocator buddy(sys.mapping().memBytes(), 0.02, 3);
         PhysPool pool(buddy, 0.70);
         TimingProbe probe(sys, 3);

@@ -19,7 +19,7 @@ namespace
 void
 heatmap(Arch arch)
 {
-    MemorySystem sys(arch, DimmProfile::byId("S1"), TrrConfig{}, 4);
+    MemorySystem sys(SystemSpec(arch, DimmProfile::byId("S1")));
     BuddyAllocator buddy(sys.mapping().memBytes(), 0.02, 4);
     PhysPool pool(buddy, 0.70);
     TimingProbe probe(sys, 4);

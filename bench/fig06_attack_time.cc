@@ -32,8 +32,7 @@ main()
     for (Arch arch : allArchs) {
         std::vector<std::string> row = {archName(arch)};
         for (HammerInstr instr : instrs) {
-            MemorySystem sys(arch, DimmProfile::byId("S1"), TrrConfig{},
-                             6);
+            MemorySystem sys(SystemSpec(arch, DimmProfile::byId("S1")));
             HammerSession session(sys, 6);
             Rng rng(7);
             double total_ms = 0;
@@ -42,7 +41,7 @@ main()
                 HammerConfig cfg;
                 cfg.instr = instr;
                 cfg.accessBudget = budget;
-                auto loc = session.randomLocation(pattern, cfg);
+                auto loc = session.tryRandomLocation(pattern, cfg).loc.value();
                 auto out = session.hammer(pattern, loc, cfg);
                 total_ms += out.perf.timeNs / 1e6;
             }

@@ -41,8 +41,8 @@ main()
     for (const Variant &v : variants) {
         std::vector<std::string> mrow = {v.name}, trow = {v.name};
         for (unsigned banks : {1u, 2u, 3u, 4u, 6u, 8u}) {
-            MemorySystem sys(Arch::CometLake, DimmProfile::byId("S1"),
-                             TrrConfig{}, 8);
+            MemorySystem sys(SystemSpec(Arch::CometLake,
+                                        DimmProfile::byId("S1")));
             HammerSession session(sys, 8);
             Rng rng(9);
             double m = 0, t = 0;
@@ -53,7 +53,7 @@ main()
                 cfg.mode = v.mode;
                 cfg.numBanks = banks;
                 cfg.accessBudget = budget;
-                auto loc = session.randomLocation(pattern, cfg);
+                auto loc = session.tryRandomLocation(pattern, cfg).loc.value();
                 auto out = session.hammer(pattern, loc, cfg);
                 m += out.perf.missRate();
                 t += out.perf.timeNs / 1e6;

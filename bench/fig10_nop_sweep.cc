@@ -20,8 +20,7 @@ main()
                   "flips vs NOP count, best pattern sweep on Raptor "
                   "Lake (DIMM S4)");
 
-    MemorySystem sys(Arch::RaptorLake, DimmProfile::byId("S4"),
-                     TrrConfig{}, 12);
+    MemorySystem sys(SystemSpec(Arch::RaptorLake, DimmProfile::byId("S4")));
     HammerSession session(sys, 12);
 
     // Find a best pattern with a short fuzz first (as the paper does).
@@ -41,7 +40,7 @@ main()
     std::vector<unsigned> nops = {0,   50,   100,  200,  400, 800,
                                   1200, 2000, 3200, 4800};
     auto res = tuneNops(session, *fz.bestPattern, cfg, nops,
-                        static_cast<unsigned>(bench::scaled(6)), 14);
+                        static_cast<unsigned>(bench::scaled(6)));
 
     TextTable table({"nop count", "bit flips", "miss rate",
                      "time (ms)"});
@@ -63,8 +62,7 @@ main()
     load_cfg.instr = HammerInstr::Load;
     auto load_res = tuneNops(session, *fz.bestPattern, load_cfg,
                              {0, 200, 800, 2000},
-                             static_cast<unsigned>(bench::scaled(4)),
-                             15);
+                             static_cast<unsigned>(bench::scaled(4)));
     std::printf("load-based with the same technique: best %llu flips "
                 "at %u NOPs (expected ~0)\n",
                 (unsigned long long)load_res.bestFlips,

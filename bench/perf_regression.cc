@@ -127,14 +127,15 @@ e2eUnit(CpuModelKind cpu, RowStoreKind row, std::uint64_t budget)
 {
     double ns = 0.0;
     for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-        MemorySystem sys(Arch::RaptorLake, DimmProfile::byId("S2"),
-                         TrrConfig{}, seed);
-        sys.setCpuModel(cpu);
-        sys.dimm().setRowStore(row);
+        SystemSpec spec(Arch::RaptorLake, DimmProfile::byId("S2"));
+        spec.cpuModel = cpu;
+        spec.referenceRowStore = row == RowStoreKind::Reference;
+        MemorySystem sys(spec);
         HammerSession session(sys, seed);
         HammerConfig cfg = rhoConfig(Arch::RaptorLake, true, budget);
         HammerPattern pattern = HammerPattern::doubleSided();
-        HammerLocation loc = session.randomLocation(pattern, cfg);
+        HammerLocation loc =
+            session.tryRandomLocation(pattern, cfg).loc.value();
 
         Clock::time_point t0 = Clock::now();
         session.hammer(pattern, loc, cfg);

@@ -35,22 +35,6 @@
 
 using namespace rho;
 
-namespace
-{
-
-std::uint64_t
-parseSeed(int argc, char **argv)
-{
-    for (int i = 1; i + 1 < argc; ++i) {
-        if (!std::strcmp(argv[i], "--seed"))
-            return static_cast<std::uint64_t>(
-                std::strtoull(argv[i + 1], nullptr, 10));
-    }
-    return 7;
-}
-
-} // namespace
-
 int
 main(int argc, char **argv)
 {
@@ -59,7 +43,7 @@ main(int argc, char **argv)
                   "pattern class");
     unsigned jobs = bench::parseJobs(argc, argv);
     bench::announceJobs(jobs);
-    const std::uint64_t seed = parseSeed(argc, argv);
+    const std::uint64_t seed = bench::parseFlag(argc, argv, "--seed", 7);
 
     const Arch arch = Arch::RaptorLake;
     const DimmProfile &d1 = DimmProfile::ddr5Sample();

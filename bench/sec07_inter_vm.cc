@@ -36,17 +36,6 @@ using namespace rho;
 namespace
 {
 
-std::uint64_t
-parseSeed(int argc, char **argv)
-{
-    for (int i = 1; i + 1 < argc; ++i) {
-        if (!std::strcmp(argv[i], "--seed"))
-            return static_cast<std::uint64_t>(
-                std::strtoull(argv[i + 1], nullptr, 10));
-    }
-    return 7;
-}
-
 struct Scenario
 {
     const char *defense;
@@ -64,7 +53,7 @@ main(int argc, char **argv)
                   "cross-VM templating: placement x defense x on-die "
                   "ECC, two tenants per machine");
     unsigned jobs = bench::parseJobs(argc, argv);
-    std::uint64_t seed = parseSeed(argc, argv);
+    std::uint64_t seed = bench::parseFlag(argc, argv, "--seed", 7);
     bench::announceJobs(jobs);
 
     const unsigned trials =

@@ -36,8 +36,7 @@ main()
             std::uint64_t trial_seed =
                 hashCombine(static_cast<std::uint64_t>(arch) * 1000 + 30,
                             i);
-            MemorySystem sys(arch, DimmProfile::byId("S4"), TrrConfig{},
-                             hashCombine(trial_seed, 1));
+            MemorySystem sys(SystemSpec(arch, DimmProfile::byId("S4")));
             BuddyAllocator buddy(sys.mapping().memBytes(), 0.02,
                                  hashCombine(trial_seed, 2));
             HammerSession session(sys, hashCombine(trial_seed, 3));

@@ -50,7 +50,7 @@ main()
     std::uint64_t slow_budget = std::max<std::uint64_t>(budget / 8, 1);
 
     for (Arch arch : {Arch::AlderLake, Arch::RaptorLake}) {
-        MemorySystem sys(arch, DimmProfile::byId("S2"), TrrConfig{}, 16);
+        MemorySystem sys(SystemSpec(arch, DimmProfile::byId("S2")));
         HammerSession session(sys, 16);
 
         // Best pattern from a short fuzz under the NOP strategy.

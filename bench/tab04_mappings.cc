@@ -32,8 +32,7 @@ main()
     for (const Geo &g : geos) {
         std::printf("--- Geometry %s (DIMM %s) ---\n", g.label, g.dimm);
         for (Arch arch : allArchs) {
-            MemorySystem sys(arch, DimmProfile::byId(g.dimm),
-                             TrrConfig{}, 19);
+            MemorySystem sys(SystemSpec(arch, DimmProfile::byId(g.dimm)));
             BuddyAllocator buddy(sys.mapping().memBytes(), 0.02, 19);
             PhysPool pool(buddy, 0.70);
             TimingProbe probe(sys, 19);

@@ -23,7 +23,7 @@ struct Rig
     TimingProbe probe;
 
     Rig(Arch arch, std::uint64_t seed)
-        : sys(arch, DimmProfile::byId("S1"), TrrConfig{}, seed),
+        : sys(SystemSpec(arch, DimmProfile::byId("S1"))),
           buddy(sys.mapping().memBytes(), 0.02, seed),
           pool(buddy, 0.70), probe(sys, seed)
     {

@@ -21,9 +21,9 @@
 #include <unistd.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
+#include "bench_util.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "exploit/pte_attack.hh"
@@ -52,8 +52,7 @@ runStage(double scale, std::uint64_t seed)
 
     // Stage 1: reverse-engineer the DRAM address mapping.
     {
-        MemorySystem sys(arch, DimmProfile::byId("S1"), TrrConfig{},
-                         hashCombine(seed, 1));
+        MemorySystem sys(SystemSpec(arch, DimmProfile::byId("S1")));
         sys.attachFaultInjector(&inj);
         BuddyAllocator buddy(sys.mapping().memBytes(), 0.02,
                              hashCombine(seed, 2));
@@ -81,7 +80,7 @@ runStage(double scale, std::uint64_t seed)
 
     // Stage 2: end-to-end PTE attack (template -> massage -> re-hammer).
     {
-        MemorySystem sys(arch, dimm, TrrConfig{}, hashCombine(seed, 5));
+        MemorySystem sys(SystemSpec(arch, dimm));
         sys.attachFaultInjector(&inj);
         BuddyAllocator buddy(sys.mapping().memBytes(), 0.02,
                              hashCombine(seed, 6));
@@ -193,8 +192,9 @@ int
 main(int argc, char **argv)
 {
     setVerbose(false);
-    std::uint64_t seed = argc > 1 ? std::strtoull(argv[1], nullptr, 0)
-                                  : 7777;
+    std::uint64_t seed =
+        argc > 1 ? bench::parseUnsigned("seed", argv[1], UINT64_MAX, 0)
+                 : 7777;
     std::printf("chaos lab: RE + PTE attack under escalating faults "
                 "(seed %llu)\n",
                 (unsigned long long)seed);

@@ -13,9 +13,9 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
+#include "bench_util.hh"
 #include "common/logging.hh"
 #include "common/parallel.hh"
 #include "hammer/pattern_fuzzer.hh"
@@ -54,8 +54,10 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         if (!std::strcmp(argv[i], "--jobs") || !std::strcmp(argv[i], "-j")) {
             if (i + 1 >= argc)
-                fatal("--jobs needs a value");
-            jobs = static_cast<unsigned>(std::atoi(argv[++i]));
+                bench::usageError(std::string(argv[i]) + " needs a value");
+            jobs = static_cast<unsigned>(
+                bench::parseUnsigned(argv[i], argv[i + 1], bench::maxJobs));
+            ++i;
         } else if (positional == 0) {
             arch = parseArch(argv[i]);
             ++positional;

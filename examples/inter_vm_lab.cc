@@ -26,11 +26,10 @@ runScenario(const char *label, const VmConfig &vm_cfg, bool ecc,
             double boost, std::uint64_t seed)
 {
     Arch arch = Arch::RaptorLake;
-    const DimmProfile &dimm = DimmProfile::byId("S4");
-    EccConfig ecc_cfg;
-    ecc_cfg.enabled = ecc;
-    MemorySystem sys(arch, dimm, TrrConfig{}, seed, RfmConfig{},
-                     PracConfig{}, ecc_cfg, boost);
+    SystemSpec spec(arch, DimmProfile::byId("S4"));
+    spec.ecc.enabled = ecc;
+    spec.refreshBoost = boost;
+    MemorySystem sys(spec);
     BuddyAllocator buddy(sys.mapping().memBytes(), 0.02, seed);
     VmManager vmm(sys, buddy, vm_cfg);
     if (!vmm.createTenants(2, 16ull << 20)) {

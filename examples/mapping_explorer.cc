@@ -8,8 +8,8 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 
+#include "bench_util.hh"
 #include "common/bits.hh"
 #include "common/logging.hh"
 #include "common/table.hh"
@@ -21,9 +21,9 @@ int
 main(int argc, char **argv)
 {
     setVerbose(false);
-    PhysAddr pa = argc > 1
-        ? std::strtoull(argv[1], nullptr, 16)
-        : 0x1a2b3c4d0ULL;
+    PhysAddr pa =
+        argc > 1 ? bench::parseUnsigned("address", argv[1], UINT64_MAX, 16)
+                 : 0x1a2b3c4d0ULL;
 
     std::puts("ground-truth mappings (paper Table 4), 16 GiB "
               "dual-rank geometry:\n");

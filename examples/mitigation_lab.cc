@@ -22,7 +22,8 @@ namespace
 std::uint64_t
 campaign(const TrrConfig &trr, const char *label)
 {
-    MemorySystem sys(Arch::RaptorLake, DimmProfile::byId("S4"), trr, 9);
+    MemorySystem sys(
+        SystemSpec(Arch::RaptorLake, DimmProfile::byId("S4"), trr));
     HammerSession session(sys, 9);
     PatternFuzzer fuzzer(session, 10);
     FuzzParams params;

@@ -42,7 +42,7 @@ main(int argc, char **argv)
 
     // 1. A simulated machine: Raptor Lake core + DDR4 DIMM "S2".
     const DimmProfile &dimm = DimmProfile::byId("S2");
-    MemorySystem sys(Arch::RaptorLake, dimm, TrrConfig{}, /*seed=*/42);
+    MemorySystem sys(SystemSpec(Arch::RaptorLake, dimm));
     std::printf("machine: %s + DIMM %s (%u GiB)\n",
                 archName(sys.arch()).c_str(), dimm.id.c_str(),
                 dimm.geom.sizeGib());
@@ -81,14 +81,14 @@ main(int argc, char **argv)
     cfg.accessBudget = 400000;
     NopTuneResult tune = tuneNops(session, pattern, cfg,
                                   {0, 60, 120, 180, 260, 400, 700},
-                                  /*locations=*/4, 13);
+                                  /*locations=*/4);
     std::printf("NOP tuning: best=%u nops (%llu flips)\n", tune.bestNops,
                 static_cast<unsigned long long>(tune.bestFlips));
 
     // 4. Hammer with the tuned configuration.
     cfg.barrier = BarrierKind::Nop;
     cfg.nopCount = tune.bestNops;
-    HammerLocation loc = session.randomLocation(pattern, cfg);
+    HammerLocation loc = session.tryRandomLocation(pattern, cfg).loc.value();
     HammerOutcome out = session.hammer(pattern, loc, cfg);
     std::printf("hammering bank %u row %llu: %llu bit flips, "
                 "miss rate %.0f%%, %.1f M ACT/s\n",

@@ -217,7 +217,7 @@ evolvedFuzzCampaign(const SystemSpec &spec, const HammerConfig &cfg,
             if (evo.chance(params.crossoverProb)) {
                 unsigned b = tournament(fit);
                 HammerPattern child =
-                    HammerPattern::crossover(evo, pop[a], pop[b], pp);
+                    HammerPattern::crossover(evo, pop[a], pop[b]);
                 next.push_back(child.mutate(evo, pp));
             } else {
                 next.push_back(pop[a].mutate(evo, pp));

@@ -169,24 +169,6 @@ HammerSession::tryRandomLocation(const HammerPattern &pattern,
     return pick;
 }
 
-HammerLocation
-HammerSession::randomLocation(const HammerPattern &pattern,
-                              const HammerConfig &cfg)
-{
-    LocationPick pick = tryRandomLocation(pattern, cfg);
-    if (pick.ok())
-        return *pick.loc;
-    // Unplaceable: clamp to the bottom guard row. Rows past the bank
-    // end are simply never activated; this is the best-effort legacy
-    // contract for callers that cannot handle failure.
-    const auto &geom = sys.dimm().geometry();
-    HammerLocation loc;
-    loc.bank = static_cast<std::uint32_t>(
-        rng.uniformInt(0, geom.flatBanks() - 1));
-    loc.baseRow = 8;
-    return loc;
-}
-
 void
 HammerSession::maybeAlignToRef(const HammerConfig &cfg)
 {

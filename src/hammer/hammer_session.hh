@@ -117,24 +117,12 @@ class HammerSession
 
     /**
      * A valid random location for the pattern footprint, or
-     * FailureCode::PatternUnplaceable when the footprint (plus guard
-     * rows) does not fit the bank's row space. Callers that sample
-     * locations in a loop must check this instead of calling
-     * randomLocation(), whose legacy signature cannot report failure.
+     * FailureCode::PatternUnplaceable (drawing nothing) when the
+     * footprint plus guard rows does not fit the bank's row space.
+     * `cfg` is unused; rhobench/src/bypass_ddr5.cc pins the signature.
      */
     LocationPick tryRandomLocation(const HammerPattern &pattern,
                                    const HammerConfig &cfg);
-
-    /**
-     * A valid random location for the pattern footprint. For a
-     * pattern too wide for the bank this clamps to base row 8 rather
-     * than sampling from a wrapped unsigned range (the historical
-     * behaviour picked a base row near 2^64 mod rowsPerBank, placing
-     * aggressors out of bounds); prefer tryRandomLocation() to detect
-     * that case.
-     */
-    HammerLocation randomLocation(const HammerPattern &pattern,
-                                  const HammerConfig &cfg);
 
     MemorySystem &system() { return sys; }
     SimCpu &cpu() { return core; }

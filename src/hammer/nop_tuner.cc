@@ -8,16 +8,21 @@ namespace rho
 NopTuneResult
 tuneNops(HammerSession &session, const HammerPattern &pattern,
          HammerConfig cfg, const std::vector<unsigned> &nop_counts,
-         unsigned locations, std::uint64_t seed)
+         unsigned locations)
 {
     NopTuneResult res;
-    (void)seed;
 
     // Use the same locations for every point so the sweep compares
     // like with like (flippability is location-dependent).
     std::vector<HammerLocation> locs;
-    for (unsigned l = 0; l < locations; ++l)
-        locs.push_back(session.randomLocation(pattern, cfg));
+    for (unsigned l = 0; l < locations; ++l) {
+        LocationPick pick = session.tryRandomLocation(pattern, cfg);
+        if (!pick.ok()) {
+            res.failure = pick.failure;
+            return res;
+        }
+        locs.push_back(*pick.loc);
+    }
 
     MemorySystem &sys = session.system();
     RHO_TRACE(sys.tracer(), sys.now(), EventKind::PhaseBegin, 0,

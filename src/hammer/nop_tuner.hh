@@ -31,6 +31,9 @@ struct NopTuneResult
     unsigned bestNops = 0;
     std::uint64_t bestFlips = 0;
     std::vector<NopTunePoint> curve;
+    /** PatternUnplaceable (with an empty curve) when the pattern does
+     *  not fit a bank. */
+    FailureCode failure = FailureCode::None;
 };
 
 /**
@@ -40,7 +43,7 @@ struct NopTuneResult
 NopTuneResult tuneNops(HammerSession &session,
                        const HammerPattern &pattern, HammerConfig cfg,
                        const std::vector<unsigned> &nop_counts,
-                       unsigned locations, std::uint64_t seed);
+                       unsigned locations);
 
 } // namespace rho
 

@@ -276,10 +276,8 @@ HammerPattern::mutate(Rng &rng, const PatternParams &params) const
 
 HammerPattern
 HammerPattern::crossover(Rng &rng, const HammerPattern &a,
-                         const HammerPattern &b,
-                         const PatternParams &params)
+                         const HammerPattern &b)
 {
-    (void)params;
     const std::vector<PairGene> &ga = a.genes;
     const std::vector<PairGene> &gb = b.genes;
     unsigned period = static_cast<unsigned>(

@@ -131,8 +131,7 @@ class HammerPattern
      * inside [minPairs, maxPairs].
      */
     static HammerPattern crossover(Rng &rng, const HammerPattern &a,
-                                   const HammerPattern &b,
-                                   const PatternParams &params);
+                                   const HammerPattern &b);
 
     /** Slot sequence: pair index hammered at each slot. */
     const std::vector<unsigned> &slots() const { return slotSeq; }

@@ -7,6 +7,35 @@
 namespace rho
 {
 
+namespace
+{
+
+/**
+ * Hammer `pattern` at up to `locations` random placements, stopping
+ * at the first placement that does not fit (the trial is then
+ * unplaceable). Flips and DRAM accesses accumulate; the caller owns
+ * the time and device totals.
+ */
+HammerTrial
+hammerAtRandomLocations(HammerSession &session, const HammerPattern &pattern,
+                        const HammerConfig &cfg, unsigned locations)
+{
+    HammerTrial t;
+    for (unsigned l = 0; l < locations; ++l) {
+        LocationPick pick = session.tryRandomLocation(pattern, cfg);
+        if (!pick.ok()) {
+            t.unplaceable = 1;
+            break;
+        }
+        HammerOutcome out = session.hammer(pattern, *pick.loc, cfg);
+        t.flips += out.flips;
+        t.dramAccesses += out.perf.dramAccesses;
+    }
+    return t;
+}
+
+} // namespace
+
 PatternFuzzer::PatternFuzzer(HammerSession &session_, std::uint64_t seed)
     : session(session_), rng(seed)
 {
@@ -56,20 +85,8 @@ PatternFuzzer::run(const HammerConfig &cfg, const FuzzParams &params)
     for (unsigned i = 0; i < params.numPatterns; ++i) {
         HammerPattern pattern =
             HammerPattern::randomNonUniform(rng, params.patternParams);
-        HammerTrial trial;
-        LocationPick first = session.tryRandomLocation(pattern, run_cfg);
-        if (!first.ok())
-            trial.unplaceable = 1;
-        for (unsigned l = 0; first.ok() && l < params.locationsPerPattern;
-             ++l) {
-            HammerLocation loc =
-                l == 0 ? *first.loc
-                       : session.randomLocation(pattern, run_cfg);
-            HammerOutcome out = session.hammer(pattern, loc, run_cfg);
-            trial.flips += out.flips;
-            trial.dramAccesses += out.perf.dramAccesses;
-        }
-        if (res.absorb(trial))
+        if (res.absorb(hammerAtRandomLocations(
+                session, pattern, run_cfg, params.locationsPerPattern)))
             res.bestPattern = pattern;
     }
     res.simTimeNs = session.system().now() - t0;
@@ -82,22 +99,13 @@ runHammerTrial(const SystemSpec &spec, const HammerPattern &pattern,
                const HammerConfig &cfg, unsigned locations,
                std::uint64_t task_seed, Tracer *tracer)
 {
-    MemorySystem sys = spec.instantiate(task_seed);
+    MemorySystem sys(spec);
     HammerSession session(sys, task_seed);
     if (tracer)
         sys.attachTracer(tracer);
-    HammerTrial t;
     Ns t0 = sys.now();
-    for (unsigned l = 0; l < locations; ++l) {
-        LocationPick pick = session.tryRandomLocation(pattern, cfg);
-        if (!pick.ok()) {
-            t.unplaceable = 1;
-            break;
-        }
-        HammerOutcome out = session.hammer(pattern, *pick.loc, cfg);
-        t.flips += out.flips;
-        t.dramAccesses += out.perf.dramAccesses;
-    }
+    HammerTrial t =
+        hammerAtRandomLocations(session, pattern, cfg, locations);
     t.simTimeNs = sys.now() - t0;
     t.device = DeviceTotals::of(sys.dimm());
     return t;

@@ -86,9 +86,10 @@ struct HammerTrial
 };
 
 /**
- * Trial `pattern` at up to `locations` random placements on a system
- * instantiated from `task_seed`, stopping at the first placement that
- * does not fit. `tracer` (may be null) records the trial's events.
+ * Trial `pattern` at up to `locations` random placements on a fresh
+ * system built from `spec`, with the session seeded by `task_seed`,
+ * stopping at the first placement that does not fit. `tracer` (may be
+ * null) records the trial's events.
  */
 HammerTrial runHammerTrial(const SystemSpec &spec,
                            const HammerPattern &pattern,

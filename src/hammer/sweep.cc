@@ -195,7 +195,7 @@ sweepCampaign(const SystemSpec &spec, const HammerPattern &pattern,
     unsigned merged = runner.run(
         0, params.numLocations,
         [&](unsigned i, std::uint64_t task_seed, Tracer *tracer) {
-            MemorySystem sys = spec.instantiate(task_seed);
+            MemorySystem sys(spec);
             HammerSession session(sys, task_seed);
             if (tracer)
                 sys.attachTracer(tracer);

@@ -7,38 +7,37 @@
 namespace rho
 {
 
-MemorySystem
-SystemSpec::instantiate(std::uint64_t seed) const
+namespace
 {
-    if (!dimm)
-        panic("SystemSpec::instantiate: no DIMM profile set");
-    MemorySystem sys(arch, *dimm, trr, seed, rfm, prac, ecc,
-                     refreshBoost);
-    if (referenceRowStore)
-        sys.dimm().setRowStore(RowStoreKind::Reference);
-    sys.setCpuModel(cpuModel);
-    return sys;
+
+const DimmProfile &
+profileOf(const SystemSpec &spec)
+{
+    if (!spec.dimm)
+        panic("MemorySystem: SystemSpec has no DIMM profile");
+    return *spec.dimm;
 }
 
-MemorySystem::MemorySystem(Arch arch, const DimmProfile &dimm,
-                           const TrrConfig &trr_cfg, std::uint64_t seed,
-                           const RfmConfig &rfm_cfg,
-                           const PracConfig &prac_cfg,
-                           const EccConfig &ecc_cfg, double refresh_boost)
-    : MemorySystem(arch, dimm,
-                   mappingFor(arch, dimm.geom.sizeGib(), dimm.geom.ranks),
-                   trr_cfg, seed, rfm_cfg, prac_cfg, ecc_cfg,
-                   refresh_boost)
+} // namespace
+
+MemorySystem::MemorySystem(const SystemSpec &spec)
+    : MemorySystem(spec, mappingFor(spec.arch, profileOf(spec).geom.sizeGib(),
+                                    profileOf(spec).geom.ranks))
 {
 }
 
 MemorySystem::MemorySystem(Arch arch, const DimmProfile &dimm,
-                           AddressMapping mapping, const TrrConfig &trr_cfg,
-                           std::uint64_t seed, const RfmConfig &rfm_cfg,
-                           const PracConfig &prac_cfg,
-                           const EccConfig &ecc_cfg, double refresh_boost)
-    : archId(arch), params(&ArchParams::forArch(arch))
+                           const TrrConfig &trr, std::uint64_t)
+    : MemorySystem(SystemSpec(arch, dimm, trr))
 {
+}
+
+MemorySystem::MemorySystem(const SystemSpec &spec, AddressMapping mapping)
+    : archId(spec.arch), params(&ArchParams::forArch(spec.arch)),
+      cpuKind(spec.cpuModel)
+{
+    const DimmProfile &dimm = profileOf(spec);
+    const Arch arch = spec.arch;
     // The platform clamps the DIMM to its supported data rate. The
     // profile's MemStandard picks the timing preset; Auto keeps the
     // historical rule (>= 4000 MT/s rating means DDR5, else DDR4).
@@ -68,16 +67,17 @@ MemorySystem::MemorySystem(Arch arch, const DimmProfile &dimm,
     // Refresh boosting: the controller issues REF this many times
     // faster, so both the tREFI tick (TRR/RFM clocks, REF blocking)
     // and the tREFW all-rows sweep shrink together.
-    if (refresh_boost <= 0.0)
+    if (spec.refreshBoost <= 0.0)
         panic("MemorySystem: refresh boost must be positive");
-    if (refresh_boost != 1.0) {
-        timing.tREFI /= refresh_boost;
-        timing.tREFW /= refresh_boost;
+    if (spec.refreshBoost != 1.0) {
+        timing.tREFI /= spec.refreshBoost;
+        timing.tREFW /= spec.refreshBoost;
     }
     mc = std::make_unique<MemoryController>(std::move(mapping), dimm,
-                                            timing, trr_cfg, rfm_cfg,
-                                            prac_cfg, ecc_cfg);
-    (void)seed;
+                                            timing, spec.trr, spec.rfm,
+                                            spec.prac, spec.ecc);
+    if (spec.referenceRowStore)
+        mc->dimm().setRowStore(RowStoreKind::Reference);
 }
 
 Ns

@@ -22,6 +22,8 @@
 namespace rho
 {
 
+struct SystemSpec;
+
 /**
  * One simulated machine: CPU architecture + single-channel DIMM.
  * Implements MemoryBackend so SimCpu kernels can drive it, and keeps
@@ -32,33 +34,25 @@ class MemorySystem : public MemoryBackend
 {
   public:
     /**
-     * @param arch platform (selects mapping scheme + core model).
-     * @param dimm DIMM profile (geometry, timing grade, weak cells).
-     * @param trr_cfg mitigation configuration.
-     * @param seed randomness for the core model.
-     * @param ecc_cfg on-die ECC model (off by default).
-     * @param refresh_boost divide tREFI/tREFW by this factor — the
-     *        "refresh boosting" software defense (1.0 = stock rate).
+     * Build the machine `spec` describes: the architecture's mapping
+     * for the DIMM's geometry, the mitigation and ECC configs, the
+     * refresh boost, and the row-store and CPU replay engines.
      */
-    MemorySystem(Arch arch, const DimmProfile &dimm,
-                 const TrrConfig &trr_cfg = TrrConfig{},
-                 std::uint64_t seed = 1,
-                 const RfmConfig &rfm_cfg = RfmConfig{},
-                 const PracConfig &prac_cfg = PracConfig{},
-                 const EccConfig &ecc_cfg = EccConfig{},
-                 double refresh_boost = 1.0);
+    explicit MemorySystem(const SystemSpec &spec);
 
     /**
-     * Build with an explicit mapping (used by reverse-engineering
-     * property tests that randomize the mapping).
+     * Build `spec`'s machine behind an explicit mapping (used by
+     * reverse-engineering property tests that randomize the mapping).
      */
-    MemorySystem(Arch arch, const DimmProfile &dimm,
-                 AddressMapping mapping, const TrrConfig &trr_cfg,
-                 std::uint64_t seed,
-                 const RfmConfig &rfm_cfg = RfmConfig{},
-                 const PracConfig &prac_cfg = PracConfig{},
-                 const EccConfig &ecc_cfg = EccConfig{},
-                 double refresh_boost = 1.0);
+    MemorySystem(const SystemSpec &spec, AddressMapping mapping);
+
+    /**
+     * MemorySystem(SystemSpec(arch, dimm, trr)); `seed` is ignored.
+     * Kept only because the frozen rhobench harness inherits it
+     * (rhobench/src/revng.cc); everything else builds from a spec.
+     */
+    MemorySystem(Arch arch, const DimmProfile &dimm, const TrrConfig &trr,
+                 std::uint64_t seed);
 
     // MemoryBackend
     Ns dramAccess(PhysAddr pa, Ns now) override;
@@ -75,7 +69,6 @@ class MemorySystem : public MemoryBackend
 
     /** CPU replay engine newly built cores use (see CpuModelKind). */
     CpuModelKind cpuModel() const { return cpuKind; }
-    void setCpuModel(CpuModelKind k) { cpuKind = k; }
 
     /** Current global simulated time. */
     Ns now() const { return clock; }
@@ -207,8 +200,15 @@ struct SystemSpec
     {
     }
 
-    /** Build a fresh system; `seed` feeds the core model only. */
-    MemorySystem instantiate(std::uint64_t seed) const;
+    /**
+     * MemorySystem(*this). The seed does not reach the machine; the
+     * parameter stays for the frozen rhobench harness.
+     */
+    MemorySystem
+    instantiate(std::uint64_t) const
+    {
+        return MemorySystem(*this);
+    }
 };
 
 } // namespace rho

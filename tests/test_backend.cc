@@ -263,10 +263,10 @@ trrEvasionRun(Arch arch, std::uint64_t seed, EnginePair eng,
     trr.sampleProb = 0.5;
     trr.matchThreshold = 8;
     trr.maxRefreshesPerTick = 4;
-    MemorySystem sys(arch, profileFor(arch), trr, seed);
-    sys.setCpuModel(eng.cpu);
-    if (eng.referenceRowStore)
-        sys.dimm().setRowStore(RowStoreKind::Reference);
+    SystemSpec spec(arch, profileFor(arch), trr);
+    spec.referenceRowStore = eng.referenceRowStore;
+    spec.cpuModel = eng.cpu;
+    MemorySystem sys(spec);
     Tracer tracer(TraceConfig{
         true, CatDram | CatDisturb | CatTrr | CatFlip | CatPhase,
         std::size_t{1} << 22});
@@ -277,9 +277,11 @@ trrEvasionRun(Arch arch, std::uint64_t seed, EnginePair eng,
     Rng rng(seed);
 
     HammerPattern uniform = HammerPattern::doubleSided();
-    session.hammer(uniform, session.randomLocation(uniform, cfg), cfg);
+    session.hammer(uniform,
+                   session.tryRandomLocation(uniform, cfg).loc.value(), cfg);
     HammerPattern evading = HammerPattern::randomNonUniform(rng);
-    session.hammer(evading, session.randomLocation(evading, cfg), cfg);
+    session.hammer(evading,
+                   session.tryRandomLocation(evading, cfg).loc.value(), cfg);
 
     sys.attachTracer(nullptr);
     EXPECT_EQ(tracer.dropped(), 0u);
@@ -380,7 +382,7 @@ INSTANTIATE_TEST_SUITE_P(AllArchs, BackendDifferential,
 TEST(RefSync, DetectsCadenceOnlyOnRefBlockingBackends)
 {
     for (Arch arch : allArchs) {
-        MemorySystem sys(arch, profileFor(arch), TrrConfig{}, 5);
+        MemorySystem sys(SystemSpec(arch, profileFor(arch)));
         RefSyncDetector det(sys);
         RefSyncEstimate est = det.detect();
         if (!archRefBlocking(arch)) {
@@ -407,7 +409,7 @@ TEST(RefSync, DetectionIsDeterministic)
 {
     for (Arch arch : {Arch::Zen3, Arch::CortexA72}) {
         auto run = [arch] {
-            MemorySystem sys(arch, profileFor(arch), TrrConfig{}, 5);
+            MemorySystem sys(SystemSpec(arch, profileFor(arch)));
             RefSyncDetector det(sys);
             return det.detect();
         };
@@ -585,8 +587,7 @@ TEST(BackendReset, RefSyncDetectableAgainAfterSystemReuse)
     // detector must keep finding the same cadence as time advances
     // (boundaries are absolute multiples of tREFI, not relative to the
     // detector's start).
-    MemorySystem sys(Arch::CortexA72, DimmProfile::lpddr4Sample(),
-                     TrrConfig{}, 5);
+    MemorySystem sys(SystemSpec(Arch::CortexA72, DimmProfile::lpddr4Sample()));
     RefSyncDetector det(sys);
     RefSyncEstimate first = det.detect();
     ASSERT_TRUE(first.detected);

@@ -295,8 +295,8 @@ TEST(CpuOracle, GoldenTraceIdenticalWhenTraced)
     // fusion, per-event emission); the serialized trace must match the
     // reference byte for byte — CPU retire/stall/cache events included.
     auto traced = [](CpuModelKind kind) {
-        MemorySystem sys(Arch::RaptorLake, DimmProfile::byId("S4"),
-                         TrrConfig{}, 11);
+        MemorySystem sys(SystemSpec(Arch::RaptorLake,
+                                    DimmProfile::byId("S4")));
         Tracer tracer(TraceConfig{true, CatAll, std::size_t{1} << 22});
         sys.attachTracer(&tracer);
         SimCpu cpu(sys.cpuParams(), 11, kind);
@@ -374,13 +374,14 @@ TEST(CpuOracle, Sec53ShapedSessionIdentical)
     // S4): full HammerSession through both engines must agree on acts,
     // flips and the simulated clock.
     auto sessionRun = [](CpuModelKind kind, std::vector<FlipRecord> &fl) {
-        MemorySystem sys(Arch::RaptorLake, DimmProfile::byId("S4"),
-                         TrrConfig{}, 17);
-        sys.setCpuModel(kind);
+        SystemSpec spec(Arch::RaptorLake, DimmProfile::byId("S4"));
+        spec.cpuModel = kind;
+        MemorySystem sys(spec);
         HammerSession session(sys, 17);
         HammerConfig cfg = rhoConfig(Arch::RaptorLake, false, 60000);
         HammerPattern pattern = HammerPattern::doubleSided();
-        HammerLocation loc = session.randomLocation(pattern, cfg);
+        HammerLocation loc =
+            session.tryRandomLocation(pattern, cfg).loc.value();
         session.hammer(pattern, loc, cfg);
         fl = sys.dimm().flipLog();
         struct

@@ -334,15 +334,15 @@ TEST(EccCampaign, EccAndRefreshBoostChangeCampaignIdentity)
 TEST(EccCampaign, RefreshBoostSuppressesFlipsAtEqualBudget)
 {
     auto flipsWithBoost = [](double boost) {
-        MemorySystem sys(Arch::RaptorLake, DimmProfile::byId("S4"),
-                         TrrConfig{}, 9, RfmConfig{}, PracConfig{},
-                         EccConfig{}, boost);
+        SystemSpec spec(Arch::RaptorLake, DimmProfile::byId("S4"));
+        spec.refreshBoost = boost;
+        MemorySystem sys(spec);
         HammerSession session(sys, 9);
         HammerConfig cfg = rhoConfig(Arch::RaptorLake, false, 120000);
         Rng rng(9);
         HammerPattern p = HammerPattern::randomNonUniform(rng);
-        HammerOutcome out =
-            session.hammer(p, session.randomLocation(p, cfg), cfg);
+        HammerLocation loc = session.tryRandomLocation(p, cfg).loc.value();
+        HammerOutcome out = session.hammer(p, loc, cfg);
         return out.flips;
     };
     std::uint64_t stock = flipsWithBoost(1.0);

@@ -202,7 +202,7 @@ TEST(FuzzParamsCheck, BlindCampaignRejectsInvalidParams)
     EXPECT_EQ(res.failure, FailureCode::InvalidPatternParams);
     EXPECT_EQ(res.dramAccesses, 0u);
 
-    MemorySystem sys(Arch::RaptorLake, DimmProfile::ddr5Sample());
+    MemorySystem sys(SystemSpec(Arch::RaptorLake, DimmProfile::ddr5Sample()));
     HammerSession session(sys, 3);
     PatternFuzzer fuzzer(session, 3);
     FuzzResult serial = fuzzer.run(searchConfig(), params);

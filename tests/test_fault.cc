@@ -158,8 +158,7 @@ TEST(FaultDelivery, FullFlipSuppressionStopsAllFlips)
 
     // Find a location where the clean system actually flips (weak-cell
     // placement is seed-dependent).
-    MemorySystem clean(Arch::RaptorLake, DimmProfile::byId("S4"),
-                       TrrConfig{}, 11);
+    MemorySystem clean(SystemSpec(Arch::RaptorLake, DimmProfile::byId("S4")));
     HammerSession cs(clean, 11);
     HammerLocation loc{0, 0};
     std::uint64_t baseline = 0;
@@ -172,8 +171,7 @@ TEST(FaultDelivery, FullFlipSuppressionStopsAllFlips)
     }
     ASSERT_GT(baseline, 0u);
 
-    MemorySystem sys(Arch::RaptorLake, DimmProfile::byId("S4"),
-                     TrrConfig{}, 11);
+    MemorySystem sys(SystemSpec(Arch::RaptorLake, DimmProfile::byId("S4")));
     FaultInjector inj(FaultSchedule::flipNonReproduction(1.0),
                       chaosSeed());
     sys.attachFaultInjector(&inj);
@@ -211,13 +209,11 @@ TEST(FaultDelivery, RobustProbeRecoversCleanLatencyUnderBursts)
     RobustTimingConfig rt;
     rt.baseSamples = 5;
 
-    MemorySystem clean(Arch::AlderLake, DimmProfile::byId("S2"),
-                       TrrConfig{}, 21);
+    MemorySystem clean(SystemSpec(Arch::AlderLake, DimmProfile::byId("S2")));
     TimingProbe clean_probe(clean, 21);
     double truth = clean_probe.measurePairRobust(a, b, 100, rt);
 
-    MemorySystem sys(Arch::AlderLake, DimmProfile::byId("S2"),
-                     TrrConfig{}, 21);
+    MemorySystem sys(SystemSpec(Arch::AlderLake, DimmProfile::byId("S2")));
     FaultInjector inj(FaultSchedule::timingBursts(200e3, 60e3, 15.0, 6.0),
                       chaosSeed());
     sys.attachFaultInjector(&inj);
@@ -234,8 +230,7 @@ TEST(FaultDelivery, RobustProbeRecoversCleanLatencyUnderBursts)
 
 TEST(Chaos, ReverseEngineeringMatchesTruthUnderTimingBursts)
 {
-    MemorySystem sys(Arch::RaptorLake, DimmProfile::byId("S1"),
-                     TrrConfig{}, 31);
+    MemorySystem sys(SystemSpec(Arch::RaptorLake, DimmProfile::byId("S1")));
     FaultInjector inj(FaultSchedule::timingBursts(50e6, 8e6, 12.0, 3.0),
                       chaosSeed());
     sys.attachFaultInjector(&inj);
@@ -256,8 +251,7 @@ namespace
 PteAttackResult
 runAttackTrial(Arch arch, std::uint64_t trial_seed, FaultInjector *inj)
 {
-    MemorySystem sys(arch, DimmProfile::byId("S4"), TrrConfig{},
-                     hashCombine(trial_seed, 1));
+    MemorySystem sys(SystemSpec(arch, DimmProfile::byId("S4")));
     BuddyAllocator buddy(sys.mapping().memBytes(), 0.02,
                          hashCombine(trial_seed, 2));
     HammerSession session(sys, hashCombine(trial_seed, 3));
@@ -320,8 +314,7 @@ TEST(Chaos, MassageCountersDoNotDriftUnderAllocPressure)
     // number of failed massages — the reclaim never re-consults the
     // injector — and (b) no frame leaks: free memory returns to the
     // pre-massage level after every trial, failed or not.
-    MemorySystem sys(Arch::AlderLake, DimmProfile::byId("S2"),
-                     TrrConfig{}, 51);
+    MemorySystem sys(SystemSpec(Arch::AlderLake, DimmProfile::byId("S2")));
     BuddyAllocator buddy(sys.mapping().memBytes(), 0.02, 51);
     PageTableManager pt(sys, buddy);
     PageTableMassager massager(buddy, pt, 51);
@@ -361,8 +354,7 @@ TEST(Chaos, PteAttackFailsHonestlyUnderTotalSuppression)
         .merge(FaultSchedule::allocPressure(0.3, 0.05));
     FaultInjector inj(hostile, chaosSeed());
 
-    MemorySystem sys(Arch::AlderLake, DimmProfile::byId("S4"),
-                     TrrConfig{}, 41);
+    MemorySystem sys(SystemSpec(Arch::AlderLake, DimmProfile::byId("S4")));
     BuddyAllocator buddy(sys.mapping().memBytes(), 0.02, 41);
     HammerSession session(sys, 41);
     PageTableManager pt(sys, buddy);

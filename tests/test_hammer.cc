@@ -50,7 +50,7 @@ TEST(Pattern, DoubleSidedIsUniform)
 
 TEST(Session, KernelStructure)
 {
-    MemorySystem sys(Arch::RaptorLake, DimmProfile::byId("S2"));
+    MemorySystem sys(SystemSpec(Arch::RaptorLake, DimmProfile::byId("S2")));
     HammerSession session(sys, 1);
     Rng rng(5);
     auto pattern = HammerPattern::randomNonUniform(rng);
@@ -91,12 +91,12 @@ TEST(Session, KernelStructure)
 
 TEST(Session, HammerRestoresVictimData)
 {
-    MemorySystem sys(Arch::CometLake, DimmProfile::byId("S4"));
+    MemorySystem sys(SystemSpec(Arch::CometLake, DimmProfile::byId("S4")));
     HammerSession session(sys, 2);
     Rng rng(6);
     auto pattern = HammerPattern::randomNonUniform(rng);
     HammerConfig cfg = rhoConfig(Arch::CometLake, true, 200000);
-    auto loc = session.randomLocation(pattern, cfg);
+    auto loc = session.tryRandomLocation(pattern, cfg).loc.value();
     auto out = session.hammer(pattern, loc, cfg);
     // Whatever flipped, a second check must start from clean data.
     auto again = sys.dimm().diffRow(loc.bank, loc.baseRow + 1,
@@ -107,13 +107,13 @@ TEST(Session, HammerRestoresVictimData)
 
 TEST(Session, LocationsRespectFootprint)
 {
-    MemorySystem sys(Arch::CometLake, DimmProfile::byId("S2"));
+    MemorySystem sys(SystemSpec(Arch::CometLake, DimmProfile::byId("S2")));
     HammerSession session(sys, 3);
     Rng rng(7);
     auto pattern = HammerPattern::randomNonUniform(rng);
     HammerConfig cfg;
     for (int i = 0; i < 100; ++i) {
-        auto loc = session.randomLocation(pattern, cfg);
+        auto loc = session.tryRandomLocation(pattern, cfg).loc.value();
         EXPECT_LT(loc.bank, sys.mapping().numBanks());
         EXPECT_LT(loc.baseRow + pattern.footprintRows() + 2,
                   sys.dimm().geometry().rowsPerBank);
@@ -147,7 +147,7 @@ FuzzResult
 fuzz(Arch arch, const std::string &dimm, const HammerConfig &cfg,
      std::uint64_t seed = 2)
 {
-    MemorySystem sys(arch, DimmProfile::byId(dimm), TrrConfig{}, seed);
+    MemorySystem sys(SystemSpec(arch, DimmProfile::byId(dimm)));
     HammerSession session(sys, seed);
     PatternFuzzer fuzzer(session, seed + 1);
     FuzzParams params;
@@ -197,15 +197,14 @@ TEST(Headline, M1DimmNeverFlips)
 
 TEST(NopTuner, InteriorOptimum)
 {
-    MemorySystem sys(Arch::RaptorLake, DimmProfile::byId("S4"),
-                     TrrConfig{}, 4);
+    MemorySystem sys(SystemSpec(Arch::RaptorLake, DimmProfile::byId("S4")));
     HammerSession session(sys, 4);
     Rng rng(8);
     auto pattern = HammerPattern::randomNonUniform(rng);
     HammerConfig cfg = rhoConfig(Arch::RaptorLake, true, 300000);
 
     auto res = tuneNops(session, pattern, cfg,
-                        {0, 200, 800, 6000}, /*locations=*/3, 9);
+                        {0, 200, 800, 6000}, /*locations=*/3);
     ASSERT_EQ(res.curve.size(), 4u);
     // Fig. 10 shape: no ordering -> ~nothing; optimum in the middle;
     // excessive padding kills the activation rate again.
@@ -219,8 +218,7 @@ TEST(NopTuner, InteriorOptimum)
 
 TEST(Sweep, DeterministicLocationsAndRates)
 {
-    MemorySystem sys(Arch::CometLake, DimmProfile::byId("S4"),
-                     TrrConfig{}, 5);
+    MemorySystem sys(SystemSpec(Arch::CometLake, DimmProfile::byId("S4")));
     HammerSession session(sys, 5);
     Rng rng(10);
     auto pattern = HammerPattern::randomNonUniform(rng);
@@ -250,11 +248,12 @@ TEST(Tab03, BarrierStrategyOrderingPinned)
     // the per-arch issue overhead (lfenceIssueCyc, the no-wait path
     // SimCpu::execOp used to mis-charge as a flat 2 cycles).
     for (Arch arch : {Arch::AlderLake, Arch::RaptorLake}) {
-        MemorySystem sys(arch, DimmProfile::byId("S2"), TrrConfig{}, 16);
+        MemorySystem sys(SystemSpec(arch, DimmProfile::byId("S2")));
         HammerSession session(sys, 16);
         HammerPattern pattern = HammerPattern::doubleSided();
         HammerConfig base = rhoConfig(arch, true, 60000);
-        HammerLocation loc = session.randomLocation(pattern, base);
+        HammerLocation loc =
+            session.tryRandomLocation(pattern, base).loc.value();
 
         auto timeWith = [&](BarrierKind b, std::uint64_t budget) {
             HammerConfig cfg = rhoConfig(arch, true, budget);
@@ -291,7 +290,8 @@ TEST(Mitigation, PtrrStopsRhoHammer)
     // eliminates the flips rhoHammer otherwise induces.
     TrrConfig ptrr;
     ptrr.ptrr = true;
-    MemorySystem sys(Arch::RaptorLake, DimmProfile::byId("S4"), ptrr, 6);
+    MemorySystem sys(
+        SystemSpec(Arch::RaptorLake, DimmProfile::byId("S4"), ptrr));
     HammerSession session(sys, 6);
     PatternFuzzer fuzzer(session, 7);
     FuzzParams params;

@@ -20,8 +20,7 @@ TEST(Pipeline, ReverseEngineerThenHammer)
     // The attack uses only what it recovered: the reverse-engineered
     // bank functions and row bits drive aggressor placement via a
     // reconstructed mapping, which must behave identically.
-    MemorySystem sys(Arch::RaptorLake, DimmProfile::byId("S4"),
-                     TrrConfig{}, 17);
+    MemorySystem sys(SystemSpec(Arch::RaptorLake, DimmProfile::byId("S4")));
     BuddyAllocator buddy(sys.mapping().memBytes(), 0.02, 17);
     PhysPool pool(buddy, 0.70);
     TimingProbe probe(sys, 17);
@@ -43,8 +42,7 @@ TEST(Pipeline, ReverseEngineerThenHammer)
 
 TEST(Pipeline, FuzzThenSweepBestPattern)
 {
-    MemorySystem sys(Arch::CometLake, DimmProfile::byId("S4"),
-                     TrrConfig{}, 21);
+    MemorySystem sys(SystemSpec(Arch::CometLake, DimmProfile::byId("S4")));
     HammerSession session(sys, 21);
     PatternFuzzer fuzzer(session, 22);
     FuzzParams params;
@@ -62,8 +60,8 @@ TEST(Pipeline, FuzzThenSweepBestPattern)
 TEST(Reproducibility, IdenticalSeedsIdenticalOutcomes)
 {
     auto once = [](std::uint64_t seed) {
-        MemorySystem sys(Arch::RaptorLake, DimmProfile::byId("S3"),
-                         TrrConfig{}, seed);
+        MemorySystem sys(SystemSpec(Arch::RaptorLake,
+                                    DimmProfile::byId("S3")));
         HammerSession session(sys, seed);
         PatternFuzzer fuzzer(session, seed + 1);
         FuzzParams params;
@@ -80,12 +78,12 @@ TEST(Reproducibility, IdenticalSeedsIdenticalOutcomes)
 TEST(Reproducibility, SimulatedTimeIsDeterministic)
 {
     auto run = [] {
-        MemorySystem sys(Arch::AlderLake, DimmProfile::byId("S2"),
-                         TrrConfig{}, 55);
+        MemorySystem sys(SystemSpec(Arch::AlderLake, DimmProfile::byId("S2")));
         HammerSession session(sys, 55);
         Rng rng(56);
         auto pattern = HammerPattern::randomNonUniform(rng);
-        auto loc = session.randomLocation(pattern, HammerConfig{});
+        auto loc =
+            session.tryRandomLocation(pattern, HammerConfig{}).loc.value();
         auto out = session.hammer(pattern, loc,
                                   rhoConfig(Arch::AlderLake, true,
                                             150000));
@@ -98,14 +96,13 @@ TEST(Pipeline, TuningPhaseMatchesShippedConfig)
 {
     // The shipped tunedNopCount values must sit inside the productive
     // range an actual tuning run discovers (within the plateau).
-    MemorySystem sys(Arch::RaptorLake, DimmProfile::byId("S4"),
-                     TrrConfig{}, 61);
+    MemorySystem sys(SystemSpec(Arch::RaptorLake, DimmProfile::byId("S4")));
     HammerSession session(sys, 61);
     Rng rng(64);
     auto pattern = HammerPattern::randomNonUniform(rng);
     HammerConfig cfg = rhoConfig(Arch::RaptorLake, true, 400000);
-    auto res = tuneNops(session, pattern, cfg, {0, 400, 800, 1600, 6000},
-                        4, 63);
+    auto res =
+        tuneNops(session, pattern, cfg, {0, 400, 800, 1600, 6000}, 4);
     // The shipped value must beat both extremes of the sweep.
     std::uint64_t at_shipped = 0, at_zero = 0, at_huge = 0;
     for (const auto &pt : res.curve) {

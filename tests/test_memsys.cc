@@ -12,7 +12,7 @@ using namespace rho;
 
 TEST(MemorySystem, ComposesMappingFromArchAndDimm)
 {
-    MemorySystem sys(Arch::RaptorLake, DimmProfile::byId("S1"));
+    MemorySystem sys(SystemSpec(Arch::RaptorLake, DimmProfile::byId("S1")));
     EXPECT_EQ(sys.mapping().memBytes(), 16ULL << 30);
     EXPECT_EQ(sys.mapping().numBanks(), 32u);
     EXPECT_TRUE(sys.mapping().sameBankAndRowStructure(
@@ -22,15 +22,50 @@ TEST(MemorySystem, ComposesMappingFromArchAndDimm)
 TEST(MemorySystem, ClampsDimmToPlatformFrequency)
 {
     // S1 is a 3200 MT/s DIMM; Comet Lake only drives 2933.
-    MemorySystem sys(Arch::CometLake, DimmProfile::byId("S1"));
+    MemorySystem sys(SystemSpec(Arch::CometLake, DimmProfile::byId("S1")));
     EXPECT_NEAR(sys.dimm().timing().tCK, 2000.0 / 2933, 1e-6);
-    MemorySystem sys2(Arch::RaptorLake, DimmProfile::byId("S1"));
+    MemorySystem sys2(SystemSpec(Arch::RaptorLake, DimmProfile::byId("S1")));
     EXPECT_NEAR(sys2.dimm().timing().tCK, 0.625, 1e-6);
+}
+
+TEST(MemorySystem, HonoursEverySpecField)
+{
+    const DimmProfile &s2 = DimmProfile::byId("S2");
+    MemorySystem stock(SystemSpec(Arch::RaptorLake, s2));
+    EXPECT_EQ(stock.cpuModel(), CpuModelKind::Blocked);
+    EXPECT_EQ(stock.dimm().rowStore(), RowStoreKind::Flat);
+    EXPECT_FALSE(stock.dimm().eccConfig().enabled);
+
+    SystemSpec spec(Arch::RaptorLake, s2);
+    spec.cpuModel = CpuModelKind::Reference;
+    spec.referenceRowStore = true;
+    spec.refreshBoost = 4.0;
+    spec.ecc.enabled = true;
+    MemorySystem sys(spec);
+    EXPECT_EQ(sys.cpuModel(), CpuModelKind::Reference);
+    EXPECT_EQ(sys.dimm().rowStore(), RowStoreKind::Reference);
+    EXPECT_DOUBLE_EQ(sys.dimm().timing().tREFI,
+                     stock.dimm().timing().tREFI / 4.0);
+    EXPECT_DOUBLE_EQ(sys.dimm().timing().tREFW,
+                     stock.dimm().timing().tREFW / 4.0);
+    EXPECT_TRUE(sys.dimm().eccConfig().enabled);
+}
+
+TEST(MemorySystem, MappingOverloadUsesGivenMapping)
+{
+    // A Raptor Lake machine behind Comet Lake's mapping.
+    AddressMapping comet = mappingFor(Arch::CometLake, 16, 2);
+    MemorySystem sys(SystemSpec(Arch::RaptorLake, DimmProfile::byId("S1")),
+                     comet);
+    EXPECT_EQ(sys.arch(), Arch::RaptorLake);
+    EXPECT_EQ(sys.mapping().describe(), comet.describe());
+    EXPECT_NE(sys.mapping().describe(),
+              mappingFor(Arch::RaptorLake, 16, 2).describe());
 }
 
 TEST(MemorySystem, ClockAdvancesMonotonically)
 {
-    MemorySystem sys(Arch::CometLake, DimmProfile::byId("S2"));
+    MemorySystem sys(SystemSpec(Arch::CometLake, DimmProfile::byId("S2")));
     EXPECT_EQ(sys.now(), 0.0);
     sys.dramAccess(0x1000, 100.0);
     EXPECT_GE(sys.now(), 100.0);
@@ -43,7 +78,7 @@ TEST(MemorySystem, ClockAdvancesMonotonically)
 
 TEST(MemorySystem, FunctionalDataPath)
 {
-    MemorySystem sys(Arch::AlderLake, DimmProfile::byId("S2"));
+    MemorySystem sys(SystemSpec(Arch::AlderLake, DimmProfile::byId("S2")));
     sys.writeByte(0xdead00, 0x5a);
     EXPECT_EQ(sys.readByte(0xdead00), 0x5a);
     EXPECT_EQ(sys.readByte(0xdead01), 0x00);
@@ -74,7 +109,7 @@ class ProbeCase : public ::testing::TestWithParam<Arch>
 
 TEST_P(ProbeCase, SbdrSlowerThanSameRowAndDiffBank)
 {
-    MemorySystem sys(GetParam(), DimmProfile::byId("S1"));
+    MemorySystem sys(SystemSpec(GetParam(), DimmProfile::byId("S1")));
     TimingProbe probe(sys, 42);
     const auto &m = sys.mapping();
     PhysAddr a = m.encode({3, 1000, 0});
@@ -93,7 +128,7 @@ INSTANTIATE_TEST_SUITE_P(AllArchs, ProbeCase,
 
 TEST(TimingProbe, AdvancesClockAndCountsAccesses)
 {
-    MemorySystem sys(Arch::CometLake, DimmProfile::byId("S2"));
+    MemorySystem sys(SystemSpec(Arch::CometLake, DimmProfile::byId("S2")));
     TimingProbe probe(sys, 7);
     Ns t0 = sys.now();
     probe.measurePair(0x1000, 0x2000, 50);
@@ -103,7 +138,7 @@ TEST(TimingProbe, AdvancesClockAndCountsAccesses)
 
 TEST(TimingProbe, MeasurementNoiseIsBounded)
 {
-    MemorySystem sys(Arch::CometLake, DimmProfile::byId("S2"));
+    MemorySystem sys(SystemSpec(Arch::CometLake, DimmProfile::byId("S2")));
     TimingProbe probe(sys, 7, /*noise_sigma=*/1.0);
     PhysAddr a = sys.mapping().encode({0, 10, 0});
     PhysAddr b = sys.mapping().encode({0, 500, 0});

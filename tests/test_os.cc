@@ -227,7 +227,7 @@ TEST(PhysPool, EmptyPoolHasNoPairs)
 
 TEST(PageTable, MapAndTranslateThroughDram)
 {
-    MemorySystem sys(Arch::RaptorLake, DimmProfile::byId("S2"));
+    MemorySystem sys(SystemSpec(Arch::RaptorLake, DimmProfile::byId("S2")));
     BuddyAllocator buddy(sys.mapping().memBytes(), 0.02);
     PageTableManager pt(sys, buddy);
 
@@ -243,7 +243,7 @@ TEST(PageTable, MapAndTranslateThroughDram)
 
 TEST(PageTable, PteLivesInDramAndBitFlipsRedirect)
 {
-    MemorySystem sys(Arch::RaptorLake, DimmProfile::byId("S2"));
+    MemorySystem sys(SystemSpec(Arch::RaptorLake, DimmProfile::byId("S2")));
     BuddyAllocator buddy(sys.mapping().memBytes(), 0.02);
     PageTableManager pt(sys, buddy);
 
@@ -264,7 +264,7 @@ TEST(PageTable, PteLivesInDramAndBitFlipsRedirect)
 
 TEST(PageTable, SharedTableWithinRegion)
 {
-    MemorySystem sys(Arch::AlderLake, DimmProfile::byId("S2"));
+    MemorySystem sys(SystemSpec(Arch::AlderLake, DimmProfile::byId("S2")));
     BuddyAllocator buddy(sys.mapping().memBytes(), 0.02);
     PageTableManager pt(sys, buddy);
     VirtAddr base = 0x700000000000ULL;

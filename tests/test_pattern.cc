@@ -3,7 +3,7 @@
  * Property suite for the frequency-domain pattern genome layer:
  * synthesis invariants, the freq > period clamp, parameter
  * validation, mutate/crossover closure, and the wide-pattern
- * placement regression (unsigned wrap in randomLocation).
+ * placement regression (unsigned wrap in random placement).
  */
 
 #include <gtest/gtest.h>
@@ -11,6 +11,7 @@
 #include <algorithm>
 
 #include "hammer/hammer_session.hh"
+#include "hammer/nop_tuner.hh"
 #include "hammer/pattern.hh"
 
 using namespace rho;
@@ -217,7 +218,7 @@ TEST(PatternGenome, CrossoverPreservesInvariants)
     for (int i = 0; i < 200; ++i) {
         auto a = HammerPattern::randomGenome(rng, params);
         auto b = HammerPattern::randomGenome(rng, params);
-        auto child = HammerPattern::crossover(rng, a, b, params);
+        auto child = HammerPattern::crossover(rng, a, b);
         expectWellFormed(child, params);
         // Pair count bounded by the parents' counts.
         EXPECT_GE(child.numPairs(),
@@ -256,23 +257,24 @@ TEST(PatternGenome, CrossoverIsDeterministicUnderRng)
     auto pa = HammerPattern::randomGenome(seed_rng, params);
     auto pb = HammerPattern::randomGenome(seed_rng, params);
     Rng a(88), b(88);
-    auto ca = HammerPattern::crossover(a, pa, pb, params);
-    auto cb = HammerPattern::crossover(b, pa, pb, params);
+    auto ca = HammerPattern::crossover(a, pa, pb);
+    auto cb = HammerPattern::crossover(b, pa, pb);
     EXPECT_EQ(ca.id(), cb.id());
     EXPECT_EQ(ca.slots(), cb.slots());
     EXPECT_EQ(ca.genomeFingerprint(), cb.genomeFingerprint());
 }
 
-TEST(WidePatternRegression, TryRandomLocationReportsUnplaceable)
+namespace
 {
-    MemorySystem sys(Arch::RaptorLake, DimmProfile::byId("S2"));
-    HammerSession session(sys, 9);
-    HammerConfig cfg;
 
-    // A pathologically wide genome: one pair offset past the whole
-    // bank. The old randomLocation computed rowsPerBank - span - 8 in
-    // unsigned arithmetic, wrapped to ~2^64, and placed aggressors
-    // out of bounds.
+/**
+ * A pathologically wide genome: one pair offset past the whole bank.
+ * Random placement once computed rowsPerBank - span - 8 in unsigned
+ * arithmetic, wrapped to ~2^64, and placed aggressors out of bounds.
+ */
+HammerPattern
+wideGenome(const MemorySystem &sys)
+{
     std::uint64_t rows = sys.dimm().geometry().rowsPerBank;
     std::vector<PairGene> genome = {
         {0, 0, 0, 0},
@@ -280,24 +282,37 @@ TEST(WidePatternRegression, TryRandomLocationReportsUnplaceable)
     };
     auto wide = HammerPattern::fromGenome(1, 8, genome);
     EXPECT_GT(wide.footprintRows() + 16, rows);
+    return wide;
+}
 
-    LocationPick pick = session.tryRandomLocation(wide, cfg);
+} // namespace
+
+TEST(WidePatternRegression, TryRandomLocationReportsUnplaceable)
+{
+    MemorySystem sys(SystemSpec(Arch::RaptorLake, DimmProfile::byId("S2")));
+    HammerSession session(sys, 9);
+    LocationPick pick =
+        session.tryRandomLocation(wideGenome(sys), HammerConfig{});
     EXPECT_FALSE(pick.ok());
     EXPECT_EQ(pick.failure, FailureCode::PatternUnplaceable);
+}
 
-    // The legacy signature stays total: a clamped, in-range base row
-    // instead of a wrapped one.
-    for (int i = 0; i < 20; ++i) {
-        HammerLocation loc = session.randomLocation(wide, cfg);
-        EXPECT_LT(loc.baseRow, rows);
-        EXPECT_GE(loc.baseRow, 8u);
-        EXPECT_LT(loc.bank, sys.mapping().numBanks());
-    }
+TEST(WidePatternRegression, NopTunerReportsUnplaceable)
+{
+    // The tuner must not hammer a clamped stand-in location.
+    MemorySystem sys(SystemSpec(Arch::RaptorLake, DimmProfile::byId("S2")));
+    HammerSession session(sys, 9);
+    NopTuneResult res = tuneNops(session, wideGenome(sys), HammerConfig{},
+                                 {0, 200}, /*locations=*/2);
+    EXPECT_EQ(res.failure, FailureCode::PatternUnplaceable);
+    EXPECT_TRUE(res.curve.empty());
+    EXPECT_EQ(res.bestFlips, 0u);
+    EXPECT_EQ(sys.dimm().totalActs(), 0u);
 }
 
 TEST(WidePatternRegression, PlaceablePatternsStillPlace)
 {
-    MemorySystem sys(Arch::RaptorLake, DimmProfile::byId("S2"));
+    MemorySystem sys(SystemSpec(Arch::RaptorLake, DimmProfile::byId("S2")));
     HammerSession session(sys, 10);
     HammerConfig cfg;
     Rng rng(71);

@@ -255,12 +255,14 @@ TEST(PracProperty, SafetyInvariantHoldsForFuzzedPatterns)
         for (unsigned p = 0; p < 70; ++p) {
             HammerPattern pattern =
                 HammerPattern::randomNonUniform(pattern_rng, pparams);
-            MemorySystem sys(Arch::RaptorLake, d1, no_trr,
-                             seed * 1000 + p, RfmConfig{}, prac);
+            SystemSpec spec(Arch::RaptorLake, d1, no_trr);
+            spec.prac = prac;
+            MemorySystem sys(spec);
             HammerSession session(sys, seed * 1000 + p);
             Tracer tracer(tcfg);
             sys.attachTracer(&tracer);
-            HammerLocation loc = session.randomLocation(pattern, cfg);
+            HammerLocation loc =
+                session.tryRandomLocation(pattern, cfg).loc.value();
             HammerOutcome out = session.hammer(pattern, loc, cfg);
             sys.attachTracer(nullptr);
 
@@ -308,7 +310,7 @@ TEST(RfmProperty, RaaIncrementsMatchActStreamPerBank)
     const DimmProfile &d1 = DimmProfile::ddr5Sample();
     RfmConfig rfm;
     rfm.enabled = true;
-    MemorySystem sys(Arch::RaptorLake, d1, TrrConfig{}, 97, rfm);
+    MemorySystem sys(SystemSpec(Arch::RaptorLake, d1, TrrConfig{}, rfm));
     HammerSession session(sys, 97);
 
     TraceConfig tcfg;
@@ -322,7 +324,7 @@ TEST(RfmProperty, RaaIncrementsMatchActStreamPerBank)
     cfg.numBanks = 4; // spread the pattern over several banks
     Rng rng(5);
     HammerPattern pattern = HammerPattern::randomNonUniform(rng);
-    HammerLocation loc = session.randomLocation(pattern, cfg);
+    HammerLocation loc = session.tryRandomLocation(pattern, cfg).loc.value();
     session.hammer(pattern, loc, cfg);
     sys.attachTracer(nullptr);
     ASSERT_EQ(tracer.dropped(), 0u);

@@ -465,8 +465,8 @@ TEST(VmStage2Properties, BijectionPerVmAndNoCrossVmAliasing)
         for (bool bank_part : {false, true}) {
             std::uint64_t seed = hashCombine(
                 static_cast<std::uint64_t>(placement), bank_part);
-            MemorySystem sys(Arch::RaptorLake, DimmProfile::byId("S2"),
-                             TrrConfig{}, seed);
+            MemorySystem sys(SystemSpec(Arch::RaptorLake,
+                                        DimmProfile::byId("S2")));
             BuddyAllocator buddy(sys.mapping().memBytes(), 0.02, seed);
             VmManager vmm(sys, buddy, VmConfig{placement, bank_part});
             ASSERT_TRUE(vmm.createTenants(3, 4ull << 20));

@@ -27,7 +27,7 @@ struct Rig
 
     Rig(Arch arch, const std::string &dimm, std::uint64_t seed,
         double fraction = 0.70)
-        : sys(arch, DimmProfile::byId(dimm), TrrConfig{}, seed),
+        : sys(SystemSpec(arch, DimmProfile::byId(dimm))),
           buddy(sys.mapping().memBytes(), 0.02, seed),
           pool(buddy, fraction), probe(sys, seed)
     {
@@ -35,7 +35,7 @@ struct Rig
 
     Rig(Arch arch, const DimmProfile &dimm, AddressMapping mapping,
         std::uint64_t seed)
-        : sys(arch, dimm, std::move(mapping), TrrConfig{}, seed),
+        : sys(SystemSpec(arch, dimm), std::move(mapping)),
           buddy(sys.mapping().memBytes(), 0.02, seed),
           pool(buddy, 0.70), probe(sys, seed)
     {

@@ -271,7 +271,7 @@ TEST(Ddr5, RhoHammerFindsNoEffectivePattern)
     TrrConfig trr; // stock TRR as well
     // Build a memory system manually around the DDR5 device: reuse
     // the Raptor Lake mapping (16 GiB dual-rank geometry matches).
-    MemorySystem sys(Arch::RaptorLake, d1, trr, 77);
+    MemorySystem sys(SystemSpec(Arch::RaptorLake, d1, trr));
     // Swap in an RFM-protected DIMM is not exposed via MemorySystem;
     // hammer the Dimm-level API directly with the session instead:
     HammerSession session(sys, 77);
@@ -292,12 +292,9 @@ TEST(Ddr5, RhoHammerFindsNoEffectivePattern)
 TEST(Ddr5, MemorySystemWithRfm)
 {
     const DimmProfile &d1 = DimmProfile::ddr5Sample();
-    MemorySystem sys(Arch::RaptorLake, d1, TrrConfig{}, 79,
-                     [] {
-                         RfmConfig r;
-                         r.enabled = true;
-                         return r;
-                     }());
+    SystemSpec spec(Arch::RaptorLake, d1);
+    spec.rfm.enabled = true;
+    MemorySystem sys(spec);
     HammerSession session(sys, 79);
     PatternFuzzer fuzzer(session, 80);
     FuzzParams params;

@@ -107,10 +107,9 @@ trrEvasionRun(std::uint64_t seed, bool reference,
     trr.sampleProb = 0.5;
     trr.matchThreshold = 8;
     trr.maxRefreshesPerTick = 4;
-    MemorySystem sys(Arch::RaptorLake, DimmProfile::byId("S2"), trr,
-                     seed);
-    if (reference)
-        sys.dimm().setRowStore(RowStoreKind::Reference);
+    SystemSpec spec(Arch::RaptorLake, DimmProfile::byId("S2"), trr);
+    spec.referenceRowStore = reference;
+    MemorySystem sys(spec);
     Tracer tracer(TraceConfig{
         true, CatDram | CatDisturb | CatTrr | CatFlip | CatPhase,
         std::size_t{1} << 22});
@@ -121,9 +120,11 @@ trrEvasionRun(std::uint64_t seed, bool reference,
     Rng rng(seed);
 
     HammerPattern uniform = HammerPattern::doubleSided();
-    session.hammer(uniform, session.randomLocation(uniform, cfg), cfg);
+    session.hammer(uniform,
+                   session.tryRandomLocation(uniform, cfg).loc.value(), cfg);
     HammerPattern evading = HammerPattern::randomNonUniform(rng);
-    session.hammer(evading, session.randomLocation(evading, cfg), cfg);
+    session.hammer(evading,
+                   session.tryRandomLocation(evading, cfg).loc.value(), cfg);
 
     sys.attachTracer(nullptr);
     EXPECT_EQ(tracer.dropped(), 0u);
@@ -407,8 +408,9 @@ TEST_P(LazyCellsBroadRow, ReverseEngineeringMatchesReference)
         std::vector<FlipRecord> flips;
     };
     auto run = [](Arch arch, RowStoreKind kind) {
-        MemorySystem sys(arch, DimmProfile::byId("S2"), TrrConfig{}, 11);
-        sys.dimm().setRowStore(kind);
+        SystemSpec spec(arch, DimmProfile::byId("S2"));
+        spec.referenceRowStore = kind == RowStoreKind::Reference;
+        MemorySystem sys(spec);
         BuddyAllocator buddy(sys.mapping().memBytes(), 0.02, 11);
         PhysPool pool(buddy, 0.70);
         TimingProbe probe(sys, 11);

@@ -113,8 +113,8 @@ std::vector<TraceEvent>
 trrEvasionTrace(std::uint64_t seed, std::uint32_t categories,
                 std::uint64_t budget)
 {
-    MemorySystem sys(Arch::RaptorLake, DimmProfile::byId("S2"),
-                     aggressiveTrr(), seed);
+    MemorySystem sys(
+        SystemSpec(Arch::RaptorLake, DimmProfile::byId("S2"), aggressiveTrr()));
     Tracer tracer(TraceConfig{true, categories, std::size_t{1} << 22});
     sys.attachTracer(&tracer);
 
@@ -123,10 +123,12 @@ trrEvasionTrace(std::uint64_t seed, std::uint32_t categories,
     Rng rng(seed);
 
     HammerPattern uniform = HammerPattern::doubleSided();
-    session.hammer(uniform, session.randomLocation(uniform, cfg), cfg);
+    session.hammer(uniform,
+                   session.tryRandomLocation(uniform, cfg).loc.value(), cfg);
 
     HammerPattern evading = HammerPattern::randomNonUniform(rng);
-    session.hammer(evading, session.randomLocation(evading, cfg), cfg);
+    session.hammer(evading,
+                   session.tryRandomLocation(evading, cfg).loc.value(), cfg);
 
     sys.attachTracer(nullptr);
     EXPECT_EQ(tracer.dropped(), 0u);
@@ -143,12 +145,11 @@ std::vector<TraceEvent>
 ddr5MitigationTrace(std::uint64_t seed, std::uint32_t categories,
                     std::uint64_t budget)
 {
-    RfmConfig rfm = RfmConfig::forLevel(RfmLevel::Default);
-    PracConfig prac;
-    prac.enabled = true;
-    prac.threshold = 256;
-    MemorySystem sys(Arch::RaptorLake, DimmProfile::ddr5Sample(),
-                     TrrConfig{}, seed, rfm, prac);
+    SystemSpec spec(Arch::RaptorLake, DimmProfile::ddr5Sample(), TrrConfig{},
+                    RfmConfig::forLevel(RfmLevel::Default));
+    spec.prac.enabled = true;
+    spec.prac.threshold = 256;
+    MemorySystem sys(spec);
     Tracer tracer(TraceConfig{true, categories, std::size_t{1} << 22});
     sys.attachTracer(&tracer);
 
@@ -156,7 +157,8 @@ ddr5MitigationTrace(std::uint64_t seed, std::uint32_t categories,
     HammerConfig cfg = rhoConfig(Arch::RaptorLake, true, budget);
     Rng rng(seed);
     HammerPattern evading = HammerPattern::randomNonUniform(rng);
-    session.hammer(evading, session.randomLocation(evading, cfg), cfg);
+    session.hammer(evading,
+                   session.tryRandomLocation(evading, cfg).loc.value(), cfg);
 
     sys.attachTracer(nullptr);
     EXPECT_EQ(tracer.dropped(), 0u);

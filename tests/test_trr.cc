@@ -162,8 +162,7 @@ TEST(TrrEvasion, NonUniformFlipsWhereUniformIsCaught)
 
     // Uniform double-sided: TRR locks onto the single aggressor pair.
     {
-        MemorySystem sys(Arch::CometLake, DimmProfile::byId("S4"),
-                         TrrConfig{}, 40);
+        MemorySystem sys(SystemSpec(Arch::CometLake, DimmProfile::byId("S4")));
         HammerSession session(sys, 40);
         HammerPattern uniform = HammerPattern::doubleSided();
         auto out =
@@ -177,12 +176,11 @@ TEST(TrrEvasion, NonUniformFlipsWhereUniformIsCaught)
     std::uint64_t nonuniform_flips = 0;
     for (std::uint64_t seed = 1; seed <= 6 && nonuniform_flips == 0;
          ++seed) {
-        MemorySystem sys(Arch::CometLake, DimmProfile::byId("S4"),
-                         TrrConfig{}, seed);
+        MemorySystem sys(SystemSpec(Arch::CometLake, DimmProfile::byId("S4")));
         HammerSession session(sys, seed);
         Rng rng(seed);
         HammerPattern pattern = HammerPattern::randomNonUniform(rng);
-        auto loc = session.randomLocation(pattern, cfg);
+        auto loc = session.tryRandomLocation(pattern, cfg).loc.value();
         nonuniform_flips += session.hammer(pattern, loc, cfg).flips;
     }
     EXPECT_GT(nonuniform_flips, 0u);

@@ -71,8 +71,7 @@ struct VmRig
 
     VmRig(VmConfig cfg, std::uint64_t seed = 7,
           std::uint64_t bytes_each = 4ull << 20, unsigned tenants = 2)
-        : sys(Arch::RaptorLake, DimmProfile::byId("S2"), TrrConfig{},
-              seed),
+        : sys(SystemSpec(Arch::RaptorLake, DimmProfile::byId("S2"))),
           buddy(sys.mapping().memBytes(), 0.02, seed),
           vmm(sys, buddy, cfg)
     {
@@ -242,8 +241,7 @@ TEST(VmPaging, SteerLandsPtPageOnChosenGpa)
 
 TEST(CrossVm, UndefendedInterleavedPlacementLeaksFlips)
 {
-    MemorySystem sys(Arch::RaptorLake, DimmProfile::byId("S4"),
-                     TrrConfig{}, 11);
+    MemorySystem sys(SystemSpec(Arch::RaptorLake, DimmProfile::byId("S4")));
     BuddyAllocator buddy(sys.mapping().memBytes(), 0.02, 11);
     VmManager vmm(sys, buddy, VmConfig{VmPlacement::Interleaved, false});
     ASSERT_TRUE(vmm.createTenants(2, 8ull << 20));
@@ -271,11 +269,9 @@ TEST(CrossVm, OnDieEccMasksSingleBitEscapes)
     // cross-VM flips are identical, but the ECC read path corrects
     // every single-bit-per-codeword escape, so visibility shrinks.
     auto run = [](bool ecc) {
-        EccConfig ecc_cfg;
-        ecc_cfg.enabled = ecc;
-        MemorySystem sys(Arch::RaptorLake, DimmProfile::byId("S4"),
-                         TrrConfig{}, 11, RfmConfig{}, PracConfig{},
-                         ecc_cfg);
+        SystemSpec spec(Arch::RaptorLake, DimmProfile::byId("S4"));
+        spec.ecc.enabled = ecc;
+        MemorySystem sys(spec);
         BuddyAllocator buddy(sys.mapping().memBytes(), 0.02, 11);
         VmManager vmm(sys, buddy,
                       VmConfig{VmPlacement::Interleaved, false});
@@ -298,8 +294,7 @@ TEST(CrossVm, OnDieEccMasksSingleBitEscapes)
 
 TEST(CrossVm, GuardedPlacementFailsWithStructuredCode)
 {
-    MemorySystem sys(Arch::RaptorLake, DimmProfile::byId("S4"),
-                     TrrConfig{}, 11);
+    MemorySystem sys(SystemSpec(Arch::RaptorLake, DimmProfile::byId("S4")));
     BuddyAllocator buddy(sys.mapping().memBytes(), 0.02, 11);
     VmManager vmm(sys, buddy, VmConfig{VmPlacement::Guarded, false});
     ASSERT_TRUE(vmm.createTenants(2, 8ull << 20));
@@ -434,8 +429,8 @@ TEST(VmIsolation, DefendedConfigsNeverLeakCrossVmFlips)
     for (unsigned s = 0; s < num_seeds; ++s) {
         std::uint64_t seed = hashCombine(0x150fa7e, s);
         for (const VmConfig &cfg : defended) {
-            MemorySystem sys(Arch::RaptorLake, DimmProfile::byId("S4"),
-                             TrrConfig{}, seed);
+            MemorySystem sys(SystemSpec(Arch::RaptorLake,
+                                        DimmProfile::byId("S4")));
             BuddyAllocator buddy(sys.mapping().memBytes(), 0.02, seed);
             VmManager vmm(sys, buddy, cfg);
             ASSERT_TRUE(vmm.claimsNoCrossVmFlips());
