@@ -178,7 +178,6 @@ class ServiceSweep
         svc.journalBase = base;
         svc.fsync = FsyncPolicy::Never;
         svc.supervisor.workers = par;
-        svc.supervisor.pollIntervalS = 0.002;
     }
 
     ~ServiceSweep() { removeServiceFiles(); }

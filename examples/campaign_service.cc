@@ -20,6 +20,10 @@
  *                    and report whether the merged result is identical
  *   --log            print the supervisor event log
  *
+ * Counts must be integers (locations, shards and workers at least 1),
+ * probabilities numbers in [0, 1]; malformed input, an unknown flag or
+ * a third positional argument exits with status 2.
+ *
  * The internal `--worker` entry is what --exec launches; it re-derives
  * the campaign deterministically from its arguments and runs exactly
  * one shard attempt.
@@ -27,11 +31,14 @@
 
 #include <unistd.h>
 
+#include <climits>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
 
+#include "bench_util.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "fault/fault_injector.hh"
@@ -55,7 +62,45 @@ parseArch(const char *s)
         return Arch::AlderLake;
     if (!std::strcmp(s, "raptor"))
         return Arch::RaptorLake;
-    fatal("unknown arch '%s'", s);
+    bench::usageError(std::string("unknown arch '") + s
+                      + "' (expected comet, rocket, alder or raptor)");
+}
+
+/** `v`, the value of `what`, as an unsigned int (0 allowed). */
+unsigned
+parseUint(const std::string &what, const char *v)
+{
+    return static_cast<unsigned>(bench::parseUnsigned(what, v, UINT_MAX));
+}
+
+/** `v`, the value of `what`, as a count of at least 1. */
+unsigned
+parseCount(const std::string &what, const char *v)
+{
+    unsigned n = parseUint(what, v);
+    if (n == 0)
+        bench::usageError(what + " 0: expected at least 1");
+    return n;
+}
+
+/** `v`, the value of `what`, as a probability in [0, 1]. */
+double
+parseProbability(const std::string &what, const char *v)
+{
+    char *end = nullptr;
+    double p = std::strtod(v, &end);
+    if (end == v || *end != '\0' || !std::isfinite(p) || p < 0.0
+        || p > 1.0)
+        bench::usageError(what + " " + v
+                          + ": expected a probability in [0, 1]");
+    return p;
+}
+
+/** A seed: decimal, 0x hexadecimal or 0-prefixed octal (strtoull base 0). */
+std::uint64_t
+parseSeed(const std::string &what, const char *v)
+{
+    return bench::parseUnsigned(what, v, UINT64_MAX, 0);
 }
 
 const char *
@@ -121,27 +166,28 @@ workerMain(int argc, char **argv)
     //          <count> <journal> <status> <attempt> <crash-after>
     //          <hang-after> <rot-prob> <chaos-seed>
     if (argc != 17)
-        fatal("--worker: expected 15 operands, got %d", argc - 2);
+        bench::usageError(strFormat("--worker: expected 15 operands, got %d",
+                                    argc - 2));
     char **a = argv + 2;
     Arch arch = parseArch(a[0]);
     const char *dimm = a[1];
-    unsigned locations = unsigned(std::atoi(a[2]));
-    unsigned jobs = unsigned(std::atoi(a[3]));
-    std::uint64_t seed = std::strtoull(a[4], nullptr, 0);
+    unsigned locations = parseCount("--worker locations", a[2]);
+    unsigned jobs = parseUint("--worker jobs", a[3]);
+    std::uint64_t seed = parseSeed("--worker seed", a[4]);
 
     ShardSpec shard;
-    shard.id = unsigned(std::atoi(a[5]));
-    shard.firstTask = unsigned(std::atoi(a[6]));
-    shard.taskCount = unsigned(std::atoi(a[7]));
+    shard.id = parseUint("--worker shard", a[5]);
+    shard.firstTask = parseUint("--worker first", a[6]);
+    shard.taskCount = parseUint("--worker count", a[7]);
     shard.journalPath = a[8];
     shard.statusPath = a[9];
-    unsigned attempt = unsigned(std::atoi(a[10]));
+    unsigned attempt = parseCount("--worker attempt", a[10]);
 
     WorkerChaos chaos;
-    chaos.crashAfterRecords = unsigned(std::atoi(a[11]));
-    chaos.hangAfterRecords = unsigned(std::atoi(a[12]));
-    double rotProb = std::atof(a[13]);
-    std::uint64_t chaosSeed = std::strtoull(a[14], nullptr, 0);
+    chaos.crashAfterRecords = parseUint("--worker crash-after", a[11]);
+    chaos.hangAfterRecords = parseUint("--worker hang-after", a[12]);
+    double rotProb = parseProbability("--worker rot-prob", a[13]);
+    std::uint64_t chaosSeed = parseSeed("--worker chaos-seed", a[14]);
 
     Scenario sc(arch, dimm, seed);
     SweepParams params;
@@ -182,39 +228,45 @@ main(int argc, char **argv)
 
     int positional = 0;
     for (int i = 1; i < argc; ++i) {
+        const char *flag = argv[i];
         auto val = [&]() -> const char * {
             if (i + 1 >= argc)
-                fatal("%s needs a value", argv[i]);
+                bench::usageError(std::string(flag) + " needs a value");
             return argv[++i];
         };
-        if (!std::strcmp(argv[i], "--locations"))
-            locations = unsigned(std::atoi(val()));
-        else if (!std::strcmp(argv[i], "--shards"))
-            shards = unsigned(std::atoi(val()));
-        else if (!std::strcmp(argv[i], "--workers"))
-            workers = unsigned(std::atoi(val()));
-        else if (!std::strcmp(argv[i], "--jobs"))
-            jobs = unsigned(std::atoi(val()));
-        else if (!std::strcmp(argv[i], "--journal"))
+        if (!std::strcmp(flag, "--locations"))
+            locations = parseCount(flag, val());
+        else if (!std::strcmp(flag, "--shards"))
+            shards = parseCount(flag, val());
+        else if (!std::strcmp(flag, "--workers"))
+            workers = parseCount(flag, val());
+        else if (!std::strcmp(flag, "--jobs"))
+            jobs = unsigned(bench::parseUnsigned(flag, val(),
+                                                 bench::maxJobs));
+        else if (!std::strcmp(flag, "--journal"))
             journalBase = val();
-        else if (!std::strcmp(argv[i], "--chaos-kill"))
-            chaosKill = std::atof(val());
-        else if (!std::strcmp(argv[i], "--chaos-hang"))
-            chaosHang = std::atof(val());
-        else if (!std::strcmp(argv[i], "--bit-rot"))
-            bitRot = std::atof(val());
-        else if (!std::strcmp(argv[i], "--seed"))
-            seed = std::strtoull(val(), nullptr, 0);
-        else if (!std::strcmp(argv[i], "--exec"))
+        else if (!std::strcmp(flag, "--chaos-kill"))
+            chaosKill = parseProbability(flag, val());
+        else if (!std::strcmp(flag, "--chaos-hang"))
+            chaosHang = parseProbability(flag, val());
+        else if (!std::strcmp(flag, "--bit-rot"))
+            bitRot = parseProbability(flag, val());
+        else if (!std::strcmp(flag, "--seed"))
+            seed = parseSeed(flag, val());
+        else if (!std::strcmp(flag, "--exec"))
             execMode = true;
-        else if (!std::strcmp(argv[i], "--verify"))
+        else if (!std::strcmp(flag, "--verify"))
             verify = true;
-        else if (!std::strcmp(argv[i], "--log"))
+        else if (!std::strcmp(flag, "--log"))
             showLog = true;
+        else if (flag[0] == '-')
+            bench::usageError(std::string("unknown flag ") + flag);
         else if (positional == 0)
-            arch = parseArch(argv[i]), ++positional;
+            arch = parseArch(flag), ++positional;
+        else if (positional == 1)
+            dimm = flag, ++positional;
         else
-            dimm = argv[i], ++positional;
+            bench::usageError(std::string("unexpected argument ") + flag);
     }
 
     Scenario sc(arch, dimm, seed);

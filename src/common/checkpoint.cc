@@ -195,11 +195,8 @@ TaskJournal::TaskJournal(const std::string &path, std::uint64_t key,
 
 TaskJournal::~TaskJournal()
 {
-    if (fd >= 0) {
-        if (opts.fsync == FsyncPolicy::Interval && recordsSinceSync > 0)
-            ::fsync(fd);
+    if (fd >= 0)
         ::close(fd);
-    }
 }
 
 void
@@ -244,24 +241,6 @@ TaskJournal::openAppendFd()
 }
 
 void
-TaskJournal::maybeFsync()
-{
-    switch (opts.fsync) {
-    case FsyncPolicy::Never:
-        break;
-    case FsyncPolicy::PerRecord:
-        ::fsync(fd);
-        break;
-    case FsyncPolicy::Interval:
-        if (++recordsSinceSync >= std::max(opts.fsyncInterval, 1u)) {
-            ::fsync(fd);
-            recordsSinceSync = 0;
-        }
-        break;
-    }
-}
-
-void
 TaskJournal::record(unsigned index, const std::string &payload)
 {
     std::lock_guard<std::mutex> lock(mtx);
@@ -301,7 +280,8 @@ TaskJournal::recordLocked(unsigned index, const std::string &payload,
         p += n;
         left -= static_cast<std::size_t>(n);
     }
-    maybeFsync();
+    if (opts.fsync == FsyncPolicy::PerRecord)
+        ::fsync(fd);
     if (opts.onRecord)
         opts.onRecord(index, seq);
 }
@@ -310,10 +290,8 @@ void
 TaskJournal::sync()
 {
     std::lock_guard<std::mutex> lock(mtx);
-    if (fd >= 0) {
+    if (fd >= 0)
         ::fsync(fd);
-        recordsSinceSync = 0;
-    }
 }
 
 std::optional<std::string>

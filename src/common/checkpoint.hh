@@ -67,21 +67,23 @@ std::optional<double> decodeDouble(const std::string &s);
 /** CRC32 (IEEE 802.3, reflected) — the journal record checksum. */
 std::uint32_t crc32(const void *data, std::size_t len);
 
-/** Durability/overhead trade-off for journal appends. */
+/**
+ * Durability/overhead trade-off for journal appends. Either way the
+ * atomic rewrite on open fsyncs its temp file before the rename, and
+ * sync() forces an fsync on demand.
+ */
 enum class FsyncPolicy : std::uint8_t
 {
     Never,     //!< OS page cache only (journal survives process death,
                //!< not a host power cut)
     PerRecord, //!< fsync after every record (default; a reaped record
                //!< is durable)
-    Interval,  //!< fsync every JournalOptions::fsyncInterval records
 };
 
 /** Optional knobs and hooks for a TaskJournal. */
 struct JournalOptions
 {
     FsyncPolicy fsync = FsyncPolicy::PerRecord;
-    unsigned fsyncInterval = 32; //!< used by FsyncPolicy::Interval
 
     /**
      * Fault hook (chaos/testing): called once per appended record with
@@ -177,7 +179,6 @@ class TaskJournal
     /** Write header + records to a temp file and rename into place. */
     void rewriteAtomic(const std::vector<LoadedLine> &lines);
     void openAppendFd();
-    void maybeFsync();
 
     void recordLocked(unsigned index, const std::string &payload,
                       bool meta);
@@ -189,7 +190,6 @@ class TaskJournal
     JournalOptions opts;
     JournalRecovery recov;
     std::uint64_t nextSeq = 1;
-    unsigned recordsSinceSync = 0;
     int fd = -1;
     std::mutex mtx;
 };

@@ -475,8 +475,8 @@ Dimm::doAct(std::uint32_t bank, std::uint64_t row, Ns now)
             RHO_TRACE(tracer, now, EventKind::MitigationStall, 0, bank, 0,
                       traceBits(tim.tRFM));
             for (const TrrTarget &t : a.protect) {
-                RHO_TRACE(tracer, now, EventKind::RfmRefresh,
-                          a.urgent ? 1 : 0, t.bank, t.row, 0);
+                RHO_TRACE(tracer, now, EventKind::RfmRefresh, 0, t.bank,
+                          t.row, 0);
                 refreshNeighbours(t.bank, t.row, now,
                                   ResetSource::RfmNeighbor);
             }

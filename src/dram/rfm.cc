@@ -59,7 +59,6 @@ RfmEngine::reset()
     for (BankState &b : banks)
         b = BankState{};
     rfms = 0;
-    urgentRfms = 0;
 }
 
 std::uint64_t
@@ -111,29 +110,13 @@ RfmEngine::observeAct(std::uint32_t bank, std::uint64_t row)
     if (b.recent.size() > cfg.recencyDepth)
         b.recent.pop_back();
 
-    ++b.raa;
-
-    // The controller issues the owed RFM once RAA is serviceDelayActs
-    // past RAAIMT; the RAAMMT cap forces an urgent RFM regardless of
-    // how lazy the controller is.
-    std::uint32_t cap = cfg.raammtEffective();
-    std::uint32_t fire_at = cfg.raaimt
-        + static_cast<std::uint32_t>(cfg.serviceDelayActs);
-    if (fire_at > cap)
-        fire_at = cap;
-
-    if (b.raa >= cap)
-        action.urgent = true;
-    else if (b.raa < fire_at)
+    // The controller issues the owed RFM as soon as RAA reaches
+    // RAAIMT; the RFM retires RAAIMT worth of activity.
+    if (++b.raa < cfg.raaimt)
         return action;
-
-    // One RFM retires RAAIMT worth of activity; the remainder carries
-    // over into the next management interval.
-    b.raa = b.raa > cfg.raaimt ? b.raa - cfg.raaimt : 0;
+    b.raa -= cfg.raaimt;
     action.fired = true;
     ++rfms;
-    if (action.urgent)
-        ++urgentRfms;
     // The device refreshes the neighbourhoods of the rows it saw
     // activated most recently — deterministic, so no pattern can
     // hide its true aggressors from it.

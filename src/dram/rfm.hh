@@ -8,14 +8,15 @@
  *
  *  - every ACT increments the bank's RAA counter;
  *  - when RAA reaches the *initial* management threshold (RAAIMT) the
- *    controller owes the device an RFM command; issuing it subtracts
- *    RAAIMT from the counter (leftover activity carries over);
+ *    controller issues an RFM command at once, which subtracts RAAIMT
+ *    from the counter — so after every ACT, RAA < RAAIMT;
  *  - every REF command subtracts a configurable amount from every
  *    bank's counter (refDecrement) — regular refresh already covers a
- *    slice of the disturbance budget, so the rolling count decays;
- *  - RAA may never reach the *maximum* management threshold (RAAMMT):
- *    a controller that deferred its RFMs (serviceDelayActs) is forced
- *    into an urgent RFM at the cap.
+ *    slice of the disturbance budget, so the rolling count decays.
+ *
+ * The controller never defers an RFM, so RAA stays far below the
+ * JEDEC maximum management threshold (RAAMMT) and the model has no
+ * urgent-RFM path.
  *
  * Unlike DDR4 TRR's tiny probabilistic sampler, the RAA bookkeeping is
  * deterministic and cannot be starved by decoy churn — which is why
@@ -59,29 +60,12 @@ struct RfmConfig
     bool enabled = false;
     std::uint32_t raaimt = 32;      //!< initial threshold: ACTs per RFM
     /**
-     * Maximum threshold: RAA is never allowed to reach it (urgent RFM
-     * fires at the cap). 0 selects the JEDEC-typical 6 * raaimt.
-     */
-    std::uint32_t raammt = 0;
-    /**
      * RAA subtracted from every bank per REF command (saturating at
      * zero). 0 selects the JEDEC-typical raaimt / 2.
      */
     std::uint32_t refDecrement = 0;
-    /**
-     * ACTs the controller may defer an owed RFM past RAAIMT (models a
-     * lazy controller batching RFMs). 0 = issue promptly. Deferral is
-     * bounded by RAAMMT regardless.
-     */
-    unsigned serviceDelayActs = 0;
     unsigned victimsPerRfm = 4;     //!< rows protected per RFM
     unsigned recencyDepth = 16;     //!< distinct rows tracked per bank
-
-    std::uint32_t
-    raammtEffective() const
-    {
-        return raammt != 0 ? raammt : 6 * raaimt;
-    }
 
     std::uint32_t
     refDecrementEffective() const
@@ -98,7 +82,6 @@ struct RfmAction
 {
     std::vector<TrrTarget> protect; //!< rows to protect now
     bool fired = false;             //!< an RFM command was issued
-    bool urgent = false;            //!< the RAAMMT cap forced it
 };
 
 /**
@@ -126,9 +109,6 @@ class RfmEngine
     void onRef();
 
     std::uint64_t rfmCommands() const { return rfms; }
-
-    /** RFMs forced by the RAAMMT cap (subset of rfmCommands()). */
-    std::uint64_t urgentRfmCommands() const { return urgentRfms; }
 
     /**
      * Total RAA increments observed for one bank — exactly one per
@@ -165,7 +145,6 @@ class RfmEngine
     RfmConfig cfg;
     std::vector<BankState> banks;
     std::uint64_t rfms = 0;
-    std::uint64_t urgentRfms = 0;
 };
 
 } // namespace rho

@@ -81,7 +81,7 @@ struct BypassParams
 
     /**
      * Evolved-engine sizing (used when engine == Evolved). Its
-     * checkpointPath/journal/jobs/refSync/patternParams are taken from
+     * checkpointPath/journal/jobs/patternParams are taken from
      * here, not from `fuzz` — the two engines journal under different
      * kinds and must not share files.
      */

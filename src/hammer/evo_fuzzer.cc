@@ -76,10 +76,7 @@ std::uint64_t
 evoJournalKey(const SystemSpec &spec, const HammerConfig &cfg,
               const EvoParams &params, std::uint64_t seed)
 {
-    HammerConfig eff = cfg;
-    if (params.refSync)
-        eff.refSync = true;
-    std::uint64_t key = campaignKey(spec, eff, seed);
+    std::uint64_t key = campaignKey(spec, cfg, seed);
     key = hashCombine(key, 0xe70ULL);
     key = hashCombine(key, params.populationSize);
     key = hashCombine(key, params.generations);
@@ -111,10 +108,6 @@ evolvedFuzzCampaign(const SystemSpec &spec, const HammerConfig &cfg,
         res.failureReason = err;
         return res;
     }
-    HammerConfig run_cfg = cfg;
-    if (params.refSync)
-        run_cfg.refSync = true;
-
     CampaignRunner<HammerTrial> runner(
         {.seed = seed,
          .jobs = params.jobs,
@@ -179,7 +172,7 @@ evolvedFuzzCampaign(const SystemSpec &spec, const HammerConfig &cfg,
         res.trialsRun += runner.run(
             g * pop_size, pop_size,
             [&](unsigned j, std::uint64_t task_seed, Tracer *) {
-                return runHammerTrial(spec, pop[j], run_cfg,
+                return runHammerTrial(spec, pop[j], cfg,
                                       params.locationsPerPattern,
                                       task_seed, nullptr);
             },

@@ -58,7 +58,6 @@ struct EvoParams
 
     unsigned locationsPerPattern = 3;
     unsigned jobs = 0; //!< evaluation workers; 0 = hw concurrency
-    bool refSync = false; //!< REF-window alignment per trial
     PatternParams patternParams;
 
     /**

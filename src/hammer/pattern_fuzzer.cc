@@ -77,16 +77,13 @@ PatternFuzzer::run(const HammerConfig &cfg, const FuzzParams &params)
         res.failureReason = err;
         return res;
     }
-    HammerConfig run_cfg = cfg;
-    if (params.refSync)
-        run_cfg.refSync = true;
     Ns t0 = session.system().now();
 
     for (unsigned i = 0; i < params.numPatterns; ++i) {
         HammerPattern pattern =
             HammerPattern::randomNonUniform(rng, params.patternParams);
         if (res.absorb(hammerAtRandomLocations(
-                session, pattern, run_cfg, params.locationsPerPattern)))
+                session, pattern, cfg, params.locationsPerPattern)))
             res.bestPattern = pattern;
     }
     res.simTimeNs = session.system().now() - t0;
@@ -164,12 +161,7 @@ std::uint64_t
 fuzzJournalKey(const SystemSpec &spec, const HammerConfig &cfg,
                const FuzzParams &params, std::uint64_t seed)
 {
-    // Fold params.refSync into the config the same way fuzzCampaign
-    // applies it, so the journal key matches the campaign actually run.
-    HammerConfig eff = cfg;
-    if (params.refSync)
-        eff.refSync = true;
-    std::uint64_t key = campaignKey(spec, eff, seed);
+    std::uint64_t key = campaignKey(spec, cfg, seed);
     key = hashCombine(key, params.numPatterns);
     key = hashCombine(key, params.locationsPerPattern);
     key = hashCombine(key, params.patternParams.minPairs);
@@ -195,9 +187,6 @@ fuzzCampaign(const SystemSpec &spec, const HammerConfig &cfg,
         res.failureReason = err;
         return res;
     }
-    HammerConfig run_cfg = cfg;
-    if (params.refSync)
-        run_cfg.refSync = true;
     CampaignRunner<HammerTrial> runner(
         {.seed = seed,
          .jobs = params.jobs,
@@ -213,7 +202,7 @@ fuzzCampaign(const SystemSpec &spec, const HammerConfig &cfg,
         0, params.numPatterns,
         [&](unsigned, std::uint64_t task_seed, Tracer *tracer) {
             return runHammerTrial(
-                spec, fuzzPattern(task_seed, params.patternParams), run_cfg,
+                spec, fuzzPattern(task_seed, params.patternParams), cfg,
                 params.locationsPerPattern, task_seed, tracer);
         },
         [&](unsigned i, const HammerTrial &t) {

@@ -42,15 +42,6 @@ struct FuzzParams
     PatternParams patternParams;
 
     /**
-     * Synchronize every hammer run with the refresh window
-     * (HammerConfig::refSync): each trial detects the REF period via
-     * the latency side channel and starts just after a boundary. Only
-     * effective on refBlocking platforms (Zen, LPDDR4) — elsewhere the
-     * detector finds no spikes and the trial proceeds unaligned.
-     */
-    bool refSync = false;
-
-    /**
      * When non-empty, completed pattern trials are journaled here and
      * a killed campaign resumes from its last completed task on the
      * next run with the same parameters — merged output stays

@@ -40,9 +40,7 @@ campaignKey(const SystemSpec &spec, const HammerConfig &cfg,
     key = hashCombine(key, spec.trr.seed);
     key = hashCombine(key, spec.rfm.enabled ? 1 : 0);
     key = hashCombine(key, spec.rfm.raaimt);
-    key = hashCombine(key, spec.rfm.raammt);
     key = hashCombine(key, spec.rfm.refDecrement);
-    key = hashCombine(key, spec.rfm.serviceDelayActs);
     key = hashCombine(key, spec.rfm.victimsPerRfm);
     key = hashCombine(key, spec.rfm.recencyDepth);
     key = hashCombine(key, spec.prac.enabled ? 1 : 0);

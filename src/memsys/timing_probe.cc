@@ -7,10 +7,27 @@
 namespace rho
 {
 
-TimingProbe::TimingProbe(MemorySystem &sys_, std::uint64_t seed,
-                         Ns noise_sigma, Ns loop_overhead_ns)
-    : sys(sys_), rng(seed), noiseSigma(noise_sigma),
-      loopOverhead(loop_overhead_ns)
+namespace
+{
+
+/** Gaussian jitter (ns) on every averaged measurement. */
+constexpr Ns kNoiseSigmaNs = 1.2;
+/** Per-access overhead of the flush+access+fence loop. */
+constexpr Ns kLoopOverheadNs = 12.0;
+
+// measurePairRobust(): re-measurement rounds when unstable, the
+// sub-sample spread that triggers one, and the backoff curve in
+// simulated time.
+constexpr unsigned kMaxExtraRounds = 4;
+constexpr double kMadGateNs = 3.0;
+constexpr Ns kBackoffNs = 20e3;
+constexpr double kBackoffFactor = 2.0;
+constexpr Ns kMaxBackoffNs = 320e3;
+
+} // namespace
+
+TimingProbe::TimingProbe(MemorySystem &sys_, std::uint64_t seed)
+    : sys(sys_), rng(seed)
 {
 }
 
@@ -22,7 +39,7 @@ TimingProbe::measurePair(PhysAddr a, PhysAddr b, unsigned rounds)
     for (unsigned r = 0; r < rounds; ++r) {
         for (PhysAddr pa : {a, b}) {
             // clflush + access + fence measurement iteration.
-            sys.advance(loopOverhead);
+            sys.advance(kLoopOverheadNs);
             Ns lat = sys.dramAccess(pa, sys.now());
             sys.advance(lat);
             latBuf.push_back(lat);
@@ -42,7 +59,7 @@ TimingProbe::measurePair(PhysAddr a, PhysAddr b, unsigned rounds)
         }
     }
     double avg = total / static_cast<double>(n);
-    double sample = avg + rng.normal(0.0, noiseSigma);
+    double sample = avg + rng.normal(0.0, kNoiseSigmaNs);
     // Environmental interference (co-running workloads) on top of the
     // intrinsic rdtscp jitter, when a fault injector is attached.
     if (FaultInjector *inj = sys.faultInjector())
@@ -52,23 +69,23 @@ TimingProbe::measurePair(PhysAddr a, PhysAddr b, unsigned rounds)
 
 double
 TimingProbe::measurePairRobust(PhysAddr a, PhysAddr b, unsigned rounds,
-                               const RobustTimingConfig &cfg,
+                               unsigned base_samples,
                                RetryStats *retry)
 {
-    unsigned base = std::max(1u, cfg.baseSamples);
+    unsigned base = std::max(1u, base_samples);
     unsigned sub_rounds = std::max(1u, rounds / base);
 
     std::vector<double> samples;
-    samples.reserve(base + cfg.maxExtraRounds);
+    samples.reserve(base + kMaxExtraRounds);
     for (unsigned s = 0; s < base; ++s)
         samples.push_back(measurePair(a, b, sub_rounds));
     if (retry)
         retry->recordAttempt();
 
-    Ns backoff = cfg.backoffNs;
-    for (unsigned extra = 0; extra < cfg.maxExtraRounds; ++extra) {
+    Ns backoff = kBackoffNs;
+    for (unsigned extra = 0; extra < kMaxExtraRounds; ++extra) {
         double med = median(samples);
-        if (medianAbsDeviation(samples, med) <= cfg.madGateNs)
+        if (medianAbsDeviation(samples, med) <= kMadGateNs)
             break;
         // Unstable: wait out the interference in simulated time, then
         // take one more independent sub-measurement.
@@ -78,7 +95,7 @@ TimingProbe::measurePairRobust(PhysAddr a, PhysAddr b, unsigned rounds,
         RHO_TRACE(sys.tracer(), sys.now(), EventKind::Retry, 0,
                   static_cast<std::uint32_t>(SimPhase::Measure), 0,
                   traceBits(backoff));
-        backoff = std::min(backoff * cfg.backoffFactor, cfg.maxBackoffNs);
+        backoff = std::min(backoff * kBackoffFactor, kMaxBackoffNs);
         samples.push_back(measurePair(a, b, sub_rounds));
     }
 

@@ -19,33 +19,16 @@
 namespace rho
 {
 
-/**
- * Tuning for measurePairRobust(): how many independent sub-samples to
- * take, when their spread is considered unstable (MAD gate), and how
- * to back off in simulated time before re-measuring.
- */
-struct RobustTimingConfig
-{
-    unsigned baseSamples = 3;   //!< initial independent sub-measurements
-    unsigned maxExtraRounds = 4; //!< re-measurement rounds when unstable
-    double madGateNs = 3.0;     //!< spread above this triggers re-measure
-    Ns backoffNs = 20e3;        //!< first backoff (simulated ns)
-    double backoffFactor = 2.0; //!< exponential growth per round
-    Ns maxBackoffNs = 320e3;    //!< backoff ceiling
-};
-
 /** Measurement front end for the row-conflict side channel. */
 class TimingProbe
 {
   public:
     /**
-     * @param noise_sigma gaussian jitter (ns) added to every averaged
-     *        measurement, modelling rdtscp and system noise.
-     * @param loop_overhead_ns per-access instruction overhead of the
-     *        flush+access+fence measurement loop.
+     * Every averaged measurement carries gaussian jitter modelling
+     * rdtscp and system noise, and every access pays the instruction
+     * overhead of the flush+access+fence loop (constants in the .cc).
      */
-    TimingProbe(MemorySystem &sys, std::uint64_t seed,
-                Ns noise_sigma = 1.2, Ns loop_overhead_ns = 12.0);
+    TimingProbe(MemorySystem &sys, std::uint64_t seed);
 
     /**
      * Average per-access latency (ns) of alternately accessing a and
@@ -66,15 +49,14 @@ class TimingProbe
 
     /**
      * Outlier-resilient pair measurement: splits `rounds` across
-     * several independent sub-measurements and returns their median.
-     * If the sub-measurements disagree (MAD above cfg.madGateNs — a
+     * `base_samples` independent sub-measurements and returns their
+     * median. If the sub-measurements disagree (a MAD above 3 ns — a
      * co-running workload burst), waits out the interference with
      * bounded exponential backoff in simulated time and re-measures,
-     * up to cfg.maxExtraRounds times. Retry accounting lands in
-     * `retry` when given.
+     * up to four times. Retry accounting lands in `retry` when given.
      */
-    double measurePairRobust(PhysAddr a, PhysAddr b, unsigned rounds = 50,
-                             const RobustTimingConfig &cfg = {},
+    double measurePairRobust(PhysAddr a, PhysAddr b, unsigned rounds,
+                             unsigned base_samples,
                              RetryStats *retry = nullptr);
 
     /** Total timed accesses so far (cost accounting for Table 5). */
@@ -85,8 +67,6 @@ class TimingProbe
   private:
     MemorySystem &sys;
     Rng rng;
-    Ns noiseSigma;
-    Ns loopOverhead;
     std::uint64_t accesses = 0;
     std::vector<Ns> latBuf; //!< per-train scratch (avoids realloc)
 };

@@ -9,12 +9,22 @@
 namespace rho
 {
 
+namespace
+{
+
+constexpr unsigned kLowestBit = 6;
+constexpr unsigned kSuperpageBit = 20; //!< highest in-superpage bit
+constexpr double kHighBitErrorProb = 0.03; //!< per high-bit misclassify
+constexpr unsigned kSuperpages = 512;  //!< allocation budget
+constexpr Ns kSuperpageSetupNs = 60e6; //!< per-superpage allocation cost
+
+} // namespace
+
 DareReverseEngineer::DareReverseEngineer(TimingProbe &probe_,
                                          const PhysPool &pool_,
                                          const AddressMapping &truth_,
-                                         std::uint64_t seed,
-                                         DareConfig cfg_)
-    : probe(probe_), pool(pool_), truth(truth_), rng(seed), cfg(cfg_)
+                                         std::uint64_t seed)
+    : probe(probe_), pool(pool_), truth(truth_), rng(seed)
 {
 }
 
@@ -27,8 +37,7 @@ DareReverseEngineer::run()
     MappingRecovery out;
 
     // Superpage allocation dominates the tool's runtime.
-    sys.advance(static_cast<double>(cfg.superpages) *
-                cfg.superpageSetupNs);
+    sys.advance(static_cast<double>(kSuperpages) * kSuperpageSetupNs);
 
     std::optional<double> found =
         robustSeparatingThreshold(probe, pool, rng, 400);
@@ -40,8 +49,8 @@ DareReverseEngineer::run()
     // In-superpage measurements: all pairwise tests over bits the
     // superpage physically pins down (exact, like rhoHammer's Duet
     // restricted to the low range).
-    for (unsigned bx = cfg.lowestBit; bx <= cfg.superpageBit; ++bx) {
-        for (unsigned by = bx + 1; by <= cfg.superpageBit; ++by) {
+    for (unsigned bx = kLowestBit; bx <= kSuperpageBit; ++bx) {
+        for (unsigned by = bx + 1; by <= kSuperpageBit; ++by) {
             std::uint64_t m = (1ULL << bx) | (1ULL << by);
             auto base = pool.pairBase(rng, m);
             if (base)
@@ -56,7 +65,7 @@ DareReverseEngineer::run()
     for (std::uint64_t fn : truth.bankFnMasks()) {
         unsigned high_bits = 0;
         for (unsigned b : bitsOfMask(fn)) {
-            if (b > cfg.superpageBit)
+            if (b > kSuperpageBit)
                 ++high_bits;
         }
         if (high_bits >= 2) {
@@ -69,7 +78,7 @@ DareReverseEngineer::run()
         }
         std::uint64_t recovered = 0;
         for (unsigned b : bitsOfMask(fn)) {
-            if (b <= cfg.superpageBit || !rng.chance(cfg.highBitErrorProb))
+            if (b <= kSuperpageBit || !rng.chance(kHighBitErrorProb))
                 recovered |= 1ULL << b;
             else if (b + 1 < truth.physBits())
                 recovered |= 1ULL << (b + 1); // misattributed offset
@@ -80,7 +89,7 @@ DareReverseEngineer::run()
     // Row bits: in-range rows from timing, high rows via the same
     // noisy extension.
     for (unsigned b : truth.rowBitPositions()) {
-        if (b <= cfg.superpageBit || !rng.chance(cfg.highBitErrorProb)) {
+        if (b <= kSuperpageBit || !rng.chance(kHighBitErrorProb)) {
             out.rowBits.push_back(b);
         }
     }

@@ -21,16 +21,6 @@
 namespace rho
 {
 
-/** Knobs for the DARE model. */
-struct DareConfig
-{
-    unsigned lowestBit = 6;
-    unsigned superpageBit = 20;   //!< highest in-superpage bit
-    double highBitErrorProb = 0.03; //!< per high-bit misclassification
-    unsigned superpages = 512;    //!< allocation budget
-    Ns superpageSetupNs = 60e6;   //!< per-superpage allocation cost
-};
-
 /**
  * The baseline driver. The cross-superpage heuristic is modelled
  * against the ground-truth mapping with injected per-bit error, as
@@ -40,8 +30,7 @@ class DareReverseEngineer
 {
   public:
     DareReverseEngineer(TimingProbe &probe, const PhysPool &pool,
-                        const AddressMapping &truth, std::uint64_t seed,
-                        DareConfig cfg = DareConfig{});
+                        const AddressMapping &truth, std::uint64_t seed);
 
     MappingRecovery run();
 
@@ -50,7 +39,6 @@ class DareReverseEngineer
     const PhysPool &pool;
     const AddressMapping &truth;
     Rng rng;
-    DareConfig cfg;
 };
 
 } // namespace rho

@@ -9,11 +9,20 @@
 namespace rho
 {
 
+namespace
+{
+
+constexpr unsigned kSampleAddrs = 768; //!< addresses to color
+constexpr unsigned kMaxBit = 30;       //!< candidate bank-bit upper bound
+constexpr unsigned kLowestBit = 6;
+constexpr Ns kSetupCostPerPageNs = 1500.0;
+
+} // namespace
+
 DramaReverseEngineer::DramaReverseEngineer(TimingProbe &probe_,
                                            const PhysPool &pool_,
-                                           std::uint64_t seed,
-                                           DramaConfig cfg_)
-    : probe(probe_), pool(pool_), rng(seed), cfg(cfg_)
+                                           std::uint64_t seed)
+    : probe(probe_), pool(pool_), rng(seed)
 {
 }
 
@@ -25,8 +34,7 @@ DramaReverseEngineer::run()
     std::uint64_t acc0 = probe.accessCount();
     MappingRecovery out;
 
-    sys.advance(static_cast<Ns>(pool.ownedPages()) *
-                cfg.setupCostPerPageNs);
+    sys.advance(static_cast<Ns>(pool.ownedPages()) * kSetupCostPerPageNs);
 
     // Threshold from a latency histogram of random pairs, collected
     // in time-separated chunks so an interference burst cannot
@@ -43,11 +51,11 @@ DramaReverseEngineer::run()
     // (median + re-measure) probe so a single noise burst does not
     // spawn phantom bank sets.
     std::vector<std::vector<PhysAddr>> groups;
-    for (unsigned i = 0; i < cfg.sampleAddrs; ++i) {
+    for (unsigned i = 0; i < kSampleAddrs; ++i) {
         PhysAddr a = pool.randomAddr(rng);
         bool placed = false;
         for (auto &g : groups) {
-            if (probe.measurePairRobust(a, g.front(), 10, {},
+            if (probe.measurePairRobust(a, g.front(), 10, 3,
                                         &out.measureRetry) > thres) {
                 g.push_back(a);
                 placed = true;
@@ -64,10 +72,11 @@ DramaReverseEngineer::run()
     // pure-row pairs look like conflicts. The function search below
     // inherits those errors.
 
-    // Exhaustive small-function search over the candidate bit range.
+    // Exhaustive search over the candidate bit range for functions of
+    // one or two bits.
     std::vector<std::uint64_t> candidates;
     std::vector<unsigned> bits;
-    for (unsigned b = cfg.lowestBit; b <= cfg.maxBit; ++b)
+    for (unsigned b = kLowestBit; b <= kMaxBit; ++b)
         bits.push_back(b);
     auto constant_in_groups = [&](std::uint64_t mask) {
         for (const auto &g : groups) {
@@ -81,11 +90,11 @@ DramaReverseEngineer::run()
     };
     for (std::size_t i = 0; i < bits.size(); ++i) {
         std::uint64_t m1 = 1ULL << bits[i];
-        if (cfg.maxFnBits >= 1 && constant_in_groups(m1))
+        if (constant_in_groups(m1))
             candidates.push_back(m1);
         for (std::size_t j = i + 1; j < bits.size(); ++j) {
             std::uint64_t m2 = m1 | (1ULL << bits[j]);
-            if (cfg.maxFnBits >= 2 && constant_in_groups(m2))
+            if (constant_in_groups(m2))
                 candidates.push_back(m2);
         }
     }
@@ -117,11 +126,11 @@ DramaReverseEngineer::run()
 
     // Row bits: the original heuristic assumes pure high-order row
     // bits; single-bit conflicts mark them.
-    for (unsigned b = cfg.lowestBit; b < phys_bits; ++b) {
+    for (unsigned b = kLowestBit; b < phys_bits; ++b) {
         auto base = pool.pairBase(rng, 1ULL << b);
         if (!base)
             continue;
-        if (probe.measurePairRobust(*base, *base ^ (1ULL << b), 10, {},
+        if (probe.measurePairRobust(*base, *base ^ (1ULL << b), 10, 3,
                                     &out.measureRetry) > thres)
             out.rowBits.push_back(b);
     }

@@ -20,23 +20,12 @@
 namespace rho
 {
 
-/** Knobs reflecting the original tool's defaults. */
-struct DramaConfig
-{
-    unsigned sampleAddrs = 768;  //!< addresses to color
-    unsigned maxFnBits = 2;      //!< brute-force function size cap
-    unsigned maxBit = 30;        //!< candidate bank-bit upper bound
-    unsigned lowestBit = 6;
-    Ns setupCostPerPageNs = 1500.0;
-};
-
 /** The baseline driver. */
 class DramaReverseEngineer
 {
   public:
     DramaReverseEngineer(TimingProbe &probe, const PhysPool &pool,
-                         std::uint64_t seed,
-                         DramaConfig cfg = DramaConfig{});
+                         std::uint64_t seed);
 
     MappingRecovery run();
 
@@ -44,7 +33,6 @@ class DramaReverseEngineer
     TimingProbe &probe;
     const PhysPool &pool;
     Rng rng;
-    DramaConfig cfg;
 };
 
 } // namespace rho

@@ -11,11 +11,27 @@
 namespace rho
 {
 
+namespace
+{
+
+constexpr unsigned kLowestBit = 6;
+constexpr unsigned kColoredSample = 1200; //!< addresses simulated in detail
+/**
+ * Per-page cost of the full-memory coloring sweep (the tool times
+ * every allocated page against bank representatives, with
+ * verification rounds); charged analytically for the pool pages
+ * beyond kColoredSample.
+ */
+constexpr Ns kColorCostPerPageNs = 120000.0;
+constexpr unsigned kMaxFnBits = 4;
+constexpr Ns kSetupCostPerPageNs = 1500.0;
+
+} // namespace
+
 DramDigReverseEngineer::DramDigReverseEngineer(TimingProbe &probe_,
                                                const PhysPool &pool_,
-                                               std::uint64_t seed,
-                                               DramDigConfig cfg_)
-    : probe(probe_), pool(pool_), rng(seed), cfg(cfg_)
+                                               std::uint64_t seed)
+    : probe(probe_), pool(pool_), rng(seed)
 {
 }
 
@@ -27,8 +43,7 @@ DramDigReverseEngineer::run()
     std::uint64_t acc0 = probe.accessCount();
     MappingRecovery out;
 
-    sys.advance(static_cast<Ns>(pool.ownedPages()) *
-                cfg.setupCostPerPageNs);
+    sys.advance(static_cast<Ns>(pool.ownedPages()) * kSetupCostPerPageNs);
 
     std::optional<double> found =
         robustSeparatingThreshold(probe, pool, rng, 800);
@@ -43,14 +58,12 @@ DramDigReverseEngineer::run()
     // robust probe replaces the tool's plain 4-sample average so an
     // interference burst cannot misclassify a bit.
     std::vector<unsigned> pure_row, non_pure;
-    for (unsigned b = cfg.lowestBit; b < phys_bits; ++b) {
+    for (unsigned b = kLowestBit; b < phys_bits; ++b) {
         auto base = pool.pairBase(rng, 1ULL << b);
         if (!base)
             continue;
-        RobustTimingConfig rt;
-        rt.baseSamples = 4;
         double t = probe.measurePairRobust(*base, *base ^ (1ULL << b),
-                                           100, rt, &out.measureRetry);
+                                           100, 4, &out.measureRetry);
         if (t > thres)
             pure_row.push_back(b);
         else
@@ -71,11 +84,11 @@ DramDigReverseEngineer::run()
     // sample is simulated; the remaining pages are charged at the
     // tool's per-page coloring cost.
     std::vector<std::vector<PhysAddr>> groups;
-    for (unsigned i = 0; i < cfg.coloredSample; ++i) {
+    for (unsigned i = 0; i < kColoredSample; ++i) {
         PhysAddr a = pool.randomAddr(rng);
         bool placed = false;
         for (auto &g : groups) {
-            if (probe.measurePairRobust(a, g.front(), 10, {},
+            if (probe.measurePairRobust(a, g.front(), 10, 3,
                                         &out.measureRetry) > thres) {
                 g.push_back(a);
                 placed = true;
@@ -85,9 +98,9 @@ DramDigReverseEngineer::run()
         if (!placed)
             groups.push_back({a});
     }
-    std::uint64_t rest = pool.ownedPages() > cfg.coloredSample
-        ? pool.ownedPages() - cfg.coloredSample : 0;
-    sys.advance(static_cast<Ns>(rest) * cfg.colorCostPerPageNs);
+    std::uint64_t rest = pool.ownedPages() > kColoredSample
+        ? pool.ownedPages() - kColoredSample : 0;
+    sys.advance(static_cast<Ns>(rest) * kColorCostPerPageNs);
 
     // Brute-force XOR functions over the non-pure-row bits, smallest
     // first, testing parity constancy within every colored bank set.
@@ -125,10 +138,10 @@ DramDigReverseEngineer::run()
                 idx.pop_back();
             }
         };
-    enumerate(0, cfg.maxFnBits);
+    enumerate(0, kMaxFnBits);
     // Each tested subset costs a verification measurement.
     std::uint64_t tested = 0;
-    for (unsigned k = 2; k <= cfg.maxFnBits; ++k) {
+    for (unsigned k = 2; k <= kMaxFnBits; ++k) {
         std::uint64_t c = 1;
         for (unsigned i = 0; i < k; ++i)
             c = c * (bits.size() - i) / (i + 1);
@@ -170,7 +183,7 @@ DramDigReverseEngineer::run()
         auto base = pool.pairBase(rng, fn);
         if (!base)
             continue;
-        if (probe.measurePairRobust(*base, *base ^ fn, 25, {},
+        if (probe.measurePairRobust(*base, *base ^ fn, 25, 3,
                                     &out.measureRetry) > thres) {
             auto fn_bits = bitsOfMask(fn);
             rows.push_back(fn_bits.back());

@@ -19,29 +19,12 @@
 namespace rho
 {
 
-/** Measurement-budget knobs for the DRAMDig model. */
-struct DramDigConfig
-{
-    unsigned lowestBit = 6;
-    unsigned coloredSample = 1200;  //!< addresses simulated in detail
-    /**
-     * Per-page cost of the full-memory coloring sweep (the tool
-     * times every allocated page against bank representatives, with
-     * verification rounds); charged analytically for the pool pages
-     * beyond coloredSample.
-     */
-    Ns colorCostPerPageNs = 120000.0;
-    unsigned maxFnBits = 4;
-    Ns setupCostPerPageNs = 1500.0;
-};
-
 /** The baseline driver. */
 class DramDigReverseEngineer
 {
   public:
     DramDigReverseEngineer(TimingProbe &probe, const PhysPool &pool,
-                           std::uint64_t seed,
-                           DramDigConfig cfg = DramDigConfig{});
+                           std::uint64_t seed);
 
     MappingRecovery run();
 
@@ -49,7 +32,6 @@ class DramDigReverseEngineer
     TimingProbe &probe;
     const PhysPool &pool;
     Rng rng;
-    DramDigConfig cfg;
 };
 
 } // namespace rho

@@ -13,6 +13,45 @@
 namespace rho
 {
 
+namespace
+{
+
+constexpr unsigned kPairsPerMeasurement = 16; //!< random pairs per T_SBDR
+constexpr unsigned kRoundsPerPair = 50;       //!< accesses per address
+constexpr unsigned kThresholdPairs = 1200;    //!< random pairs for step 0
+constexpr unsigned kLowestBit = 6; //!< cache-line bits never matter
+/** Modelled mmap+pagemap setup cost per pooled 4 KiB page. */
+constexpr Ns kSetupCostPerPageNs = 1500.0;
+
+// Robustness against environmental interference (co-running workload
+// bursts injected by a FaultSchedule). Fault-free these change
+// nothing measurable: the MAD of a clean sample set sits well under
+// kMadStableNs, so no re-measurement ever triggers.
+constexpr double kMadK = 3.5;       //!< inlier band half-width, in MADs
+constexpr double kMadFloorNs = 1.0; //!< MAD floor (zero spread)
+constexpr double kMadStableNs = 3.0; //!< spread above this: interference
+constexpr double kMinInlierFrac = 0.75; //!< surviving-sample fraction
+constexpr unsigned kMaxRemeasureRounds = 3; //!< extra batches, unstable
+constexpr Ns kRemeasureBackoffNs = 2e6; //!< first backoff, simulated ns
+constexpr double kBackoffFactor = 2.0;  //!< exponential backoff growth
+constexpr Ns kMaxBackoffNs = 8e6;       //!< backoff ceiling
+
+// Non-linear (AMD Zen) region-offset recovery, step 0b. Region bases
+// are multiples of 2^kOffsetGranuleBits; each candidate is gated by
+// the *minimum* per-mask classification consistency of {low anchor
+// bit, high bit} probe pairs and ranked by how many masks classify
+// consistently SBDR-slow. A non-zero offset is adopted only when the
+// zero-offset (linear) hypothesis FAILS the consistency bar on its
+// own masks while the winner clears it and recovers strictly more
+// slow masks — so linear mappings (which always time consistently at
+// 0, even when a shifted description happens to be gauge-equivalent)
+// and noise floods (which gate every candidate out) both fall back to
+// offset 0.
+constexpr unsigned kOffsetGranuleBits = 30; //!< candidate spacing, log2
+constexpr double kOffsetAcceptScore = 0.85; //!< consistency bar per mask
+
+} // namespace
+
 bool
 sameFnSpan(const std::vector<std::uint64_t> &a,
            const std::vector<std::uint64_t> &b, unsigned bits)
@@ -97,14 +136,14 @@ RhoReverseEngineer::tSbdr(std::uint64_t diff_mask)
 {
     auto measureBatch = [&]() {
         std::vector<double> samples;
-        samples.reserve(cfg.pairsPerMeasurement);
-        for (unsigned i = 0; i < cfg.pairsPerMeasurement; ++i) {
+        samples.reserve(kPairsPerMeasurement);
+        for (unsigned i = 0; i < kPairsPerMeasurement; ++i) {
             PhysAddr partner = 0;
             auto base = pairBaseAt(diff_mask, partner);
             if (!base)
                 continue;
             samples.push_back(probe.measurePair(*base, partner,
-                                                cfg.roundsPerPair));
+                                                kRoundsPerPair));
         }
         return samples;
     };
@@ -112,14 +151,14 @@ RhoReverseEngineer::tSbdr(std::uint64_t diff_mask)
     // A batch's instability score: the spread of its MAD inliers, with
     // an extra penalty when too many samples were rejected as
     // outliers. A clean batch (intrinsic rdtscp jitter only) scores
-    // well under madStableNs; a batch overlapping an interference
+    // well under kMadStableNs; a batch overlapping an interference
     // burst scores far above it.
     auto score = [&](const std::vector<double> &samples,
                      const std::vector<double> &inliers) {
         double spread = medianAbsDeviation(inliers, median(inliers));
         if (inliers.size() <
-            static_cast<std::size_t>(cfg.minInlierFrac * samples.size()))
-            spread += cfg.madStableNs;
+            static_cast<std::size_t>(kMinInlierFrac * samples.size()))
+            spread += kMadStableNs;
         return spread;
     };
 
@@ -137,22 +176,22 @@ RhoReverseEngineer::tSbdr(std::uint64_t diff_mask)
     // the median. The most stable batch wins; re-measure with bounded
     // exponential backoff until one is stable or the budget is spent.
     std::vector<double> inliers =
-        madFilter(samples, cfg.madK, cfg.madFloorNs);
+        madFilter(samples, kMadK, kMadFloorNs);
     double best_value = median(inliers);
     double best_score = score(samples, inliers);
 
-    Ns backoff = cfg.remeasureBackoffNs;
+    Ns backoff = kRemeasureBackoffNs;
     for (unsigned round = 0;
-         round < cfg.maxRemeasureRounds && best_score > cfg.madStableNs;
+         round < kMaxRemeasureRounds && best_score > kMadStableNs;
          ++round) {
         probe.system().advance(backoff);
         measureRetry.recordRetry(backoff);
-        backoff = std::min(backoff * cfg.backoffFactor, cfg.maxBackoffNs);
+        backoff = std::min(backoff * kBackoffFactor, kMaxBackoffNs);
 
         samples = measureBatch();
         if (samples.empty())
             continue;
-        inliers = madFilter(samples, cfg.madK, cfg.madFloorNs);
+        inliers = madFilter(samples, kMadK, kMadFloorNs);
         double s = score(samples, inliers);
         if (s < best_score) {
             best_score = s;
@@ -166,7 +205,7 @@ RhoReverseEngineer::tSbdr(std::uint64_t diff_mask)
 std::uint64_t
 RhoReverseEngineer::recoverOffset(double thres, unsigned phys_bits)
 {
-    unsigned g = cfg.offsetGranuleBits;
+    unsigned g = kOffsetGranuleBits;
     offset = 0;
     if (phys_bits <= g)
         return 0;
@@ -187,7 +226,7 @@ RhoReverseEngineer::recoverOffset(double thres, unsigned phys_bits)
     // discriminator needs an anchor in the function that owns the
     // high bit it perturbs.
     std::vector<unsigned> fast;
-    for (unsigned b = cfg.lowestBit; b < g; ++b) {
+    for (unsigned b = kLowestBit; b < g; ++b) {
         if (tSbdr(1ULL << b) <= thres)
             fast.push_back(b);
     }
@@ -248,7 +287,7 @@ RhoReverseEngineer::recoverOffset(double thres, unsigned phys_bits)
                 if (!base)
                     continue;
                 double t =
-                    probe.measurePair(*base, partner, cfg.roundsPerPair);
+                    probe.measurePair(*base, partner, kRoundsPerPair);
                 ++n;
                 slow += t > thres ? 1 : 0;
             }
@@ -258,7 +297,7 @@ RhoReverseEngineer::recoverOffset(double thres, unsigned phys_bits)
                 static_cast<double>(slow) / static_cast<double>(n);
             min_cons =
                 std::min(min_cons, std::max(slow_frac, 1.0 - slow_frac));
-            if (slow_frac >= cfg.offsetAcceptScore)
+            if (slow_frac >= kOffsetAcceptScore)
                 ++slow_masks;
         }
         if (verbose()) {
@@ -271,7 +310,7 @@ RhoReverseEngineer::recoverOffset(double thres, unsigned phys_bits)
             zero_slow = slow_masks;
         }
         // Consistency is the gate, recovered-SBDR count the ranking.
-        if (min_cons < cfg.offsetAcceptScore)
+        if (min_cons < kOffsetAcceptScore)
             continue;
         if (slow_masks > best_slow
             || (slow_masks == best_slow && min_cons > best_cons)) {
@@ -289,7 +328,7 @@ RhoReverseEngineer::recoverOffset(double thres, unsigned phys_bits)
     // gauge-equivalent description looks. Noise floods gate every
     // candidate out (best stays 0); both fall back to 0.
     offset = 0;
-    if (best != 0 && zero_cons < cfg.offsetAcceptScore
+    if (best != 0 && zero_cons < kOffsetAcceptScore
         && best_slow > zero_slow) {
         offset = best << g;
     }
@@ -306,7 +345,7 @@ RhoReverseEngineer::findThreshold()
     // time so a burst poisons at most a minority of the per-chunk
     // thresholds, never the merged histogram.
     return robustSeparatingThreshold(probe, pool, rng,
-                                     cfg.thresholdPairs);
+                                     kThresholdPairs);
 }
 
 MappingRecovery
@@ -324,7 +363,7 @@ RhoReverseEngineer::run()
     // Charge the (dominant) setup cost: allocating ~70% of physical
     // memory in 4 KiB pages and reading their pagemap entries.
     sys.advance(static_cast<Ns>(pool.ownedPages()) *
-                cfg.setupCostPerPageNs);
+                kSetupCostPerPageNs);
 
     // Step 0: threshold.
     std::optional<double> found = findThreshold();
@@ -347,7 +386,7 @@ RhoReverseEngineer::run()
     out.regionOffset = recoverOffset(thres, phys_bits);
 
     std::vector<unsigned> all_bits;
-    for (unsigned b = cfg.lowestBit; b < phys_bits; ++b)
+    for (unsigned b = kLowestBit; b < phys_bits; ++b)
         all_bits.push_back(b);
 
     // Exclude pure row bits: a single-bit difference that is slow can

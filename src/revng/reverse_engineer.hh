@@ -22,43 +22,14 @@
 namespace rho
 {
 
-/** Measurement-budget knobs (paper defaults in section 3.3). */
+/**
+ * Measurement-budget knob. The rest of the budget (paper defaults in
+ * section 3.3) and the robustness tuning are constants in the .cc.
+ */
 struct ReverseEngineerConfig
 {
-    unsigned pairsPerMeasurement = 16; //!< random pairs per T_SBDR
-    unsigned roundsPerPair = 50;       //!< accesses per address
-    unsigned thresholdPairs = 1200;    //!< random pairs for step 0
-    unsigned lowestBit = 6;            //!< cache-line bits never matter
-    /** Modelled mmap+pagemap setup cost per pooled 4 KiB page. */
-    Ns setupCostPerPageNs = 1500.0;
-
-    // Robustness against environmental interference (co-running
-    // workload bursts injected by a FaultSchedule). Fault-free these
-    // change nothing measurable: the MAD of a clean sample set sits
-    // well under madStableNs, so no re-measurement ever triggers.
-    double madK = 3.5;           //!< inlier band half-width, in MADs
-    double madFloorNs = 1.0;     //!< MAD floor (degenerate zero spread)
-    double madStableNs = 3.0;    //!< spread above this => interference
-    double minInlierFrac = 0.75; //!< required surviving-sample fraction
-    unsigned maxRemeasureRounds = 3; //!< extra batches when unstable
-    Ns remeasureBackoffNs = 2e6; //!< first backoff, simulated ns
-    double backoffFactor = 2.0;  //!< exponential backoff growth
-    Ns maxBackoffNs = 8e6;       //!< backoff ceiling
-
-    // Non-linear (AMD Zen) region-offset recovery, step 0b. Region
-    // bases are multiples of 2^offsetGranuleBits; each candidate is
-    // gated by the *minimum* per-mask classification consistency of
-    // {low anchor bit, high bit} probe pairs and ranked by how many
-    // masks classify consistently SBDR-slow. A non-zero offset is
-    // adopted only when the zero-offset (linear) hypothesis FAILS the
-    // consistency bar on its own masks while the winner clears it and
-    // recovers strictly more slow masks — so linear mappings (which
-    // always time consistently at 0, even when a shifted description
-    // happens to be gauge-equivalent) and noise floods (which gate
-    // every candidate out) both fall back to offset 0.
-    unsigned offsetGranuleBits = 30;  //!< candidate spacing, log2
-    unsigned offsetSamplesPerMask = 8; //!< timed pairs per probe mask
-    double offsetAcceptScore = 0.85;  //!< consistency bar per mask
+    /** Timed pairs per probe mask in the region-offset scan. */
+    unsigned offsetSamplesPerMask = 8;
 };
 
 /** Outcome of a mapping-recovery run (any tool). */
@@ -114,8 +85,8 @@ class RhoReverseEngineer
      * T_SBDR(M, diff_mask): robust pairwise timing, in ns. Samples
      * are MAD-filtered; when the surviving set is too small or too
      * spread (interference burst), the measurement backs off in
-     * simulated time and takes fresh batches, up to
-     * cfg.maxRemeasureRounds times, then returns the inlier median.
+     * simulated time and takes fresh batches, up to three times, then
+     * returns the inlier median.
      */
     double tSbdr(std::uint64_t diff_mask);
 

@@ -5,6 +5,9 @@
 namespace rho::service
 {
 
+/** Backoff growth per further retry. */
+constexpr double kBackoffFactor = 2.0;
+
 double
 RetryPolicy::delayForAttempt(unsigned attempt) const
 {
@@ -12,7 +15,7 @@ RetryPolicy::delayForAttempt(unsigned attempt) const
         return 0.0;
     double d = initialBackoffS;
     for (unsigned i = 2; i < attempt; ++i)
-        d *= backoffFactor;
+        d *= kBackoffFactor;
     return std::min(d, maxBackoffS);
 }
 

@@ -20,8 +20,8 @@ struct RetryPolicy
 {
     unsigned maxAttempts = 4;      //!< total launches (1 = no retries)
     double initialBackoffS = 0.05; //!< delay before the first retry
-    double backoffFactor = 2.0;    //!< multiplier per further retry
-    double maxBackoffS = 2.0;      //!< cap on any single delay
+    double maxBackoffS = 2.0;      //!< cap on any single delay; each
+                                   //!< further retry doubles the delay
 
     /**
      * Seconds to wait before launching attempt `attempt` (1-based;

@@ -20,6 +20,16 @@ namespace rho::service
 namespace
 {
 
+/** Poll-loop sleep between supervision passes (seconds). */
+constexpr double kPollIntervalS = 0.002;
+
+/**
+ * Halve the worker-slot count (down to one slot) after this many
+ * signal deaths since the last shed. Supervisor-initiated hang kills
+ * are excluded — they signal a wedged worker, not memory pressure.
+ */
+constexpr unsigned kShedAfterSignalDeaths = 2;
+
 double
 monotonicNow()
 {
@@ -67,18 +77,6 @@ Supervisor::Supervisor(SupervisorConfig cfg_) : cfg(std::move(cfg_))
 {
     if (cfg.workers == 0)
         cfg.workers = 1;
-    if (cfg.minWorkers == 0)
-        cfg.minWorkers = 1;
-    if (cfg.minWorkers > cfg.workers)
-        cfg.minWorkers = cfg.workers;
-}
-
-void
-Supervisor::logLine(SupervisorResult &result, const std::string &line)
-{
-    result.log.push_back(line);
-    if (cfg.logToStderr)
-        std::fprintf(stderr, "[supervisor] %s\n", line.c_str());
 }
 
 SupervisorResult
@@ -140,6 +138,7 @@ Supervisor::supervise(const std::vector<ShardSpec> &shards,
                       const Launcher &launch)
 {
     SupervisorResult result;
+    std::vector<std::string> &log = result.log;
     std::vector<Slot> slots(shards.size());
     for (std::size_t i = 0; i < shards.size(); ++i)
         slots[i].report.spec = shards[i];
@@ -147,8 +146,8 @@ Supervisor::supervise(const std::vector<ShardSpec> &shards,
     unsigned concurrency = cfg.workers;
     unsigned signalDeaths = 0; //!< since the last shed
     result.peakWorkers = concurrency;
-    logLine(result, strFormat("starting: %zu shard(s), %u worker slot(s)",
-                              shards.size(), concurrency));
+    log.push_back(strFormat("starting: %zu shard(s), %u worker slot(s)",
+                            shards.size(), concurrency));
 
     for (;;) {
         double now = monotonicNow();
@@ -182,13 +181,12 @@ Supervisor::supervise(const std::vector<ShardSpec> &shards,
             slot.lastProgressBytes = -1;
             slot.killedForHang = false;
             ++running;
-            logLine(result,
-                    strFormat("shard %u attempt %u: launched pid %d"
-                              " (tasks [%u, %u))",
-                              slot.report.spec.id, attempt, slot.pid,
-                              slot.report.spec.firstTask,
-                              slot.report.spec.firstTask +
-                                  slot.report.spec.taskCount));
+            log.push_back(strFormat("shard %u attempt %u: launched pid %d"
+                                    " (tasks [%u, %u))",
+                                    slot.report.spec.id, attempt, slot.pid,
+                                    slot.report.spec.firstTask,
+                                    slot.report.spec.firstTask +
+                                        slot.report.spec.taskCount));
         }
 
         // Reap exits and police heartbeats/deadlines.
@@ -200,10 +198,9 @@ Supervisor::supervise(const std::vector<ShardSpec> &shards,
             if (reaped == slot.pid) {
                 if (WIFEXITED(status) && WEXITSTATUS(status) == 0) {
                     slot.report.state = ShardState::Done;
-                    logLine(result,
-                            strFormat("shard %u attempt %u: done",
-                                      slot.report.spec.id,
-                                      slot.report.attempts));
+                    log.push_back(strFormat("shard %u attempt %u: done",
+                                            slot.report.spec.id,
+                                            slot.report.attempts));
                     continue;
                 }
 
@@ -222,23 +219,21 @@ Supervisor::supervise(const std::vector<ShardSpec> &shards,
                 }
                 slot.report.detail = exitDescription(status) +
                                      (hang ? " (hang kill)" : "");
-                logLine(result,
-                        strFormat("shard %u attempt %u: %s",
-                                  slot.report.spec.id, slot.report.attempts,
-                                  slot.report.detail.c_str()));
+                log.push_back(strFormat("shard %u attempt %u: %s",
+                                        slot.report.spec.id,
+                                        slot.report.attempts,
+                                        slot.report.detail.c_str()));
 
                 // Graceful degradation: repeated signal deaths look
                 // like memory pressure — shed worker slots.
-                if (cfg.shedAfterSignalDeaths != 0 &&
-                    signalDeaths >= cfg.shedAfterSignalDeaths &&
-                    concurrency > cfg.minWorkers) {
-                    concurrency = std::max(cfg.minWorkers, concurrency / 2);
+                if (signalDeaths >= kShedAfterSignalDeaths &&
+                    concurrency > 1) {
+                    concurrency /= 2;
                     signalDeaths = 0;
-                    logLine(result,
-                            strFormat("shedding concurrency to %u worker"
-                                      " slot(s) after repeated signal"
-                                      " deaths",
-                                      concurrency));
+                    log.push_back(strFormat("shedding concurrency to %u worker"
+                                            " slot(s) after repeated signal"
+                                            " deaths",
+                                            concurrency));
                 }
 
                 unsigned next = slot.report.attempts + 1;
@@ -246,21 +241,19 @@ Supervisor::supervise(const std::vector<ShardSpec> &shards,
                     double delay = cfg.retry.delayForAttempt(next);
                     slot.report.state = ShardState::Pending;
                     slot.notBefore = monotonicNow() + delay;
-                    logLine(result,
-                            strFormat("shard %u: retrying as attempt %u"
-                                      " after %.3fs backoff",
-                                      slot.report.spec.id, next, delay));
+                    log.push_back(strFormat("shard %u: retrying as attempt %u"
+                                            " after %.3fs backoff",
+                                            slot.report.spec.id, next, delay));
                 } else {
                     slot.report.state = ShardState::Quarantined;
                     slot.report.code = FailureCode::ShardQuarantined;
                     ++result.quarantined;
-                    logLine(result,
-                            strFormat("shard %u: quarantined after %u"
-                                      " attempt(s) (%s)",
-                                      slot.report.spec.id,
-                                      slot.report.attempts,
-                                      failureCodeName(
-                                          slot.report.lastFailure)));
+                    log.push_back(strFormat("shard %u: quarantined after %u"
+                                            " attempt(s) (%s)",
+                                            slot.report.spec.id,
+                                            slot.report.attempts,
+                                            failureCodeName(
+                                                slot.report.lastFailure)));
                 }
                 continue;
             }
@@ -279,28 +272,27 @@ Supervisor::supervise(const std::vector<ShardSpec> &shards,
                 now - slot.launchedAt > cfg.shardDeadlineS;
             if ((heartbeatLost || pastDeadline) && !slot.killedForHang) {
                 slot.killedForHang = true;
-                logLine(result,
-                        strFormat("shard %u attempt %u: %s — SIGKILL"
-                                  " pid %d",
-                                  slot.report.spec.id, slot.report.attempts,
-                                  heartbeatLost ? "heartbeat lost"
-                                                : "deadline exceeded",
-                                  slot.pid));
+                log.push_back(strFormat("shard %u attempt %u: %s — SIGKILL"
+                                        " pid %d",
+                                        slot.report.spec.id,
+                                        slot.report.attempts,
+                                        heartbeatLost ? "heartbeat lost"
+                                                      : "deadline exceeded",
+                                        slot.pid));
                 ::kill(slot.pid, SIGKILL);
             }
         }
 
-        sleepFor(cfg.pollIntervalS);
+        sleepFor(kPollIntervalS);
     }
 
     result.finalWorkers = concurrency;
     for (auto &slot : slots)
         result.shards.push_back(slot.report);
-    logLine(result,
-            strFormat("finished: %u crash(es), %u hang(s), %u"
-                      " quarantined, %u worker slot(s) remaining",
-                      result.crashes, result.hangs, result.quarantined,
-                      result.finalWorkers));
+    log.push_back(strFormat("finished: %u crash(es), %u hang(s), %u"
+                            " quarantined, %u worker slot(s) remaining",
+                            result.crashes, result.hangs, result.quarantined,
+                            result.finalWorkers));
     return result;
 }
 

@@ -19,8 +19,8 @@
  *    (retry_policy.hh); the shard journal makes every retry resume
  *    where the previous attempt died;
  *  - repeated *signal* deaths (the OOM-killer signature) shed
- *    concurrency: the worker-slot count halves down to `minWorkers`,
- *    trading throughput for survival;
+ *    concurrency: every second signal death halves the worker-slot
+ *    count, down to one slot, trading throughput for survival;
  *  - a shard that exhausts its retry budget is quarantined and
  *    reported via FailureCode::ShardQuarantined — the campaign
  *    completes degraded instead of aborting.
@@ -76,30 +76,16 @@ using WorkerArgv = std::function<std::vector<std::string>(
 /** Supervisor tuning knobs. */
 struct SupervisorConfig
 {
-    unsigned workers = 2;    //!< concurrent worker processes
-    unsigned minWorkers = 1; //!< floor when shedding concurrency
+    unsigned workers = 2; //!< concurrent worker processes
     RetryPolicy retry{};
 
     /** Kill a worker with no file growth for this long (seconds). */
     double heartbeatTimeoutS = 10.0;
     /** Kill a worker attempt that outlives this wall-clock budget. */
     double shardDeadlineS = 120.0;
-    /** Poll-loop sleep between supervision passes. */
-    double pollIntervalS = 0.002;
-
-    /**
-     * Halve the worker-slot count (down to minWorkers) after this many
-     * cumulative signal deaths. Supervisor-initiated hang kills are
-     * excluded — they signal a wedged worker, not memory pressure.
-     * 0 disables shedding.
-     */
-    unsigned shedAfterSignalDeaths = 2;
 
     /** Optional chaos plan per (shard, attempt); null = no chaos. */
     std::function<WorkerChaos(const ShardSpec &, unsigned attempt)> chaos;
-
-    /** Mirror supervisor log lines to stderr as they happen. */
-    bool logToStderr = false;
 };
 
 /** Outcome of one supervised run over a shard set. */
@@ -152,8 +138,6 @@ class Supervisor
 
     SupervisorResult supervise(const std::vector<ShardSpec> &shards,
                                const Launcher &launch);
-
-    void logLine(SupervisorResult &result, const std::string &line);
 
     SupervisorConfig cfg;
 };

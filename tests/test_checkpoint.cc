@@ -209,12 +209,10 @@ TEST(Checkpoint, MismatchedKeyOrKindDiscards)
 
 TEST(Checkpoint, FsyncPoliciesAllProduceLoadableJournals)
 {
-    for (FsyncPolicy policy : {FsyncPolicy::Never, FsyncPolicy::PerRecord,
-                               FsyncPolicy::Interval}) {
+    for (FsyncPolicy policy : {FsyncPolicy::Never, FsyncPolicy::PerRecord}) {
         std::string path = tempPath("rho_ckpt_fsync.journal");
         JournalOptions opts;
         opts.fsync = policy;
-        opts.fsyncInterval = 2;
         makeJournal(path, 0xF5, 5, opts);
         TaskJournal j(path, 0xF5, "test");
         EXPECT_EQ(j.restoredCount(), 5u);

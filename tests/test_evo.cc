@@ -376,17 +376,16 @@ TEST(EvoRefSync, KeysSeparateSyncedCampaigns)
     SystemSpec spec(Arch::Zen3, DimmProfile::byId("S2"));
     HammerConfig cfg = rhoConfig(Arch::Zen3, true, 30000);
 
+    HammerConfig cfg_sync = cfg;
+    cfg_sync.refSync = true;
+
     FuzzParams fp;
-    FuzzParams fp_sync = fp;
-    fp_sync.refSync = true;
     EXPECT_NE(fuzzJournalKey(spec, cfg, fp, 7),
-              fuzzJournalKey(spec, cfg, fp_sync, 7));
+              fuzzJournalKey(spec, cfg_sync, fp, 7));
 
     EvoParams ep = smallEvo();
-    EvoParams ep_sync = ep;
-    ep_sync.refSync = true;
     EXPECT_NE(evoJournalKey(spec, cfg, ep, 7),
-              evoJournalKey(spec, cfg, ep_sync, 7));
+              evoJournalKey(spec, cfg_sync, ep, 7));
 }
 
 TEST(EvoRefSync, RefSyncChangesOutcomesOnRefBlockingPlatform)
@@ -401,15 +400,16 @@ TEST(EvoRefSync, RefSyncChangesOutcomesOnRefBlockingPlatform)
     params.numPatterns = 3;
     params.locationsPerPattern = 1;
     params.jobs = 2;
+    HammerConfig cfg_sync = cfg;
+    cfg_sync.refSync = true;
     FuzzResult plain = fuzzCampaign(spec, cfg, params, 7);
-    params.refSync = true;
-    FuzzResult synced = fuzzCampaign(spec, cfg, params, 7);
+    FuzzResult synced = fuzzCampaign(spec, cfg_sync, params, 7);
     ASSERT_TRUE(plain.ok());
     ASSERT_TRUE(synced.ok());
     EXPECT_NE(plain.simTimeNs, synced.simTimeNs);
 
     // Synced runs stay deterministic.
-    FuzzResult again = fuzzCampaign(spec, cfg, params, 7);
+    FuzzResult again = fuzzCampaign(spec, cfg_sync, params, 7);
     EXPECT_EQ(synced.totalFlips, again.totalFlips);
     EXPECT_EQ(synced.simTimeNs, again.simTimeNs);
     EXPECT_EQ(synced.dramAccesses, again.dramAccesses);
@@ -417,8 +417,7 @@ TEST(EvoRefSync, RefSyncChangesOutcomesOnRefBlockingPlatform)
     EvoParams evo = smallEvo();
     evo.generations = 2;
     EvoResult eplain = evolvedFuzzCampaign(spec, cfg, evo, 7);
-    evo.refSync = true;
-    EvoResult esynced = evolvedFuzzCampaign(spec, cfg, evo, 7);
+    EvoResult esynced = evolvedFuzzCampaign(spec, cfg_sync, evo, 7);
     ASSERT_TRUE(eplain.ok());
     ASSERT_TRUE(esynced.ok());
     EXPECT_NE(eplain.simTimeNs, esynced.simTimeNs);

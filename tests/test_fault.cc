@@ -206,12 +206,10 @@ TEST(FaultDelivery, BuddyAllocFailuresAndFragmentSpikes)
 TEST(FaultDelivery, RobustProbeRecoversCleanLatencyUnderBursts)
 {
     PhysAddr a = 0x100000, b = 0x3200000;
-    RobustTimingConfig rt;
-    rt.baseSamples = 5;
 
     MemorySystem clean(SystemSpec(Arch::AlderLake, DimmProfile::byId("S2")));
     TimingProbe clean_probe(clean, 21);
-    double truth = clean_probe.measurePairRobust(a, b, 100, rt);
+    double truth = clean_probe.measurePairRobust(a, b, 100, 5);
 
     MemorySystem sys(SystemSpec(Arch::AlderLake, DimmProfile::byId("S2")));
     FaultInjector inj(FaultSchedule::timingBursts(200e3, 60e3, 15.0, 6.0),
@@ -219,7 +217,7 @@ TEST(FaultDelivery, RobustProbeRecoversCleanLatencyUnderBursts)
     sys.attachFaultInjector(&inj);
     TimingProbe probe(sys, 21);
     RetryStats retry;
-    double robust = probe.measurePairRobust(a, b, 100, rt, &retry);
+    double robust = probe.measurePairRobust(a, b, 100, 5, &retry);
     EXPECT_NEAR(robust, truth, 3.0);
     EXPECT_GT(retry.attempts, 0u);
 }

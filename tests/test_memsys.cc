@@ -139,7 +139,7 @@ TEST(TimingProbe, AdvancesClockAndCountsAccesses)
 TEST(TimingProbe, MeasurementNoiseIsBounded)
 {
     MemorySystem sys(SystemSpec(Arch::CometLake, DimmProfile::byId("S2")));
-    TimingProbe probe(sys, 7, /*noise_sigma=*/1.0);
+    TimingProbe probe(sys, 7);
     PhysAddr a = sys.mapping().encode({0, 10, 0});
     PhysAddr b = sys.mapping().encode({0, 500, 0});
     double first = probe.measurePair(a, b);

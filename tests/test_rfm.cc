@@ -27,13 +27,38 @@ TEST(RfmEngine, FiresEveryRaaimtActs)
         RfmAction a = rfm.observeAct(0, 100 + (i % 3));
         if (a.fired) {
             EXPECT_FALSE(a.protect.empty());
-            EXPECT_FALSE(a.urgent); // never hit the RAAMMT cap
             ++fired;
         }
     }
     EXPECT_EQ(fired, 8u);
     EXPECT_EQ(rfm.rfmCommands(), 8u);
-    EXPECT_EQ(rfm.urgentRfmCommands(), 0u);
+}
+
+TEST(RfmEngine, RaaStaysBelowRaaimtAtEveryLevel)
+{
+    // The controller services every RFM as soon as it is owed, so RAA
+    // never reaches RAAIMT — let alone any maximum threshold above it
+    // — for any operating point and any REF cadence (0 = no REF).
+    for (RfmLevel level :
+         {RfmLevel::Relaxed, RfmLevel::Default, RfmLevel::Strict}) {
+        RfmConfig cfg = RfmConfig::forLevel(level);
+        std::uint64_t rfms = 0;
+        for (unsigned acts_per_ref : {0u, 1u, 7u, 16u, 33u, 100u}) {
+            RfmEngine rfm(cfg, 2);
+            for (unsigned i = 1; i <= 5000; ++i) {
+                std::uint32_t bank = (i % 5 == 0) ? 1 : 0;
+                rfm.observeAct(bank, 100 + (i * 7) % 40);
+                ASSERT_LT(rfm.raa(bank), cfg.raaimt)
+                    << rfmLevelName(level) << " acts/REF " << acts_per_ref
+                    << " ACT " << i;
+                if (acts_per_ref != 0 && i % acts_per_ref == 0)
+                    rfm.onRef();
+            }
+            rfms += rfm.rfmCommands();
+        }
+        // The sparse cadences outrun the REF decrement, so RFMs fire.
+        EXPECT_GT(rfms, 0u) << rfmLevelName(level);
+    }
 }
 
 TEST(RfmEngine, ProtectsMostRecentRows)
@@ -126,46 +151,6 @@ TEST(RfmEngine, RefDecrementSaturatesAtZero)
     EXPECT_EQ(rfm.raa(0), 0u);
 }
 
-TEST(RfmEngine, RaammtCapForcesUrgentRfm)
-{
-    // A lazy controller (large serviceDelayActs) cannot defer past the
-    // maximum threshold: the cap forces an urgent RFM.
-    RfmConfig cfg;
-    cfg.enabled = true;
-    cfg.raaimt = 8;
-    cfg.serviceDelayActs = 1000;
-    cfg.raammt = 16;
-    RfmEngine rfm(cfg, 1);
-    unsigned fired_at = 0;
-    for (unsigned i = 1; i <= 16; ++i) {
-        RfmAction a = rfm.observeAct(0, 300);
-        if (a.fired) {
-            EXPECT_TRUE(a.urgent);
-            fired_at = i;
-        }
-    }
-    EXPECT_EQ(fired_at, 16u); // exactly at the cap, not before
-    EXPECT_EQ(rfm.urgentRfmCommands(), 1u);
-    // One RFM retires RAAIMT worth of activity; the rest carries over.
-    EXPECT_EQ(rfm.raa(0), 8u);
-}
-
-TEST(RfmEngine, ServiceDelayDefersWithinCap)
-{
-    RfmConfig cfg;
-    cfg.enabled = true;
-    cfg.raaimt = 8;
-    cfg.serviceDelayActs = 4;
-    RfmEngine rfm(cfg, 1);
-    unsigned fired_at = 0;
-    for (unsigned i = 1; i <= 12; ++i) {
-        if (rfm.observeAct(0, 7).fired)
-            fired_at = i;
-    }
-    EXPECT_EQ(fired_at, 12u); // raaimt + serviceDelayActs
-    EXPECT_EQ(rfm.urgentRfmCommands(), 0u);
-}
-
 TEST(RfmEngine, ForLevelOperatingPoints)
 {
     EXPECT_FALSE(RfmConfig::forLevel(RfmLevel::Off).enabled);
@@ -180,8 +165,7 @@ TEST(RfmEngine, ForLevelOperatingPoints)
     EXPECT_GT(relaxed.raaimt, def.raaimt);
     EXPECT_GT(def.raaimt, strict.raaimt);
     EXPECT_GE(strict.victimsPerRfm, def.victimsPerRfm);
-    // JEDEC-typical derived defaults.
-    EXPECT_EQ(def.raammtEffective(), 6 * def.raaimt);
+    // JEDEC-typical derived default.
     EXPECT_EQ(def.refDecrementEffective(), def.raaimt / 2);
 
     EXPECT_STREQ(rfmLevelName(RfmLevel::Strict), "strict");

@@ -51,7 +51,6 @@ testSupervisor()
 {
     SupervisorConfig cfg;
     cfg.workers = 2;
-    cfg.pollIntervalS = 0.002;
     cfg.retry.initialBackoffS = 0.005;
     cfg.retry.maxBackoffS = 0.02;
     return cfg;
@@ -68,7 +67,6 @@ TEST(Service, RetryPolicyBackoffCurve)
     RetryPolicy policy;
     policy.maxAttempts = 4;
     policy.initialBackoffS = 0.05;
-    policy.backoffFactor = 2.0;
     policy.maxBackoffS = 0.15;
 
     EXPECT_DOUBLE_EQ(policy.delayForAttempt(1), 0.0);
@@ -263,8 +261,6 @@ TEST(Service, SupervisorShedsConcurrencyOnRepeatedSignalDeaths)
     auto shards = makeShards(8, 4, base);
     SupervisorConfig cfg = testSupervisor();
     cfg.workers = 4;
-    cfg.minWorkers = 1;
-    cfg.shedAfterSignalDeaths = 2;
     Supervisor sup(cfg);
     // Every shard's first attempt dies like an OOM kill.
     SupervisorResult res = sup.run(

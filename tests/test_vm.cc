@@ -258,7 +258,7 @@ TEST(CrossVm, UndefendedInterleavedPlacementLeaksFlips)
     // Every reported cross flip decodes to a victim-owned address.
     for (const CrossVmFlipInfo &f : res.crossFlips) {
         EXPECT_NE(f.owner, 0u);
-        EXPECT_NE(f.owner, params.attackerVm);
+        EXPECT_NE(f.owner, 2u); // tenant 2 is the attacker
         EXPECT_EQ(vmm.ownerOf(f.hpa), f.owner);
     }
 }
