@@ -5,7 +5,10 @@
  * sampler, and pTRR must stop everything.
  */
 
+#include <algorithm>
 #include <cmath>
+#include <optional>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -73,6 +76,159 @@ TEST(TrrSampler, DisabledSamplerDoesNothing)
         s.observeAct(0, 1);
     EXPECT_TRUE(s.onRefreshTick().empty());
     EXPECT_EQ(s.targetedRefreshes(), 0u);
+}
+
+namespace
+{
+
+/**
+ * Straight-line model of TrrSampler drawing through Rng (libstdc++'s
+ * mt19937_64 + bernoulli_distribution): the pTRR coin first, then the
+ * TRR sampling coin, per ACT.
+ */
+struct TrrModel
+{
+    struct Entry
+    {
+        std::uint64_t row;
+        std::uint32_t count;
+    };
+
+    TrrModel(const TrrConfig &c, std::uint32_t banks)
+        : cfg(c), tables(banks), rng(c.seed)
+    {
+    }
+
+    std::optional<TrrTarget>
+    observeAct(std::uint32_t bank, std::uint64_t row)
+    {
+        std::optional<TrrTarget> hit;
+        if (cfg.ptrr && rng.chance(cfg.ptrrSampleProb))
+            hit = TrrTarget{bank, row};
+        if (!cfg.enabled || !rng.chance(cfg.sampleProb))
+            return hit;
+        auto &table = tables[bank];
+        for (auto &e : table) {
+            if (e.row == row) {
+                ++e.count;
+                return hit;
+            }
+        }
+        if (table.size() < cfg.counters) {
+            table.push_back({row, 1});
+            return hit;
+        }
+        for (auto &e : table)
+            e.count -= e.count > 0;
+        std::erase_if(table, [](const Entry &e) { return e.count == 0; });
+        return hit;
+    }
+
+    std::vector<TrrTarget>
+    onRefreshTick()
+    {
+        struct Cand { std::uint32_t bank; std::uint64_t row; std::uint32_t cnt; };
+        std::vector<Cand> cands;
+        for (std::uint32_t b = 0; b < tables.size(); ++b) {
+            for (const Entry &e : tables[b]) {
+                if (e.count >= cfg.matchThreshold)
+                    cands.push_back({b, e.row, e.count});
+            }
+        }
+        std::sort(cands.begin(), cands.end(),
+                  [](const Cand &a, const Cand &b) { return a.cnt > b.cnt; });
+        std::vector<TrrTarget> out;
+        for (const Cand &c : cands) {
+            if (out.size() >= cfg.maxRefreshesPerTick)
+                break;
+            out.push_back({c.bank, c.row});
+        }
+        for (const TrrTarget &t : out) {
+            std::erase_if(tables[t.bank],
+                          [&](const Entry &e) { return e.row == t.row; });
+        }
+        return out;
+    }
+
+    TrrConfig cfg;
+    std::vector<std::vector<Entry>> tables;
+    Rng rng;
+};
+
+/** One sampler decision: a pTRR hit or a per-tick targeted refresh. */
+struct TrrDecision
+{
+    std::uint64_t act; //!< ACT index the decision followed
+    bool ptrr;
+    std::uint32_t bank;
+    std::uint64_t row;
+
+    bool operator==(const TrrDecision &) const = default;
+};
+
+/**
+ * Feed a fixed two-bank ACT stream to `s` (a TrrSampler or TrrModel)
+ * with a refresh tick every 40 ACTs: double-sided aggressor pairs with
+ * every fifth ACT a fresh decoy row.
+ */
+template <typename Sampler>
+std::vector<TrrDecision>
+driveTrr(Sampler &s)
+{
+    std::vector<TrrDecision> out;
+    for (std::uint64_t i = 0; i < 40000; ++i) {
+        std::uint32_t bank = i % 2;
+        std::uint64_t row = i % 5 == 4 ? 100000 + i
+                                       : 1000 * (bank + 1) + 2 * (i / 2 % 2);
+        if (auto hit = s.observeAct(bank, row))
+            out.push_back({i, true, hit->bank, hit->row});
+        if (i % 40 == 39) {
+            for (const TrrTarget &t : s.onRefreshTick())
+                out.push_back({i, false, t.bank, t.row});
+        }
+    }
+    return out;
+}
+
+} // namespace
+
+/**
+ * Pins the sampling stream at the default probabilities (every other
+ * TrrSampler test uses sampleProb 1.0, which draws nothing): every
+ * pTRR hit and every targeted refresh matches a model that draws from
+ * Rng(cfg.seed).
+ */
+TEST(TrrSampler, DrawStreamMatchesRngModel)
+{
+    TrrConfig cfg;
+    cfg.ptrr = true;
+    TrrSampler s(cfg, 2);
+    TrrModel model(cfg, 2);
+    std::vector<TrrDecision> got = driveTrr(s);
+    std::vector<TrrDecision> want = driveTrr(model);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i)
+        ASSERT_EQ(got[i], want[i]) << "decision " << i;
+    std::size_t ptrr_hits = std::count_if(
+        want.begin(), want.end(), [](const TrrDecision &d) { return d.ptrr; });
+    EXPECT_GT(ptrr_hits, 50u);                 // ~160 expected
+    EXPECT_GT(want.size() - ptrr_hits, 50u);   // TRR fired too
+    EXPECT_EQ(s.targetedRefreshes(), want.size());
+}
+
+TEST(TrrSampler, ResetReplaysFreshSampler)
+{
+    TrrConfig cfg;
+    cfg.ptrr = true;
+    TrrSampler s(cfg, 2);
+    std::vector<TrrDecision> first = driveTrr(s);
+    // Leave state mid-stream: partial tables and a partly used engine.
+    for (std::uint64_t i = 0; i < 777; ++i)
+        s.observeAct(0, 1000 + i % 3);
+    s.reset();
+    EXPECT_EQ(s.targetedRefreshes(), 0u);
+    EXPECT_EQ(driveTrr(s), first);
+    EXPECT_EQ(s.targetedRefreshes(), first.size());
 }
 
 namespace
