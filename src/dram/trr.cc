@@ -15,7 +15,7 @@ TrrSampler::reset()
 {
     for (auto &table : tables)
         table.clear();
-    rng = Rng(cfg.seed);
+    rng = ReplayRng(cfg.seed);
     issued = 0;
 }
 

@@ -23,7 +23,7 @@
 #include <optional>
 #include <vector>
 
-#include "common/rng.hh"
+#include "common/replay_rng.hh"
 #include "common/types.hh"
 #include "trace/tracer.hh"
 
@@ -110,7 +110,7 @@ class TrrSampler
 
     TrrConfig cfg;
     std::vector<std::vector<Entry>> tables; // per flat bank
-    Rng rng;
+    ReplayRng rng; //!< the draws of Rng(cfg.seed), without its overhead
     std::uint64_t issued = 0;
     Tracer *tracer = nullptr;
 };

@@ -37,6 +37,7 @@
 
 #include "common/checkpoint.hh"
 #include "common/parallel.hh"
+#include "common/rng.hh"
 #include "dram/dimm.hh"
 #include "trace/metrics.hh"
 #include "trace/tracer.hh"
