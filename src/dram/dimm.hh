@@ -70,6 +70,8 @@ struct FlipRecord
     std::uint32_t bitOffset; //!< within the 8 KiB row
     bool toOne;              //!< flip direction
     Ns when;
+
+    bool operator==(const FlipRecord &) const = default;
 };
 
 /** Result of a timed DRAM access. */

@@ -2,19 +2,18 @@
  * @file
  * Cross-backend differential suite for the multi-vendor ArchBackend
  * work: every modelled architecture (Intel linear GF(2) presets, AMD
- * Zen 3's offset non-linear family, ARM Cortex-A72 on LPDDR4) is run
- * through the pinned quickstart / TRR-evasion / campaign scenarios
- * over the full engine matrix — {Flat, Reference} row store x
- * {Blocked, Reference} CPU replay — and every combination must be
- * byte-identical. Alongside sit the backend property tests: arch
+ * Zen 3's offset non-linear family, ARM Cortex-A72 on LPDDR4) runs
+ * the quickstart and TRR-evasion scenarios of tests/differential.hh
+ * over its engine matrix — {Flat, Reference} row store x {Blocked,
+ * Reference} CPU replay x --jobs — and every cell must be
+ * byte-identical to the reference cell; REF-synced campaigns must not
+ * depend on --jobs. Alongside sit the backend property tests: arch
  * registry completeness, decode/encode bijectivity fuzz, same-bank-set
  * closure against the family's XOR structure, REF-sync detection
  * determinism, Half-Double disturb bounds on LPDDR4, and reset parity
  * of the per-backend device state.
  */
 
-#include <cmath>
-#include <iterator>
 #include <map>
 #include <set>
 #include <string>
@@ -22,68 +21,14 @@
 
 #include <gtest/gtest.h>
 
+#include "differential.hh"
 #include "dram/dimm.hh"
-#include "dram/dimm_profile.hh"
 #include "hammer/pattern_fuzzer.hh"
 #include "hammer/ref_sync.hh"
-#include "hammer/sweep.hh"
-#include "hammer/tuned_configs.hh"
 #include "mapping/mapping_presets.hh"
-#include "trace/golden.hh"
-#include "trace/tracer.hh"
 
 using namespace rho;
-
-namespace
-{
-
-/** Native DIMM for each backend: DDR4 modules on the desktop parts,
- *  the LPDDR4 sample board on the ARM core. */
-const DimmProfile &
-profileFor(Arch arch)
-{
-    return arch == Arch::CortexA72 ? DimmProfile::lpddr4Sample()
-                                   : DimmProfile::byId("S2");
-}
-
-/** Enum identifier for an arch ("Zen3", "CortexA72", ...) — used as
- *  the gtest parameter name so CI legs can --gtest_filter by backend
- *  instead of by fragile parameter index. */
-std::string
-archToken(Arch arch)
-{
-    switch (arch) {
-#define RHO_ARCH_TOKEN_CASE(name)                                       \
-    case Arch::name:                                                    \
-        return #name;
-        RHO_ARCH_LIST(RHO_ARCH_TOKEN_CASE)
-#undef RHO_ARCH_TOKEN_CASE
-    }
-    return "Unknown";
-}
-
-std::string
-archParamName(const ::testing::TestParamInfo<Arch> &info)
-{
-    return archToken(info.param);
-}
-
-bool
-sameFlips(const std::vector<FlipRecord> &a,
-          const std::vector<FlipRecord> &b)
-{
-    if (a.size() != b.size())
-        return false;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        if (a[i].bank != b[i].bank || a[i].row != b[i].row
-            || a[i].bitOffset != b[i].bitOffset
-            || a[i].toOne != b[i].toOne || a[i].when != b[i].when)
-            return false;
-    }
-    return true;
-}
-
-} // namespace
+using namespace rho::test;
 
 // ---------------------------------------------------------------------
 // Arch registry (X-macro) completeness
@@ -217,80 +162,6 @@ INSTANTIATE_TEST_SUITE_P(AllArchs, BackendProps,
 // Cross-backend differential scenarios (the headline)
 // ---------------------------------------------------------------------
 
-namespace
-{
-
-struct EnginePair
-{
-    bool referenceRowStore;
-    CpuModelKind cpu;
-};
-
-const EnginePair enginePairs[] = {
-    {false, CpuModelKind::Blocked},   // the default fast stack
-    {false, CpuModelKind::Reference},
-    {true, CpuModelKind::Blocked},
-    {true, CpuModelKind::Reference},  // the full original stack
-};
-
-/** The pinned quickstart campaign on an arbitrary backend/engine. */
-SweepResult
-quickstartRun(Arch arch, unsigned jobs, EnginePair eng,
-              std::vector<TraceEvent> &trace)
-{
-    SystemSpec spec(arch, profileFor(arch));
-    spec.referenceRowStore = eng.referenceRowStore;
-    spec.cpuModel = eng.cpu;
-    spec.trace.enabled = true;
-    spec.trace.categories = CatDram | CatTrr | CatFlip | CatPhase;
-    HammerConfig cfg = rhoConfig(arch, true, 2000);
-    Rng rng(42);
-    HammerPattern pattern = HammerPattern::randomNonUniform(rng);
-    SweepParams params;
-    params.numLocations = 2;
-    params.jobs = jobs;
-    trace.clear();
-    return sweepCampaign(spec, pattern, cfg, params, 42, nullptr,
-                         nullptr, &trace);
-}
-
-/** The pinned TRR-evasion scenario on an arbitrary backend/engine. */
-std::vector<TraceEvent>
-trrEvasionRun(Arch arch, std::uint64_t seed, EnginePair eng,
-              std::vector<FlipRecord> &flips)
-{
-    TrrConfig trr;
-    trr.sampleProb = 0.5;
-    trr.matchThreshold = 8;
-    trr.maxRefreshesPerTick = 4;
-    SystemSpec spec(arch, profileFor(arch), trr);
-    spec.referenceRowStore = eng.referenceRowStore;
-    spec.cpuModel = eng.cpu;
-    MemorySystem sys(spec);
-    Tracer tracer(TraceConfig{
-        true, CatDram | CatDisturb | CatTrr | CatFlip | CatPhase,
-        std::size_t{1} << 22});
-    sys.attachTracer(&tracer);
-
-    HammerSession session(sys, seed);
-    HammerConfig cfg = rhoConfig(arch, true, 60000);
-    Rng rng(seed);
-
-    HammerPattern uniform = HammerPattern::doubleSided();
-    session.hammer(uniform,
-                   session.tryRandomLocation(uniform, cfg).loc.value(), cfg);
-    HammerPattern evading = HammerPattern::randomNonUniform(rng);
-    session.hammer(evading,
-                   session.tryRandomLocation(evading, cfg).loc.value(), cfg);
-
-    sys.attachTracer(nullptr);
-    EXPECT_EQ(tracer.dropped(), 0u);
-    flips = sys.dimm().flipLog();
-    return tracer.events();
-}
-
-} // namespace
-
 class BackendDifferential : public ::testing::TestWithParam<Arch>
 {
 };
@@ -298,42 +169,28 @@ class BackendDifferential : public ::testing::TestWithParam<Arch>
 TEST_P(BackendDifferential, QuickstartIdenticalAcrossEngineMatrix)
 {
     Arch arch = GetParam();
-    for (unsigned jobs : {1u, 8u}) {
-        std::vector<TraceEvent> ref_tr;
-        SweepResult ref =
-            quickstartRun(arch, jobs, enginePairs[0], ref_tr);
-        std::string ref_bytes = goldenSerialize(ref_tr);
-        EXPECT_FALSE(ref_tr.empty());
-        for (std::size_t e = 1; e < std::size(enginePairs); ++e) {
-            std::vector<TraceEvent> got_tr;
-            SweepResult got =
-                quickstartRun(arch, jobs, enginePairs[e], got_tr);
-            EXPECT_EQ(goldenSerialize(got_tr), ref_bytes)
-                << "trace diverged, engine pair " << e << " jobs "
-                << jobs;
-            EXPECT_TRUE(sameFlips(got.flipList, ref.flipList))
-                << "flip list diverged, engine pair " << e;
-            EXPECT_EQ(got.totalFlips, ref.totalFlips);
-            EXPECT_EQ(got.simTimeNs, ref.simTimeNs);
-        }
-    }
+    Digest ref = expectMatrixMatches(
+        tracedSpec(arch, nativeDimm(arch, "S2"),
+                   CatDram | CatTrr | CatFlip | CatPhase),
+        {1u, 2u, 8u}, [](const SystemSpec &spec, unsigned jobs) {
+            return quickstartScenario(spec, 42, jobs, 2000);
+        });
+    EXPECT_FALSE(traceEvents(ref).empty());
 }
 
 TEST_P(BackendDifferential, TrrEvasionIdenticalAcrossEngineMatrix)
 {
+    // Seed 9 at 60k ACTs on every backend; the longer Raptor Lake
+    // seeds run in RowStoreDifferential.TrrEvasionIdenticalAcrossSeeds.
     Arch arch = GetParam();
-    std::vector<FlipRecord> ref_fl;
-    auto ref_tr = trrEvasionRun(arch, 9, enginePairs[0], ref_fl);
-    std::string ref_bytes = goldenSerialize(ref_tr);
-    EXPECT_FALSE(ref_tr.empty());
-    for (std::size_t e = 1; e < std::size(enginePairs); ++e) {
-        std::vector<FlipRecord> got_fl;
-        auto got_tr = trrEvasionRun(arch, 9, enginePairs[e], got_fl);
-        EXPECT_EQ(goldenSerialize(got_tr), ref_bytes)
-            << "trace diverged, engine pair " << e;
-        EXPECT_TRUE(sameFlips(got_fl, ref_fl))
-            << "flip log diverged, engine pair " << e;
-    }
+    Digest ref = expectMatrixMatches(
+        tracedSpec(arch, nativeDimm(arch, "S2"),
+                   CatDram | CatDisturb | CatTrr | CatFlip | CatPhase,
+                   aggressiveTrr()),
+        {1u}, [](const SystemSpec &spec, unsigned jobs) {
+            return trrEvasionScenario(spec, 9, jobs, 60000);
+        });
+    EXPECT_FALSE(traceEvents(ref).empty());
 }
 
 TEST_P(BackendDifferential, CampaignsBitIdenticalAcrossJobCounts)
@@ -343,7 +200,7 @@ TEST_P(BackendDifferential, CampaignsBitIdenticalAcrossJobCounts)
     // the result must still be bit-identical for any --jobs (the
     // detector is driven purely by the simulated clock).
     Arch arch = GetParam();
-    SystemSpec spec(arch, profileFor(arch));
+    SystemSpec spec(arch, nativeDimm(arch, "S2"));
     HammerConfig cfg = rhoConfig(arch, true, 30000);
     cfg.refSync = true;
 
@@ -369,7 +226,7 @@ TEST_P(BackendDifferential, CampaignsBitIdenticalAcrossJobCounts)
     EXPECT_EQ(sgot.totalFlips, sref.totalFlips);
     EXPECT_EQ(sgot.cumulativeTimeNs, sref.cumulativeTimeNs);
     EXPECT_EQ(sgot.simTimeNs, sref.simTimeNs);
-    EXPECT_TRUE(sameFlips(sgot.flipList, sref.flipList));
+    EXPECT_TRUE(sgot.flipList == sref.flipList);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllArchs, BackendDifferential,
@@ -382,7 +239,7 @@ INSTANTIATE_TEST_SUITE_P(AllArchs, BackendDifferential,
 TEST(RefSync, DetectsCadenceOnlyOnRefBlockingBackends)
 {
     for (Arch arch : allArchs) {
-        MemorySystem sys(SystemSpec(arch, profileFor(arch)));
+        MemorySystem sys(SystemSpec(arch, nativeDimm(arch, "S2")));
         RefSyncDetector det(sys);
         RefSyncEstimate est = det.detect();
         if (!archRefBlocking(arch)) {
@@ -409,7 +266,7 @@ TEST(RefSync, DetectionIsDeterministic)
 {
     for (Arch arch : {Arch::Zen3, Arch::CortexA72}) {
         auto run = [arch] {
-            MemorySystem sys(SystemSpec(arch, profileFor(arch)));
+            MemorySystem sys(SystemSpec(arch, nativeDimm(arch, "S2")));
             RefSyncDetector det(sys);
             return det.detect();
         };
@@ -439,27 +296,16 @@ namespace
 std::vector<std::uint64_t>
 lpddr4Hammer(double hd, double rd, int rounds = 150000)
 {
-    DimmProfile p = DimmProfile::lpddr4Sample();
-    p.weakCellsPerRow = 4.0;
-    p.hcLogMean = std::log(400.0);
-    p.hcLogSigma = 0.1;
-    p.hcMin = 300;
+    DimmProfile p =
+        weakCells(DimmProfile::lpddr4Sample(), 4.0, 400.0, 0.1, 300);
     p.halfDoubleWeight = hd;
     p.refreshDisturbWeight = rd;
 
-    TrrConfig trr;
-    trr.sampleProb = 0.5;
-    trr.matchThreshold = 8;
-    trr.maxRefreshesPerTick = 4;
-
-    Dimm d(p, DramTiming::lpddr4(p.freqMts), trr);
+    Dimm d(p, DramTiming::lpddr4(p.freqMts), aggressiveTrr());
     Ns now = 0.0;
     for (std::uint64_t r = 4995; r <= 5005; ++r)
         d.fillRow(0, r, 0x55, now);
-    for (int i = 0; i < rounds; ++i) {
-        now += d.access({0, 4999, 0}, now).latency;
-        now += d.access({0, 5001, 0}, now).latency;
-    }
+    now = hammerVictim(d, 5000, now, rounds);
     std::vector<std::uint64_t> rows;
     for (const FlipRecord &f : d.flipLog())
         rows.push_back(f.row);
@@ -534,51 +380,29 @@ TEST(BackendReset, Lpddr4ResetDeviceMatchesFreshDevice)
     // refresh-sweep disturbance and the REF blocking stalls; a reset
     // device must replay all of it exactly like a new one — same stall
     // pattern, same TRR stream, same flips, byte-identical trace.
-    DimmProfile p = DimmProfile::lpddr4Sample();
-    p.weakCellsPerRow = 4.0;
-    p.hcLogMean = std::log(800.0);
-    p.hcLogSigma = 0.1;
-    p.hcMin = 600;
+    DimmProfile p =
+        weakCells(DimmProfile::lpddr4Sample(), 4.0, 800.0, 0.1, 600);
+    const TrrConfig trr = aggressiveTrr();
 
-    TrrConfig trr;
-    trr.sampleProb = 0.5;
-    trr.matchThreshold = 8;
-    trr.maxRefreshesPerTick = 4;
-
-    auto script = [](Dimm &d, std::vector<TraceEvent> &out) {
-        Tracer tr(TraceConfig{
-            true, CatDram | CatDisturb | CatTrr | CatFlip,
-            std::size_t{1} << 22});
-        d.setTracer(&tr);
+    auto script = [](Dimm &d) {
         Ns now = 0.0;
         d.fillRow(0, 5001, 0x55, now);
         // Cross thousands of tREFI boundaries so the REF-blocking
         // stalls and the lazy boundary bookkeeping are exercised.
-        for (int i = 0; i < 20000; ++i) {
-            now += d.access({0, 5000, 0}, now).latency;
-            now += d.access({0, 5002, 0}, now).latency;
-        }
-        d.setTracer(nullptr);
-        EXPECT_EQ(tr.dropped(), 0u);
-        out = tr.events();
+        now = hammerVictim(d, 5001, now, 20000);
     };
-
-    std::vector<TraceEvent> fresh_tr, reused_tr;
+    const std::uint32_t cats = CatDram | CatDisturb | CatTrr | CatFlip;
     Dimm fresh(p, DramTiming::lpddr4(p.freqMts), trr);
-    script(fresh, fresh_tr);
+    Digest want = traceDimm(fresh, cats, script);
 
     Dimm reused(p, DramTiming::lpddr4(p.freqMts), trr);
-    script(reused, reused_tr); // dirty REF accounting + TRR + charge
+    traceDimm(reused, cats, script); // dirty REF accounting + TRR + charge
     reused.reset();
     EXPECT_EQ(reused.totalActs(), 0u);
     EXPECT_EQ(reused.flipLog().size(), 0u);
-    script(reused, reused_tr);
 
-    EXPECT_GT(fresh.flipLog().size(), 0u);
-    EXPECT_TRUE(sameFlips(fresh.flipLog(), reused.flipLog()));
-    EXPECT_EQ(goldenSerialize(fresh_tr), goldenSerialize(reused_tr));
-    EXPECT_EQ(fresh.totalActs(), reused.totalActs());
-    EXPECT_EQ(fresh.trrRefreshCount(), reused.trrRefreshCount());
+    EXPECT_GT(want.flips, 0u);
+    expectSameDigest(traceDimm(reused, cats, script), want, "reset device");
 }
 
 TEST(BackendReset, RefSyncDetectableAgainAfterSystemReuse)

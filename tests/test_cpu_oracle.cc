@@ -5,7 +5,8 @@
  * CpuModelKind::Reference (the original op-by-op interpreter) — same
  * PerfCounters including the floating-point clock, same DRAM command
  * stream, same golden trace, same flips, same randomness consumption —
- * across architectures, kernel shapes, seeds and campaign job counts.
+ * across architectures, kernel shapes and seeds. Campaign-level cells
+ * run in the engine matrix of tests/differential.hh.
  */
 
 #include <string>
@@ -13,16 +14,11 @@
 
 #include <gtest/gtest.h>
 
-#include "cpu/arch_params.hh"
 #include "cpu/kernel.hh"
-#include "cpu/sim_cpu.hh"
-#include "dram/dimm_profile.hh"
-#include "hammer/sweep.hh"
-#include "hammer/tuned_configs.hh"
-#include "trace/golden.hh"
-#include "trace/tracer.hh"
+#include "differential.hh"
 
 using namespace rho;
+using namespace rho::test;
 
 // ---------------------------------------------------------------------
 // SimCpu differential: Blocked vs Reference
@@ -30,20 +26,6 @@ using namespace rho;
 
 namespace
 {
-
-/** Fixed-latency backend recording the DRAM command stream. */
-class RecordingMemory : public MemoryBackend
-{
-  public:
-    Ns
-    dramAccess(PhysAddr pa, Ns now) override
-    {
-        accesses.push_back({pa, now});
-        return 60.0;
-    }
-
-    std::vector<std::pair<PhysAddr, Ns>> accesses;
-};
 
 /** The kernel shapes the paper's attack variants produce. */
 HammerKernel
@@ -73,24 +55,6 @@ shapedKernel(const std::string &shape)
 const char *const kKernelShapes[] = {"plain",  "jit",        "obfuscated",
                                      "nop-padded", "load",   "fenced"};
 
-/** Assert every PerfCounters field matches, including the fp clock. */
-void
-expectSameCounters(const PerfCounters &a, const PerfCounters &b,
-                   const std::string &what)
-{
-    EXPECT_EQ(a.memReads, b.memReads) << what;
-    EXPECT_EQ(a.dramAccesses, b.dramAccesses) << what;
-    EXPECT_EQ(a.cacheHits, b.cacheHits) << what;
-    EXPECT_EQ(a.pfQueueDrops, b.pfQueueDrops) << what;
-    EXPECT_EQ(a.flushes, b.flushes) << what;
-    EXPECT_EQ(a.branches, b.branches) << what;
-    EXPECT_EQ(a.branchMispredicts, b.branchMispredicts) << what;
-    EXPECT_EQ(a.nops, b.nops) << what;
-    // Bit-identical simulated time, not approximately equal: the
-    // blocked engine hoists expressions but never reassociates them.
-    EXPECT_EQ(a.timeNs, b.timeNs) << what;
-}
-
 } // namespace
 
 TEST(CpuOracle, CountersAndDramStreamIdenticalEverywhere)
@@ -98,30 +62,11 @@ TEST(CpuOracle, CountersAndDramStreamIdenticalEverywhere)
     for (Arch arch : allArchs) {
         for (const char *shape : kKernelShapes) {
             for (std::uint64_t seed : {1ULL, 99ULL}) {
-                HammerKernel k = shapedKernel(shape);
-                RecordingMemory blocked_mem, ref_mem;
-                SimCpu blocked(ArchParams::forArch(arch), seed,
-                               CpuModelKind::Blocked);
-                SimCpu ref(ArchParams::forArch(arch), seed,
-                           CpuModelKind::Reference);
-                PerfCounters bc = blocked.run(k, blocked_mem, 4000);
-                PerfCounters rc = ref.run(k, ref_mem, 4000);
-
-                std::string what = archName(arch) + std::string("/")
-                    + shape + "/seed " + std::to_string(seed);
-                expectSameCounters(bc, rc, what);
-                ASSERT_EQ(blocked_mem.accesses.size(),
-                          ref_mem.accesses.size())
-                    << what;
-                for (std::size_t i = 0; i < ref_mem.accesses.size(); ++i) {
-                    ASSERT_EQ(blocked_mem.accesses[i].first,
-                              ref_mem.accesses[i].first)
-                        << what << " access " << i;
-                    // Same address AND same bit-exact issue time.
-                    ASSERT_EQ(blocked_mem.accesses[i].second,
-                              ref_mem.accesses[i].second)
-                        << what << " access " << i;
-                }
+                RecordingMemory blocked_mem(60.0), ref_mem(60.0);
+                expectCoresAgree(arch, seed, shapedKernel(shape), 4000,
+                                 blocked_mem, ref_mem,
+                                 archName(arch) + "/" + shape + "/seed "
+                                     + std::to_string(seed));
             }
         }
     }
@@ -136,19 +81,19 @@ namespace
  * order, and the repeated 60 ns entry produces tied release times, so
  * the fill-buffer pool sees the orderings a fixed latency never does.
  */
-class VariableLatencyMemory : public MemoryBackend
+class VariableLatencyMemory : public RecordingMemory
 {
   public:
+    VariableLatencyMemory() : RecordingMemory(0.0) {}
+
     Ns
     dramAccess(PhysAddr pa, Ns now) override
     {
         static constexpr Ns kLatencies[] = {14.0, 60.0, 60.0, 210.0};
         Ns lat = kLatencies[hashCombine(pa, accesses.size()) & 3];
-        accesses.push_back({pa, now});
+        RecordingMemory::dramAccess(pa, now);
         return lat;
     }
-
-    std::vector<std::pair<PhysAddr, Ns>> accesses;
 };
 
 /**
@@ -174,23 +119,16 @@ TEST(CpuOracle, VariableLatencyBackendIdenticalEverywhere)
 {
     for (Arch arch : allArchs) {
         for (std::uint64_t seed : {3ULL, 71ULL}) {
-            HammerKernel k = mixedKernel();
             VariableLatencyMemory blocked_mem, ref_mem;
-            SimCpu blocked(ArchParams::forArch(arch), seed,
-                           CpuModelKind::Blocked);
-            SimCpu ref(ArchParams::forArch(arch), seed,
-                       CpuModelKind::Reference);
-            PerfCounters bc = blocked.run(k, blocked_mem, 20000);
-            PerfCounters rc = ref.run(k, ref_mem, 20000);
-
             std::string what = archName(arch) + std::string("/mixed/seed ")
                 + std::to_string(seed);
-            expectSameCounters(bc, rc, what);
+            PerfCounters rc = expectCoresAgree(arch, seed, mixedKernel(),
+                                               20000, blocked_mem, ref_mem,
+                                               what);
             // The pool must have filled, or no release order was tested.
             EXPECT_GT(rc.dramAccesses,
                       ArchParams::forArch(arch).lfbSize * 10)
                 << what;
-            ASSERT_EQ(blocked_mem.accesses, ref_mem.accesses) << what;
         }
     }
 }
@@ -202,7 +140,7 @@ TEST(CpuOracle, RngStreamHandoffSpansRuns)
     // engine would have left it, or the second run diverges.
     for (const char *shape : {"obfuscated", "plain"}) {
         HammerKernel k = shapedKernel(shape);
-        RecordingMemory m1, m2;
+        RecordingMemory m1(60.0), m2(60.0);
         SimCpu blocked(ArchParams::forArch(Arch::RaptorLake), 5,
                        CpuModelKind::Blocked);
         SimCpu ref(ArchParams::forArch(Arch::RaptorLake), 5,
@@ -217,16 +155,9 @@ TEST(CpuOracle, RngStreamHandoffSpansRuns)
 
 TEST(CpuOracle, ZeroBudgetMatchesReferenceEdge)
 {
-    HammerKernel k = shapedKernel("plain");
-    RecordingMemory m1, m2;
-    SimCpu blocked(ArchParams::forArch(Arch::AlderLake), 3,
-                   CpuModelKind::Blocked);
-    SimCpu ref(ArchParams::forArch(Arch::AlderLake), 3,
-               CpuModelKind::Reference);
-    PerfCounters bc = blocked.run(k, m1, 0);
-    PerfCounters rc = ref.run(k, m2, 0);
-    expectSameCounters(bc, rc, "zero budget");
-    EXPECT_EQ(m1.accesses.size(), m2.accesses.size());
+    RecordingMemory m1(60.0), m2(60.0);
+    expectCoresAgree(Arch::AlderLake, 3, shapedKernel("plain"), 0, m1, m2,
+                     "zero budget");
 }
 
 TEST(CpuOracle, GoldenTraceIdenticalWhenTraced)
@@ -251,69 +182,12 @@ TEST(CpuOracle, GoldenTraceIdenticalWhenTraced)
               traced(CpuModelKind::Reference));
 }
 
-namespace
-{
-
-/** The pinned quickstart campaign, through either CPU engine. */
-SweepResult
-campaignRun(unsigned jobs, CpuModelKind kind,
-            std::vector<TraceEvent> &trace)
-{
-    SystemSpec spec(Arch::RaptorLake, DimmProfile::byId("S2"));
-    spec.cpuModel = kind;
-    spec.trace.enabled = true;
-    spec.trace.categories = CatDram | CatTrr | CatFlip | CatPhase;
-    HammerConfig cfg = rhoConfig(Arch::RaptorLake, true, 2000);
-    Rng rng(42);
-    HammerPattern pattern = HammerPattern::randomNonUniform(rng);
-    SweepParams params;
-    params.numLocations = 2;
-    params.jobs = jobs;
-    trace.clear();
-    return sweepCampaign(spec, pattern, cfg, params, 42, nullptr,
-                         nullptr, &trace);
-}
-
-bool
-sameFlips(const std::vector<FlipRecord> &a,
-          const std::vector<FlipRecord> &b)
-{
-    if (a.size() != b.size())
-        return false;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        if (a[i].bank != b[i].bank || a[i].row != b[i].row
-            || a[i].bitOffset != b[i].bitOffset
-            || a[i].toOne != b[i].toOne || a[i].when != b[i].when)
-            return false;
-    }
-    return true;
-}
-
-} // namespace
-
-TEST(CpuOracle, CampaignFlipsAndTracesIdenticalAcrossModesAndJobs)
-{
-    for (unsigned jobs : {1u, 8u}) {
-        std::vector<TraceEvent> blocked_tr, ref_tr;
-        SweepResult blocked =
-            campaignRun(jobs, CpuModelKind::Blocked, blocked_tr);
-        SweepResult ref =
-            campaignRun(jobs, CpuModelKind::Reference, ref_tr);
-        EXPECT_EQ(goldenSerialize(blocked_tr), goldenSerialize(ref_tr))
-            << "trace diverged, jobs " << jobs;
-        EXPECT_TRUE(sameFlips(blocked.flipList, ref.flipList))
-            << "flip list diverged, jobs " << jobs;
-        EXPECT_EQ(blocked.totalFlips, ref.totalFlips);
-        EXPECT_EQ(blocked.simTimeNs, ref.simTimeNs);
-    }
-}
-
 TEST(CpuOracle, Sec53ShapedSessionIdentical)
 {
     // The sec53_end_to_end workload shape (single-bank rho config on
-    // S4): full HammerSession through both engines must agree on acts,
-    // flips and the simulated clock.
-    auto sessionRun = [](CpuModelKind kind, std::vector<FlipRecord> &fl) {
+    // S4): full HammerSession through both engines must agree on the
+    // device totals, the flip log and the simulated clock.
+    auto sessionRun = [](CpuModelKind kind) {
         SystemSpec spec(Arch::RaptorLake, DimmProfile::byId("S4"));
         spec.cpuModel = kind;
         MemorySystem sys(spec);
@@ -323,18 +197,8 @@ TEST(CpuOracle, Sec53ShapedSessionIdentical)
         HammerLocation loc =
             session.tryRandomLocation(pattern, cfg).loc.value();
         session.hammer(pattern, loc, cfg);
-        fl = sys.dimm().flipLog();
-        struct
-        {
-            std::uint64_t acts;
-            Ns clock;
-        } out{sys.dimm().totalActs(), sys.now()};
-        return std::pair<std::uint64_t, Ns>{out.acts, out.clock};
+        return deviceDigest(sys);
     };
-    std::vector<FlipRecord> blocked_fl, ref_fl;
-    auto blocked = sessionRun(CpuModelKind::Blocked, blocked_fl);
-    auto ref = sessionRun(CpuModelKind::Reference, ref_fl);
-    EXPECT_EQ(blocked.first, ref.first);
-    EXPECT_EQ(blocked.second, ref.second); // bit-identical sim clock
-    EXPECT_TRUE(sameFlips(blocked_fl, ref_fl));
+    expectSameDigest(sessionRun(CpuModelKind::Blocked),
+                     sessionRun(CpuModelKind::Reference), "sec53 session");
 }

@@ -4,16 +4,16 @@
  * machinery, the disturbance/flip mechanism, and the data path.
  */
 
-#include <cmath>
-
 #include <gtest/gtest.h>
 
+#include "differential.hh"
 #include "dram/controller.hh"
 #include "dram/dimm.hh"
 #include "dram/dimm_profile.hh"
 #include "mapping/mapping_presets.hh"
 
 using namespace rho;
+using namespace rho::test;
 
 namespace
 {
@@ -23,14 +23,6 @@ makeDimm(const std::string &id = "S2", TrrConfig trr = TrrConfig{})
 {
     const auto &prof = DimmProfile::byId(id);
     return Dimm(prof, DramTiming::ddr4(prof.freqMts), trr);
-}
-
-TrrConfig
-noTrr()
-{
-    TrrConfig t;
-    t.enabled = false;
-    return t;
 }
 
 } // namespace
@@ -147,12 +139,7 @@ TEST(Dimm, SameBankActsRespectTrc)
 TEST(Dimm, DisturbanceFlipsVictim)
 {
     // Synthetic profile with one dense weak row region and TRR off.
-    DimmProfile p = DimmProfile::byId("S4");
-    p.weakCellsPerRow = 4.0;
-    p.hcLogMean = std::log(2000.0);
-    p.hcLogSigma = 0.1;
-    p.hcMin = 1500;
-    Dimm d(p, DramTiming::ddr4(2666), noTrr());
+    Dimm d(denseProfile(), DramTiming::ddr4(2666), noTrr());
 
     std::uint64_t agg1 = 5000, victim = 5001, agg2 = 5002;
     d.fillRow(0, victim, 0x55, 0.0);
@@ -173,12 +160,7 @@ TEST(Dimm, DisturbanceFlipsVictim)
 
 TEST(Dimm, VictimActivationRestoresCharge)
 {
-    DimmProfile p = DimmProfile::byId("S4");
-    p.weakCellsPerRow = 4.0;
-    p.hcLogMean = std::log(2000.0);
-    p.hcLogSigma = 0.1;
-    p.hcMin = 1500;
-    Dimm d(p, DramTiming::ddr4(2666), noTrr());
+    Dimm d(denseProfile(), DramTiming::ddr4(2666), noTrr());
 
     std::uint64_t agg1 = 5000, victim = 5001, agg2 = 5002;
     d.fillRow(0, victim, 0x55, 0.0);
@@ -196,12 +178,8 @@ TEST(Dimm, VictimActivationRestoresCharge)
 
 TEST(Dimm, AutoRefreshResetsDisturbance)
 {
-    DimmProfile p = DimmProfile::byId("S4");
-    p.weakCellsPerRow = 4.0;
-    p.hcLogMean = std::log(3000.0);
-    p.hcLogSigma = 0.1;
-    p.hcMin = 2500;
-    Dimm d(p, DramTiming::ddr4(2666), noTrr());
+    Dimm d(weakCells(DimmProfile::byId("S4"), 4.0, 3000.0, 0.1, 2500),
+           DramTiming::ddr4(2666), noTrr());
     const auto &t = d.timing();
 
     std::uint64_t agg1 = 7000, victim = 7001, agg2 = 7002;

@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include "differential.hh"
 #include "dram/dimm.hh"
 #include "dram/ecc.hh"
 #include "dram/timing.hh"
@@ -26,32 +27,7 @@
 #include "trace/tracer.hh"
 
 using namespace rho;
-
-namespace
-{
-
-TrrConfig
-noTrr()
-{
-    TrrConfig t;
-    t.enabled = false;
-    return t;
-}
-
-/** Dense weak-cell field so codewords collect multi-bit errors. */
-DimmProfile
-denseProfile()
-{
-    DimmProfile p = DimmProfile::byId("S4");
-    p.id = "dense";
-    p.weakCellsPerRow = 40.0;
-    p.hcLogMean = std::log(1500.0);
-    p.hcLogSigma = 0.2;
-    p.hcMin = 800;
-    return p;
-}
-
-} // namespace
+using namespace rho::test;
 
 // ---------------------------------------------------------------------
 // Pure decoder: exhaustive metamorphic pinning
@@ -174,7 +150,7 @@ hammerNeighbourhood(Dimm &d, std::uint8_t fill)
 TEST(DimmEcc, VisibleFlipsAreTheDecodedRawField)
 {
     const std::uint8_t fill = 0xA5;
-    const DimmProfile prof = denseProfile();
+    const DimmProfile prof = multiBitProfile();
     EccConfig ecc_on;
     ecc_on.enabled = true;
 
@@ -241,7 +217,7 @@ TEST(DimmEcc, CorrectionEventsLandOnTheReadPath)
     const std::uint8_t fill = 0xA5;
     EccConfig ecc_on;
     ecc_on.enabled = true;
-    Dimm d(denseProfile(), DramTiming::ddr4(2666), noTrr(), RfmConfig{},
+    Dimm d(multiBitProfile(), DramTiming::ddr4(2666), noTrr(), RfmConfig{},
            PracConfig{}, ecc_on);
     Tracer tracer(TraceConfig{true, CatFlip, std::size_t{1} << 20});
     d.setTracer(&tracer);
@@ -271,7 +247,7 @@ TEST(DimmEcc, SingleBitEscapeIsHealedOnByteRead)
     const std::uint8_t fill = 0xA5;
     EccConfig ecc_on;
     ecc_on.enabled = true;
-    const DimmProfile prof = denseProfile();
+    const DimmProfile prof = multiBitProfile();
     Dimm raw(prof, DramTiming::ddr4(2666), noTrr());
     Dimm cooked(prof, DramTiming::ddr4(2666), noTrr(), RfmConfig{},
                 PracConfig{}, ecc_on);

@@ -6,17 +6,17 @@
  * under the default chaos schedule, and checkpoint/resume of the
  * campaign engines after a simulated mid-run kill.
  *
- * Set RHO_CHAOS_SEED to re-run the chaos scenarios under a different
- * fault-randomness seed (CI sweeps several).
+ * Set RHO_CHAOS_SEED (an unsigned decimal) to re-run the chaos
+ * scenarios under a different fault-randomness seed (CI sweeps several).
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include "differential.hh"
 #include "exploit/massage.hh"
 #include "exploit/pte_attack.hh"
 #include "fault/fault_injector.hh"
@@ -28,6 +28,7 @@
 #include "revng/reverse_engineer.hh"
 
 using namespace rho;
+using namespace rho::test;
 
 namespace
 {
@@ -35,9 +36,7 @@ namespace
 std::uint64_t
 chaosSeed()
 {
-    if (const char *s = std::getenv("RHO_CHAOS_SEED"))
-        return std::strtoull(s, nullptr, 0);
-    return 1234;
+    return envKnob("RHO_CHAOS_SEED", 1234);
 }
 
 } // namespace

@@ -21,13 +21,14 @@
 
 #include <map>
 
+#include "differential.hh"
 #include "dram/dimm.hh"
 #include "dram/prac.hh"
 #include "hammer/hammer_session.hh"
 #include "hammer/tuned_configs.hh"
-#include "trace/golden.hh"
 
 using namespace rho;
+using namespace rho::test;
 
 namespace
 {
@@ -168,8 +169,7 @@ TEST(PracDimm, CountersPersistAcrossRefreshWindows)
     // interval — and the alert still fires once the cumulative count
     // crosses.
     const DimmProfile &d1 = DimmProfile::ddr5Sample();
-    TrrConfig no_trr;
-    no_trr.enabled = false;
+    const TrrConfig no_trr = noTrr();
     PracConfig prac;
     prac.enabled = true;
     prac.threshold = 64;
@@ -192,8 +192,7 @@ TEST(PracDimm, AlertProtectsVictimsBeforeFlip)
     // threshold provisioned under hcMin / 2.16, the victim can never
     // reach its flip threshold.
     const DimmProfile &d1 = DimmProfile::ddr5Sample();
-    TrrConfig no_trr;
-    no_trr.enabled = false;
+    const TrrConfig no_trr = noTrr();
     PracConfig prac;
     prac.enabled = true;
     prac.threshold = 512;
@@ -205,10 +204,7 @@ TEST(PracDimm, AlertProtectsVictimsBeforeFlip)
     auto hammer = [](Dimm &d) {
         d.fillRow(0, 5001, 0x55, 0.0);
         Ns now = 0.0;
-        for (int i = 0; i < 20000; ++i) {
-            now += d.access({0, 5000, 0}, now).latency;
-            now += d.access({0, 5002, 0}, now).latency;
-        }
+        now = hammerVictim(d, 5001, now, 20000);
         return d.diffRow(0, 5001, 0x55, now).size();
     };
 
@@ -237,8 +233,7 @@ TEST(PracProperty, SafetyInvariantHoldsForFuzzedPatterns)
     const double bound = disturbBound(prac.threshold);
     ASSERT_LT(bound, static_cast<double>(d1.hcMin));
 
-    TrrConfig no_trr;
-    no_trr.enabled = false;
+    const TrrConfig no_trr = noTrr();
 
     HammerConfig cfg = rhoConfig(Arch::RaptorLake, true, 40000);
     PatternParams pparams; // stock fuzzer generation knobs
@@ -366,48 +361,33 @@ TEST(PracDimm, ResetDeviceMatchesFreshDeviceWithRfmAndPrac)
     prac.enabled = true;
     prac.threshold = 256;
 
-    auto script = [](Dimm &d, std::vector<TraceEvent> &out) {
-        Tracer tr(TraceConfig{
-            true, CatDram | CatDisturb | CatTrr | CatFlip,
-            std::size_t{1} << 21});
-        d.setTracer(&tr);
+    auto script = [](Dimm &d) {
         Ns now = 0.0;
         d.fillRow(0, 5001, 0x55, now);
-        for (int i = 0; i < 3000; ++i) {
-            now += d.access({0, 5000, 0}, now).latency;
-            now += d.access({0, 5002, 0}, now).latency;
-        }
-        d.setTracer(nullptr);
-        EXPECT_EQ(tr.dropped(), 0u);
-        out = tr.events();
+        now = hammerVictim(d, 5001, now);
     };
-
-    std::vector<TraceEvent> fresh_tr, reused_tr;
+    const std::uint32_t cats = CatDram | CatDisturb | CatTrr | CatFlip;
     Dimm fresh(d1, DramTiming::ddr5(4800), trr, rfm, prac);
-    script(fresh, fresh_tr);
+    Digest want = traceDimm(fresh, cats, script);
 
     Dimm reused(d1, DramTiming::ddr5(4800), trr, rfm, prac);
-    script(reused, reused_tr); // dirty RAA, PRAC counters, stalls
+    traceDimm(reused, cats, script); // dirty RAA, PRAC counters, stalls
     reused.reset();
     EXPECT_EQ(reused.totalActs(), 0u);
     EXPECT_EQ(reused.rfmCommandCount(), 0u);
     EXPECT_EQ(reused.pracAlertCount(), 0u);
     EXPECT_EQ(reused.rfmStallNs(), 0.0);
     EXPECT_EQ(reused.aboStallNs(), 0.0);
-    script(reused, reused_tr);
 
-    EXPECT_EQ(goldenSerialize(fresh_tr), goldenSerialize(reused_tr));
-    EXPECT_EQ(fresh.totalActs(), reused.totalActs());
-    EXPECT_EQ(fresh.rfmCommandCount(), reused.rfmCommandCount());
-    EXPECT_EQ(fresh.pracAlertCount(), reused.pracAlertCount());
+    expectSameDigest(traceDimm(reused, cats, script), want, "reset device");
     EXPECT_EQ(fresh.rfmStallNs(), reused.rfmStallNs());
     EXPECT_EQ(fresh.aboStallNs(), reused.aboStallNs());
 
     // The scenario must exercise all three new machinery paths.
-    EXPECT_GT(fresh.rfmCommandCount(), 0u);
-    EXPECT_GT(fresh.pracAlertCount(), 0u);
+    EXPECT_GT(want.rfmCommands, 0u);
+    EXPECT_GT(want.pracAlerts, 0u);
     std::size_t alerts = 0, abo = 0, stalls = 0;
-    for (const TraceEvent &e : fresh_tr) {
+    for (const TraceEvent &e : traceEvents(want)) {
         alerts += e.kind == EventKind::PracAlert;
         abo += e.kind == EventKind::AboRefresh;
         stalls += e.kind == EventKind::MitigationStall;

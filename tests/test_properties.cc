@@ -6,12 +6,14 @@
  * and CPU-engine equivalence over fuzzed hammer kernels.
  */
 
+#include <algorithm>
 #include <map>
 #include <set>
 
 #include <gtest/gtest.h>
 
 #include "cpu/sim_cpu.hh"
+#include "differential.hh"
 #include "dram/dimm.hh"
 #include "hammer/sweep.hh"
 #include "hammer/tuned_configs.hh"
@@ -20,6 +22,7 @@
 #include "os/vm.hh"
 
 using namespace rho;
+using namespace rho::test;
 
 /**
  * GF(2) round-trip over every Table 4 preset: for each architecture
@@ -170,14 +173,9 @@ class RefreshPhase : public ::testing::TestWithParam<unsigned>
  */
 TEST_P(RefreshPhase, SubThresholdNeverFlips)
 {
-    DimmProfile p = DimmProfile::byId("S4");
-    p.weakCellsPerRow = 5.0;
-    p.hcLogMean = std::log(3000.0);
-    p.hcLogSigma = 0.05;
-    p.hcMin = 2600;
-    TrrConfig no;
-    no.enabled = false;
-    Dimm d(p, DramTiming::ddr4(2666), no);
+    DimmProfile p =
+        weakCells(DimmProfile::byId("S4"), 5.0, 3000.0, 0.05, 2600);
+    Dimm d(p, DramTiming::ddr4(2666), noTrr());
 
     std::uint64_t base = 4000 + GetParam() * 64;
     d.fillRow(0, base + 1, 0x55, 0.0);
@@ -196,14 +194,9 @@ TEST_P(RefreshPhase, SubThresholdNeverFlips)
 /** And the same pressure delivered fast (within one window) flips. */
 TEST_P(RefreshPhase, SuperThresholdFlips)
 {
-    DimmProfile p = DimmProfile::byId("S4");
-    p.weakCellsPerRow = 5.0;
-    p.hcLogMean = std::log(3000.0);
-    p.hcLogSigma = 0.05;
-    p.hcMin = 2600;
-    TrrConfig no;
-    no.enabled = false;
-    Dimm d(p, DramTiming::ddr4(2666), no);
+    DimmProfile p =
+        weakCells(DimmProfile::byId("S4"), 5.0, 3000.0, 0.05, 2600);
+    Dimm d(p, DramTiming::ddr4(2666), noTrr());
 
     // Three sandwiched victims: the probability that none of them
     // carries an eligible weak cell is negligible.
@@ -285,14 +278,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, BuddyStress, ::testing::Range(0u, 8u));
  */
 TEST(Disturbance, LogAgreesWithDataDiff)
 {
-    DimmProfile p = DimmProfile::byId("S4");
-    p.weakCellsPerRow = 2.0;
-    p.hcLogMean = std::log(2500.0);
-    p.hcLogSigma = 0.2;
-    p.hcMin = 1800;
-    TrrConfig no;
-    no.enabled = false;
-    Dimm d(p, DramTiming::ddr4(2666), no);
+    DimmProfile p =
+        weakCells(DimmProfile::byId("S4"), 2.0, 2500.0, 0.2, 1800);
+    Dimm d(p, DramTiming::ddr4(2666), noTrr());
 
     std::vector<std::uint64_t> victims = {1001, 1003, 1005};
     for (auto v : victims)
@@ -318,20 +306,6 @@ TEST(Disturbance, LogAgreesWithDataDiff)
 
 namespace
 {
-
-/** Backend recording every DRAM access the core issues. */
-class RecordingBackend : public MemoryBackend
-{
-  public:
-    Ns
-    dramAccess(PhysAddr pa, Ns now) override
-    {
-        accesses.push_back({pa, now});
-        return 55.0;
-    }
-
-    std::vector<std::pair<PhysAddr, Ns>> accesses;
-};
 
 /**
  * A random but well-formed kernel body: arbitrary interleavings of
@@ -410,42 +384,16 @@ TEST(CpuEngineProperties, FuzzedKernelsReplayIdentically)
         std::uint64_t seed = hashCombine(trial, 0x5eed);
         Ns start = trial * 1e5;
 
-        RecordingBackend blocked_mem, ref_mem;
-        SimCpu blocked(ArchParams::forArch(arch), seed,
-                       CpuModelKind::Blocked);
-        SimCpu ref(ArchParams::forArch(arch), seed,
-                   CpuModelKind::Reference);
-        PerfCounters bc = blocked.run(k, blocked_mem, 1500, start);
-        PerfCounters rc = ref.run(k, ref_mem, 1500, start);
-
-        std::string what =
-            "trial " + std::to_string(trial) + " " + archName(arch);
-        EXPECT_EQ(bc.memReads, rc.memReads) << what;
-        EXPECT_EQ(bc.dramAccesses, rc.dramAccesses) << what;
-        EXPECT_EQ(bc.cacheHits, rc.cacheHits) << what;
-        EXPECT_EQ(bc.pfQueueDrops, rc.pfQueueDrops) << what;
-        EXPECT_EQ(bc.flushes, rc.flushes) << what;
-        EXPECT_EQ(bc.branches, rc.branches) << what;
-        EXPECT_EQ(bc.branchMispredicts, rc.branchMispredicts) << what;
-        EXPECT_EQ(bc.nops, rc.nops) << what;
-        EXPECT_EQ(bc.timeNs, rc.timeNs) << what;
-
-        ASSERT_EQ(blocked_mem.accesses.size(), ref_mem.accesses.size())
-            << what;
-        for (std::size_t i = 0; i < ref_mem.accesses.size(); ++i) {
-            ASSERT_EQ(blocked_mem.accesses[i].first,
-                      ref_mem.accesses[i].first)
-                << what << " access " << i;
-            ASSERT_EQ(blocked_mem.accesses[i].second,
-                      ref_mem.accesses[i].second)
-                << what << " access " << i;
-            // The DRAM command stream never travels backwards in time.
-            if (i > 0) {
-                ASSERT_GE(blocked_mem.accesses[i].second,
-                          blocked_mem.accesses[i - 1].second)
-                    << what << " access " << i;
-            }
-        }
+        RecordingMemory blocked_mem(55.0), ref_mem(55.0);
+        expectCoresAgree(arch, seed, k, 1500, blocked_mem, ref_mem,
+                         "trial " + std::to_string(trial) + " "
+                             + archName(arch),
+                         start);
+        // The DRAM command stream never travels backwards in time.
+        EXPECT_TRUE(std::is_sorted(
+            blocked_mem.accesses.begin(), blocked_mem.accesses.end(),
+            [](const auto &a, const auto &b) { return a.second < b.second; }))
+            << "trial " << trial;
     }
 }
 

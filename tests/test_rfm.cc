@@ -9,12 +9,14 @@
 
 #include <gtest/gtest.h>
 
+#include "differential.hh"
 #include "dram/dimm.hh"
 #include "dram/rfm.hh"
 #include "hammer/pattern_fuzzer.hh"
 #include "hammer/tuned_configs.hh"
 
 using namespace rho;
+using namespace rho::test;
 
 TEST(RfmEngine, FiresEveryRaaimtActs)
 {
@@ -194,8 +196,7 @@ TEST(Ddr5, RfmStopsNonUniformHammering)
     // The same double-sided pressure that flips a DDR4 part is fully
     // absorbed by RFM on the DDR5 sample, even with TRR disabled.
     const DimmProfile &d1 = DimmProfile::ddr5Sample();
-    TrrConfig no_trr;
-    no_trr.enabled = false;
+    const TrrConfig no_trr = noTrr();
     RfmConfig rfm;
     rfm.enabled = true;
 
@@ -205,10 +206,7 @@ TEST(Ddr5, RfmStopsNonUniformHammering)
     auto hammer = [](Dimm &d) {
         d.fillRow(0, 5001, 0x55, 0.0);
         Ns now = 0.0;
-        for (int i = 0; i < 20000; ++i) {
-            now += d.access({0, 5000, 0}, now).latency;
-            now += d.access({0, 5002, 0}, now).latency;
-        }
+        now = hammerVictim(d, 5001, now, 20000);
         return d.diffRow(0, 5001, 0x55, now).size();
     };
 
@@ -225,8 +223,7 @@ TEST(Ddr5, RefDecrementReducesDeviceRfmRate)
     // hammer pressure owes strictly fewer RFMs when regular refresh
     // subtracts from the rolling count than when it barely does.
     const DimmProfile &d1 = DimmProfile::ddr5Sample();
-    TrrConfig no_trr;
-    no_trr.enabled = false;
+    const TrrConfig no_trr = noTrr();
 
     auto run = [&](std::uint32_t ref_dec) {
         RfmConfig rfm;
@@ -234,10 +231,7 @@ TEST(Ddr5, RefDecrementReducesDeviceRfmRate)
         rfm.refDecrement = ref_dec;
         Dimm d(d1, DramTiming::ddr5(4800), no_trr, rfm);
         Ns now = 0.0;
-        for (int i = 0; i < 20000; ++i) {
-            now += d.access({0, 5000, 0}, now).latency;
-            now += d.access({0, 5002, 0}, now).latency;
-        }
+        now = hammerVictim(d, 5001, now, 20000);
         return d.rfmCommandCount();
     };
 

@@ -1,211 +1,30 @@
 /**
  * @file
- * Row-state storage tests: differential equivalence of the flat
+ * Row-state storage tests: device-level differentials of the flat
  * fast-path store against the reference hash-map store (byte-identical
- * traces, identical flip sequences, across seeds and job counts), the
+ * traces, identical flip sequences and counters; the campaign-level
+ * cells run in the engine matrix of tests/differential.hh), the
  * flat store's lazy weak-cell materialization at the hcMin boundary
  * and on the broad-row reverse-engineering path, the Dimm::reset()
  * mitigation-state regression, and the flip-latch re-arm semantics
  * documented in dimm.hh.
  */
 
-#include <cmath>
 #include <set>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "differential.hh"
 #include "dram/dimm.hh"
-#include "dram/dimm_profile.hh"
 #include "fault/fault_injector.hh"
-#include "hammer/sweep.hh"
-#include "hammer/tuned_configs.hh"
 #include "os/buddy_allocator.hh"
 #include "os/pagemap.hh"
 #include "revng/reverse_engineer.hh"
-#include "trace/golden.hh"
-#include "trace/tracer.hh"
 
 using namespace rho;
-
-namespace
-{
-
-/** Synthetic dense weak-cell profile (same shape test_dram.cc uses). */
-DimmProfile
-denseProfile()
-{
-    DimmProfile p = DimmProfile::byId("S4");
-    p.weakCellsPerRow = 4.0;
-    p.hcLogMean = std::log(2000.0);
-    p.hcLogSigma = 0.1;
-    p.hcMin = 1500;
-    return p;
-}
-
-TrrConfig
-noTrr()
-{
-    TrrConfig t;
-    t.enabled = false;
-    return t;
-}
-
-bool
-sameFlips(const std::vector<FlipRecord> &a,
-          const std::vector<FlipRecord> &b)
-{
-    if (a.size() != b.size())
-        return false;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        if (a[i].bank != b[i].bank || a[i].row != b[i].row
-            || a[i].bitOffset != b[i].bitOffset
-            || a[i].toOne != b[i].toOne || a[i].when != b[i].when)
-            return false;
-    }
-    return true;
-}
-
-/** Double-sided hammer around a victim until well past threshold. */
-Ns
-hammerVictim(Dimm &d, std::uint64_t victim, Ns now, int rounds = 3000)
-{
-    for (int i = 0; i < rounds; ++i) {
-        now += d.access({0, victim - 1, 0}, now).latency;
-        now += d.access({0, victim + 1, 0}, now).latency;
-    }
-    return now;
-}
-
-/** The pinned quickstart campaign, through either row store. */
-SweepResult
-quickstartRun(unsigned jobs, bool reference,
-              std::vector<TraceEvent> &trace)
-{
-    SystemSpec spec(Arch::RaptorLake, DimmProfile::byId("S2"));
-    spec.referenceRowStore = reference;
-    spec.trace.enabled = true;
-    spec.trace.categories = CatDram | CatTrr | CatFlip | CatPhase;
-    HammerConfig cfg = rhoConfig(Arch::RaptorLake, true, 2000);
-    Rng rng(42);
-    HammerPattern pattern = HammerPattern::randomNonUniform(rng);
-    SweepParams params;
-    params.numLocations = 2;
-    params.jobs = jobs;
-    trace.clear();
-    return sweepCampaign(spec, pattern, cfg, params, 42, nullptr,
-                         nullptr, &trace);
-}
-
-/** The pinned TRR-evasion scenario, through either row store. */
-std::vector<TraceEvent>
-trrEvasionRun(std::uint64_t seed, bool reference,
-              std::vector<FlipRecord> &flips)
-{
-    TrrConfig trr;
-    trr.sampleProb = 0.5;
-    trr.matchThreshold = 8;
-    trr.maxRefreshesPerTick = 4;
-    SystemSpec spec(Arch::RaptorLake, DimmProfile::byId("S2"), trr);
-    spec.referenceRowStore = reference;
-    MemorySystem sys(spec);
-    Tracer tracer(TraceConfig{
-        true, CatDram | CatDisturb | CatTrr | CatFlip | CatPhase,
-        std::size_t{1} << 22});
-    sys.attachTracer(&tracer);
-
-    HammerSession session(sys, seed);
-    HammerConfig cfg = rhoConfig(Arch::RaptorLake, true, 150000);
-    Rng rng(seed);
-
-    HammerPattern uniform = HammerPattern::doubleSided();
-    session.hammer(uniform,
-                   session.tryRandomLocation(uniform, cfg).loc.value(), cfg);
-    HammerPattern evading = HammerPattern::randomNonUniform(rng);
-    session.hammer(evading,
-                   session.tryRandomLocation(evading, cfg).loc.value(), cfg);
-
-    sys.attachTracer(nullptr);
-    EXPECT_EQ(tracer.dropped(), 0u);
-    flips = sys.dimm().flipLog();
-    return tracer.events();
-}
-
-} // namespace
-
-// ---------------------------------------------------------------------
-// Differential: flat vs. reference store
-// ---------------------------------------------------------------------
-
-TEST(RowStoreDifferential, QuickstartIdenticalAcrossStoresAndJobs)
-{
-    for (unsigned jobs : {1u, 8u}) {
-        std::vector<TraceEvent> flat_tr, ref_tr;
-        SweepResult flat = quickstartRun(jobs, false, flat_tr);
-        SweepResult ref = quickstartRun(jobs, true, ref_tr);
-        EXPECT_EQ(goldenSerialize(flat_tr), goldenSerialize(ref_tr))
-            << "trace diverged, jobs " << jobs;
-        EXPECT_TRUE(sameFlips(flat.flipList, ref.flipList))
-            << "flip list diverged, jobs " << jobs;
-        EXPECT_EQ(flat.totalFlips, ref.totalFlips);
-        EXPECT_EQ(flat.simTimeNs, ref.simTimeNs);
-    }
-}
-
-TEST(RowStoreDifferential, TrrEvasionIdenticalAcrossSeeds)
-{
-    unsigned total_flips = 0;
-    for (std::uint64_t seed : {9ULL, 101ULL, 202ULL}) {
-        std::vector<FlipRecord> flat_fl, ref_fl;
-        auto flat_tr = trrEvasionRun(seed, false, flat_fl);
-        auto ref_tr = trrEvasionRun(seed, true, ref_fl);
-        EXPECT_EQ(goldenSerialize(flat_tr), goldenSerialize(ref_tr))
-            << "trace diverged, seed " << seed;
-        EXPECT_TRUE(sameFlips(flat_fl, ref_fl))
-            << "flip log diverged, seed " << seed;
-        total_flips += flat_fl.size();
-    }
-    // The scenario must actually exercise the flip path.
-    EXPECT_GT(total_flips, 0u);
-}
-
-TEST(RowStoreDifferential, ColdRowChurnMatchesReference)
-{
-    // Thousands of distinct rows force the open-addressed index to
-    // grow and the direct-mapped caches to alias (stride 64 maps every
-    // row onto one way), exercising every cold path against the
-    // reference store.
-    auto churn = [](RowStoreKind kind, std::vector<TraceEvent> &out) {
-        const DimmProfile &p = DimmProfile::byId("S4");
-        Dimm d(p, DramTiming::ddr4(p.freqMts), TrrConfig{});
-        d.setRowStore(kind);
-        Tracer tr(TraceConfig{true, CatAll, std::size_t{1} << 22});
-        d.setTracer(&tr);
-        Ns now = 0.0;
-        std::uint64_t rows = d.geometry().rowsPerBank;
-        for (std::uint64_t i = 0; i < 3000; ++i) {
-            std::uint64_t row = (i * 977) % rows;      // scattered
-            now += d.access({0, row, 0}, now).latency;
-            std::uint64_t aliased = (i * 64) % rows;   // one cache way
-            now += d.access({1, aliased, 0}, now).latency;
-        }
-        d.setTracer(nullptr);
-        EXPECT_EQ(tr.dropped(), 0u);
-        out = tr.events();
-        return d.flipLog();
-    };
-    std::vector<TraceEvent> flat_tr, ref_tr;
-    auto flat_fl = churn(RowStoreKind::Flat, flat_tr);
-    auto ref_fl = churn(RowStoreKind::Reference, ref_tr);
-    EXPECT_FALSE(flat_tr.empty());
-    EXPECT_EQ(goldenSerialize(flat_tr), goldenSerialize(ref_tr));
-    EXPECT_TRUE(sameFlips(flat_fl, ref_fl));
-}
-
-// ---------------------------------------------------------------------
-// Lazy weak-cell materialization (flat store) vs. eager (reference)
-// ---------------------------------------------------------------------
+using namespace rho::test;
 
 namespace
 {
@@ -220,30 +39,68 @@ std::vector<FlipRecord>
 expectStoresAgree(const DimmProfile &p, const DramTiming &timing,
                   const TrrConfig &trr, Script script)
 {
-    auto run = [&](RowStoreKind kind, std::vector<TraceEvent> &events,
-                   std::vector<std::uint64_t> &counters) {
+    auto run = [&](RowStoreKind kind) {
         Dimm d(p, timing, trr);
         d.setRowStore(kind);
-        Tracer tr(TraceConfig{true, CatAll, std::size_t{1} << 22});
-        d.setTracer(&tr);
-        script(d);
-        d.setTracer(nullptr);
-        EXPECT_EQ(tr.dropped(), 0u);
-        events = tr.events();
-        counters = {d.totalActs(), d.trrRefreshCount(),
-                    d.rfmCommandCount(), d.pracAlertCount()};
-        return d.flipLog();
+        return traceDimm(d, CatAll, script);
     };
-    std::vector<TraceEvent> flat_tr, ref_tr;
-    std::vector<std::uint64_t> flat_ctr, ref_ctr;
-    auto flat = run(RowStoreKind::Flat, flat_tr, flat_ctr);
-    auto ref = run(RowStoreKind::Reference, ref_tr, ref_ctr);
-    EXPECT_FALSE(flat_tr.empty());
-    EXPECT_EQ(goldenSerialize(flat_tr), goldenSerialize(ref_tr));
-    EXPECT_TRUE(sameFlips(flat, ref));
-    EXPECT_EQ(flat_ctr, ref_ctr);
-    return flat;
+    Digest flat = run(RowStoreKind::Flat);
+    EXPECT_FALSE(traceEvents(flat).empty());
+    expectSameDigest(flat, run(RowStoreKind::Reference), "flat vs reference");
+    return flat.flipList;
 }
+
+} // namespace
+
+// ---------------------------------------------------------------------
+// Differential: flat vs. reference store
+// ---------------------------------------------------------------------
+
+TEST(RowStoreDifferential, ColdRowChurnMatchesReference)
+{
+    // Thousands of distinct rows force the open-addressed index to
+    // grow and the direct-mapped caches to alias (stride 64 maps every
+    // row onto one way), exercising every cold path against the
+    // reference store.
+    const DimmProfile &p = DimmProfile::byId("S4");
+    expectStoresAgree(p, DramTiming::ddr4(p.freqMts), TrrConfig{}, [](Dimm &d) {
+        Ns now = 0.0;
+        std::uint64_t rows = d.geometry().rowsPerBank;
+        for (std::uint64_t i = 0; i < 3000; ++i) {
+            std::uint64_t row = (i * 977) % rows;      // scattered
+            now += d.access({0, row, 0}, now).latency;
+            std::uint64_t aliased = (i * 64) % rows;   // one cache way
+            now += d.access({1, aliased, 0}, now).latency;
+        }
+    });
+}
+
+TEST(RowStoreDifferential, TrrEvasionIdenticalAcrossSeeds)
+{
+    // Raptor Lake, seeds 9/101/202 at 150k ACTs, across the engine
+    // matrix; between them the seeds must flip so the flip path runs.
+    std::uint64_t total_flips = 0;
+    for (std::uint64_t seed : {9ULL, 101ULL, 202ULL}) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        Digest ref = expectMatrixMatches(
+            tracedSpec(Arch::RaptorLake, DimmProfile::byId("S2"),
+                       CatDram | CatDisturb | CatTrr | CatFlip | CatPhase,
+                       aggressiveTrr()),
+            {1u}, [seed](const SystemSpec &spec, unsigned jobs) {
+                return trrEvasionScenario(spec, seed, jobs, 150000);
+            });
+        EXPECT_FALSE(traceEvents(ref).empty());
+        total_flips += ref.flips;
+    }
+    EXPECT_GT(total_flips, 0u);
+}
+
+// ---------------------------------------------------------------------
+// Lazy weak-cell materialization (flat store) vs. eager (reference)
+// ---------------------------------------------------------------------
+
+namespace
+{
 
 /**
  * Thresholds straddling hcMin: about half the cells draw below it and
@@ -252,12 +109,7 @@ expectStoresAgree(const DimmProfile &p, const DramTiming &timing,
 DimmProfile
 clampedProfile()
 {
-    DimmProfile p = DimmProfile::byId("S4");
-    p.weakCellsPerRow = 4.0;
-    p.hcLogMean = std::log(1000.0);
-    p.hcLogSigma = 0.3;
-    p.hcMin = 1000;
-    return p;
+    return weakCells(DimmProfile::byId("S4"), 4.0, 1000.0, 0.3, 1000);
 }
 
 /**
@@ -318,24 +170,14 @@ TEST(LazyCells, FractionalHalfDoubleWeightsMatchReference)
     // fractional direct coupling (0.12 per ACT) and the refresh-sweep
     // disturbance (0.30 per TRR refresh), so their disturbance reaches
     // hcMin at non-integer steps.
-    DimmProfile p = DimmProfile::lpddr4Sample();
-    p.weakCellsPerRow = 4.0;
-    p.hcLogMean = std::log(400.0);
-    p.hcLogSigma = 0.3;
-    p.hcMin = 300;
-    TrrConfig trr;
-    trr.sampleProb = 0.5;
-    trr.matchThreshold = 8;
-    trr.maxRefreshesPerTick = 4;
+    DimmProfile p =
+        weakCells(DimmProfile::lpddr4Sample(), 4.0, 400.0, 0.3, 300);
     auto flips = expectStoresAgree(
-        p, DramTiming::lpddr4(p.freqMts), trr, [](Dimm &d) {
+        p, DramTiming::lpddr4(p.freqMts), aggressiveTrr(), [](Dimm &d) {
             Ns now = 0.0;
             for (std::uint64_t r = 4995; r <= 5005; ++r)
                 d.fillRow(0, r, 0x55, now);
-            for (int i = 0; i < 20000; ++i) {
-                now += d.access({0, 4999, 0}, now).latency;
-                now += d.access({0, 5001, 0}, now).latency;
-            }
+            now = hammerVictim(d, 5000, now, 20000);
         });
     EXPECT_GT(flipsInRow(flips, 4997) + flipsInRow(flips, 5003), 0u);
 }
@@ -389,7 +231,7 @@ TEST(LazyCells, WritesToUnmaterializedRowsMatchReference)
     EXPECT_EQ(reads[0], reads[1]);
     ASSERT_EQ(diffs[0].size(), diffs[1].size());
     for (std::size_t i = 0; i < diffs[0].size(); ++i)
-        EXPECT_TRUE(sameFlips(diffs[0][i], diffs[1][i])) << "row " << i;
+        EXPECT_TRUE(diffs[0][i] == diffs[1][i]) << "row " << i;
 }
 
 class LazyCellsBroadRow : public ::testing::TestWithParam<Arch>
@@ -435,7 +277,7 @@ TEST_P(LazyCellsBroadRow, ReverseEngineeringMatchesReference)
     EXPECT_EQ(flat.acts, ref.acts);
     EXPECT_GT(flat.acts, 0u);
     EXPECT_EQ(flat.trr, ref.trr);
-    EXPECT_TRUE(sameFlips(flat.flips, ref.flips));
+    EXPECT_TRUE(flat.flips == ref.flips);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllArchs, LazyCellsBroadRow,
@@ -476,47 +318,31 @@ TEST(DimmReset, ResetDeviceMatchesFreshDevice)
     // RAA below an interval this long and no RFM would ever fire.
     rfm.refDecrement = 1;
 
-    auto script = [](Dimm &d, std::vector<TraceEvent> &out) {
-        Tracer tr(TraceConfig{
-            true, CatDram | CatDisturb | CatTrr | CatFlip,
-            std::size_t{1} << 21});
-        d.setTracer(&tr);
+    auto script = [](Dimm &d) {
         Ns now = 0.0;
         d.fillRow(0, 5001, 0x55, now);
-        for (int i = 0; i < 3000; ++i) {
-            now += d.access({0, 5000, 0}, now).latency;
-            now += d.access({0, 5002, 0}, now).latency;
-        }
-        d.setTracer(nullptr);
-        EXPECT_EQ(tr.dropped(), 0u);
-        out = tr.events();
+        now = hammerVictim(d, 5001, now);
     };
-
-    std::vector<TraceEvent> fresh_tr, reused_tr;
+    const std::uint32_t cats = CatDram | CatDisturb | CatTrr | CatFlip;
     Dimm fresh(p, DramTiming::ddr4(2666), trr, rfm);
-    script(fresh, fresh_tr);
+    Digest want = traceDimm(fresh, cats, script);
 
     Dimm reused(p, DramTiming::ddr4(2666), trr, rfm);
-    script(reused, reused_tr); // dirty sampler tables, rng and RAA
+    traceDimm(reused, cats, script); // dirty sampler tables, rng and RAA
     reused.reset();
     EXPECT_EQ(reused.totalActs(), 0u);
     EXPECT_EQ(reused.flipLog().size(), 0u);
     EXPECT_EQ(reused.rfmCommandCount(), 0u);
-    script(reused, reused_tr);
 
-    // Identical flip sequence — and identical full event stream,
-    // which pins the sampler's randomness (TrrSample events) and the
-    // RAA bookkeeping (RfmRefresh events) byte-for-byte.
-    EXPECT_TRUE(sameFlips(fresh.flipLog(), reused.flipLog()));
-    EXPECT_GT(fresh.flipLog().size(), 0u);
-    EXPECT_EQ(goldenSerialize(fresh_tr), goldenSerialize(reused_tr));
-    EXPECT_EQ(fresh.totalActs(), reused.totalActs());
-    EXPECT_EQ(fresh.trrRefreshCount(), reused.trrRefreshCount());
-    EXPECT_EQ(fresh.rfmCommandCount(), reused.rfmCommandCount());
-    EXPECT_GE(fresh.rfmCommandCount(), 1u);
+    // Identical flip sequence and counters — and identical full event
+    // stream, which pins the sampler's randomness (TrrSample events)
+    // and the RAA bookkeeping (RfmRefresh events) byte-for-byte.
+    expectSameDigest(traceDimm(reused, cats, script), want, "reset device");
+    EXPECT_GT(want.flips, 0u);
+    EXPECT_GE(want.rfmCommands, 1u);
     // The scenario must actually exercise the sampler's rng.
     std::size_t samples = 0;
-    for (const TraceEvent &e : fresh_tr)
+    for (const TraceEvent &e : traceEvents(want))
         samples += e.kind == EventKind::TrrSample;
     EXPECT_GT(samples, 0u);
 }

@@ -33,6 +33,7 @@
 
 #include <gtest/gtest.h>
 
+#include "differential.hh"
 #include "dram/dimm.hh"
 #include "dram/timing.hh"
 #include "exploit/cross_vm.hh"
@@ -47,6 +48,7 @@
 #include "trace/tracer.hh"
 
 using namespace rho;
+using namespace rho::test;
 
 namespace
 {
@@ -70,69 +72,32 @@ goldenPath(const std::string &name)
 // ---------------------------------------------------------------------
 
 /**
- * Scaled-down quickstart pipeline: the sweep-campaign path that
- * examples/quickstart.cc exercises interactively, with a small budget
- * so the golden stays a few thousand events.
+ * Scaled-down quickstart pipeline: the harness's quickstart scenario
+ * on the Raptor Lake + S2 cell, small enough that the golden stays a
+ * few thousand events.
  */
 std::vector<TraceEvent>
 quickstartTrace(unsigned jobs)
 {
-    SystemSpec spec(Arch::RaptorLake, DimmProfile::byId("S2"));
-    spec.trace.enabled = true;
-    spec.trace.categories = CatDram | CatTrr | CatFlip | CatPhase;
-    HammerConfig cfg = rhoConfig(Arch::RaptorLake, true, 2000);
-    Rng rng(42);
-    HammerPattern pattern = HammerPattern::randomNonUniform(rng);
-    SweepParams params;
-    params.numLocations = 2;
-    params.jobs = jobs;
-    std::vector<TraceEvent> trace;
-    sweepCampaign(spec, pattern, cfg, params, 42, nullptr, nullptr,
-                  &trace);
-    return trace;
-}
-
-/** An aggressive sampler that uniform hammering cannot stay under. */
-TrrConfig
-aggressiveTrr()
-{
-    TrrConfig trr;
-    trr.sampleProb = 0.5;
-    trr.matchThreshold = 8;
-    trr.maxRefreshesPerTick = 4;
-    return trr;
+    return traceEvents(quickstartScenario(
+        tracedSpec(Arch::RaptorLake, DimmProfile::byId("S2"),
+                   CatDram | CatTrr | CatFlip | CatPhase),
+        42, jobs, 2000));
 }
 
 /**
- * TRR-evasion scenario: the same machine hammered with plain
- * double-sided (caught by the sampler) and then with a non-uniform
- * pattern (evades it). The stream shows the mitigation working and
- * being worked around.
+ * TRR-evasion scenario on Raptor Lake + S2: the stream shows the
+ * mitigation working (double-sided is caught) and being worked around
+ * (the non-uniform pattern evades it).
  */
 std::vector<TraceEvent>
 trrEvasionTrace(std::uint64_t seed, std::uint32_t categories,
                 std::uint64_t budget)
 {
-    MemorySystem sys(
-        SystemSpec(Arch::RaptorLake, DimmProfile::byId("S2"), aggressiveTrr()));
-    Tracer tracer(TraceConfig{true, categories, std::size_t{1} << 22});
-    sys.attachTracer(&tracer);
-
-    HammerSession session(sys, seed);
-    HammerConfig cfg = rhoConfig(Arch::RaptorLake, true, budget);
-    Rng rng(seed);
-
-    HammerPattern uniform = HammerPattern::doubleSided();
-    session.hammer(uniform,
-                   session.tryRandomLocation(uniform, cfg).loc.value(), cfg);
-
-    HammerPattern evading = HammerPattern::randomNonUniform(rng);
-    session.hammer(evading,
-                   session.tryRandomLocation(evading, cfg).loc.value(), cfg);
-
-    sys.attachTracer(nullptr);
-    EXPECT_EQ(tracer.dropped(), 0u);
-    return tracer.events();
+    return traceEvents(trrEvasionScenario(
+        tracedSpec(Arch::RaptorLake, DimmProfile::byId("S2"), categories,
+                   aggressiveTrr()),
+        seed, 1, budget));
 }
 
 /**
@@ -166,29 +131,19 @@ ddr5MitigationTrace(std::uint64_t seed, std::uint32_t categories,
 }
 
 /**
- * Inter-VM scenario: the pinned cross-VM campaign (two interleaved
- * tenants, on-die ECC on) whose stream covers the VM-boundary event
- * kinds — VmMapped for every stage-2 install, CrossVmFlip for every
- * flip that lands in another tenant's partition, EccCorrected on the
- * controller-visible scrub.
+ * Inter-VM scenario: the harness's cross-VM campaign (two interleaved
+ * tenants, on-die ECC on) at a longer budget, whose stream covers the
+ * VM-boundary event kinds — VmMapped for every stage-2 install,
+ * CrossVmFlip for every flip that lands in another tenant's partition,
+ * EccCorrected on the controller-visible scrub.
  */
 std::vector<TraceEvent>
 interVmTrace(unsigned jobs)
 {
-    SystemSpec spec(Arch::RaptorLake, DimmProfile::byId("S4"));
+    SystemSpec spec = tracedSpec(Arch::RaptorLake, DimmProfile::byId("S4"),
+                                 CatVm | CatFlip | CatPhase);
     spec.ecc.enabled = true;
-    spec.trace.enabled = true;
-    spec.trace.categories = CatVm | CatFlip | CatPhase;
-    CrossVmCampaignParams params;
-    params.attack.hammerCfg = rhoConfig(Arch::RaptorLake, false, 120000);
-    params.attack.vmCfg = VmConfig{VmPlacement::Interleaved, false};
-    params.attack.bytesPerTenant = 4ull << 20;
-    params.attack.hammerRuns = 10;
-    params.trials = 2;
-    params.jobs = jobs;
-    std::vector<TraceEvent> trace;
-    crossVmCampaign(spec, params, 77, nullptr, &trace);
-    return trace;
+    return traceEvents(crossVmScenario(spec, 77, jobs, 120000, 10));
 }
 
 /**
@@ -199,33 +154,22 @@ interVmTrace(unsigned jobs)
 std::vector<TraceEvent>
 eccMiscorrectTrace()
 {
-    DimmProfile p = DimmProfile::byId("S4");
-    p.id = "dense";
-    p.weakCellsPerRow = 40.0;
-    p.hcLogMean = std::log(1500.0);
-    p.hcLogSigma = 0.2;
-    p.hcMin = 800;
-    TrrConfig trr;
-    trr.enabled = false;
     EccConfig ecc;
     ecc.enabled = true;
-    Dimm d(p, DramTiming::ddr4(2666), trr, RfmConfig{}, PracConfig{},
-           ecc);
-    Tracer tracer(TraceConfig{true, CatFlip, std::size_t{1} << 20});
-    d.setTracer(&tracer);
-    for (std::uint64_t r = 4998; r <= 5006; ++r)
-        d.fillRow(0, r, 0xA5, 0.0);
-    Ns now = 1.0;
-    for (int i = 0; i < 3000; ++i) {
-        now += d.access({0, 5000, 0}, now).latency;
-        now += d.access({0, 5002, 0}, now).latency;
-        now += d.access({0, 5004, 0}, now).latency;
-    }
-    for (std::uint64_t r : {4998, 4999, 5001, 5003, 5005, 5006})
-        d.diffRow(0, r, 0xA5, 1e9);
-    d.setTracer(nullptr);
-    EXPECT_EQ(tracer.dropped(), 0u);
-    return tracer.events();
+    Dimm d(multiBitProfile(), DramTiming::ddr4(2666), noTrr(), RfmConfig{},
+           PracConfig{}, ecc);
+    return traceEvents(traceDimm(d, CatFlip, [](Dimm &d) {
+        for (std::uint64_t r = 4998; r <= 5006; ++r)
+            d.fillRow(0, r, 0xA5, 0.0);
+        Ns now = 1.0;
+        for (int i = 0; i < 3000; ++i) {
+            now += d.access({0, 5000, 0}, now).latency;
+            now += d.access({0, 5002, 0}, now).latency;
+            now += d.access({0, 5004, 0}, now).latency;
+        }
+        for (std::uint64_t r : {4998, 4999, 5001, 5003, 5005, 5006})
+            d.diffRow(0, r, 0xA5, 1e9);
+    }));
 }
 
 /**
@@ -539,15 +483,6 @@ TEST(TraceDeterminism, ByteIdenticalAcrossRuns)
     std::string a = goldenSerialize(quickstartTrace(2));
     std::string b = goldenSerialize(quickstartTrace(2));
     EXPECT_EQ(a, b);
-}
-
-TEST(TraceDeterminism, ByteIdenticalAcrossJobCounts)
-{
-    std::string ref = goldenSerialize(quickstartTrace(1));
-    for (unsigned jobs : {2u, 8u}) {
-        EXPECT_EQ(goldenSerialize(quickstartTrace(jobs)), ref)
-            << "jobs " << jobs;
-    }
 }
 
 TEST(TraceDeterminism, FuzzCampaignTraceIndependentOfJobs)

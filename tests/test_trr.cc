@@ -6,18 +6,19 @@
  */
 
 #include <algorithm>
-#include <cmath>
 #include <optional>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "differential.hh"
 #include "dram/dimm.hh"
 #include "dram/trr.hh"
 #include "hammer/hammer_session.hh"
 #include "hammer/tuned_configs.hh"
 
 using namespace rho;
+using namespace rho::test;
 
 TEST(TrrSampler, CountsAndTriggers)
 {
@@ -238,18 +239,11 @@ namespace
 std::size_t
 doubleSidedFlips(const TrrConfig &trr, int pairs = 12000)
 {
-    DimmProfile p = DimmProfile::byId("S4");
-    p.weakCellsPerRow = 4.0;
-    p.hcLogMean = std::log(4000.0);
-    p.hcLogSigma = 0.1;
-    p.hcMin = 3000;
-    Dimm d(p, DramTiming::ddr4(2666), trr);
+    Dimm d(weakCells(DimmProfile::byId("S4"), 4.0, 4000.0, 0.1, 3000),
+           DramTiming::ddr4(2666), trr);
     d.fillRow(0, 5001, 0x55, 0.0);
     Ns now = 0.0;
-    for (int i = 0; i < pairs; ++i) {
-        now += d.access({0, 5000, 0}, now).latency;
-        now += d.access({0, 5002, 0}, now).latency;
-    }
+    now = hammerVictim(d, 5001, now, pairs);
     return d.diffRow(0, 5001, 0x55, now).size();
 }
 
@@ -262,8 +256,7 @@ TEST(Trr, CatchesDoubleSidedHammering)
 
 TEST(Trr, WithoutTrrDoubleSidedFlips)
 {
-    TrrConfig off;
-    off.enabled = false;
+    const TrrConfig off = noTrr();
     EXPECT_GT(doubleSidedFlips(off), 0u);
 }
 

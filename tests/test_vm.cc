@@ -4,11 +4,11 @@
  * policy, guest paging and stage-2 translation, the cross-VM attack
  * driver, and the two headline suites of the inter-VM work —
  *
- *  - the tenant-isolation differential suite: the pinned cross-VM
- *    campaign run on every modelled architecture over the full engine
- *    matrix ({Flat, Reference} row store x {Blocked, Reference} CPU
- *    replay) and over --jobs {1, 8} must produce byte-identical event
- *    streams and identical campaign results;
+ *  - the tenant-isolation differential suite: the cross-VM campaign
+ *    scenario of tests/differential.hh run on every modelled
+ *    architecture over the engine matrix ({Flat, Reference} row store
+ *    x {Blocked, Reference} CPU replay x --jobs {1, 8}) must produce
+ *    byte-identical event streams and identical campaign results;
  *
  *  - the fuzzed isolation invariant: no configuration that *claims* to
  *    prevent cross-VM flips (guard rows, per-tenant bank partitioning)
@@ -16,51 +16,23 @@
  *    Override the seed count via RHO_VM_FUZZ_SEEDS for longer CI legs.
  */
 
-#include <cstdlib>
 #include <set>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "differential.hh"
 #include "exploit/cross_vm.hh"
 #include "hammer/tuned_configs.hh"
 #include "mapping/mapping_presets.hh"
 #include "os/vm.hh"
-#include "trace/golden.hh"
-#include "trace/tracer.hh"
 
 using namespace rho;
+using namespace rho::test;
 
 namespace
 {
-
-/** Native DIMM for each backend (matches tests/test_backend.cc). */
-const DimmProfile &
-profileFor(Arch arch)
-{
-    return arch == Arch::CortexA72 ? DimmProfile::lpddr4Sample()
-                                   : DimmProfile::byId("S4");
-}
-
-std::string
-archToken(Arch arch)
-{
-    switch (arch) {
-#define RHO_ARCH_TOKEN_CASE(name)                                       \
-    case Arch::name:                                                    \
-        return #name;
-        RHO_ARCH_LIST(RHO_ARCH_TOKEN_CASE)
-#undef RHO_ARCH_TOKEN_CASE
-    }
-    return "Unknown";
-}
-
-std::string
-archParamName(const ::testing::TestParamInfo<Arch> &info)
-{
-    return archToken(info.param);
-}
 
 /** A rig with two carved tenants for the unit-level tests. */
 struct VmRig
@@ -314,58 +286,6 @@ TEST(CrossVm, GuardedPlacementFailsWithStructuredCode)
 // Tenant-isolation differential suite (the headline)
 // ---------------------------------------------------------------------
 
-namespace
-{
-
-struct EnginePair
-{
-    bool referenceRowStore;
-    CpuModelKind cpu;
-};
-
-const EnginePair enginePairs[] = {
-    {false, CpuModelKind::Blocked},  // the default fast stack
-    {false, CpuModelKind::Reference},
-    {true, CpuModelKind::Blocked},
-    {true, CpuModelKind::Reference}, // the full original stack
-};
-
-/** The pinned cross-VM campaign on an arbitrary backend/engine. */
-CrossVmCampaignResult
-crossVmRun(Arch arch, unsigned jobs, EnginePair eng,
-           std::vector<TraceEvent> &trace)
-{
-    SystemSpec spec(arch, profileFor(arch));
-    spec.ecc.enabled = true;
-    spec.referenceRowStore = eng.referenceRowStore;
-    spec.cpuModel = eng.cpu;
-    spec.trace.enabled = true;
-    spec.trace.categories = CatVm | CatFlip | CatPhase;
-    CrossVmCampaignParams params;
-    params.attack.hammerCfg = rhoConfig(arch, false, 20000);
-    params.attack.vmCfg = VmConfig{VmPlacement::Interleaved, false};
-    params.attack.bytesPerTenant = 4ull << 20;
-    params.attack.hammerRuns = 4;
-    params.trials = 2;
-    params.jobs = jobs;
-    trace.clear();
-    return crossVmCampaign(spec, params, 42, nullptr, &trace);
-}
-
-bool
-sameCampaign(const CrossVmCampaignResult &a,
-             const CrossVmCampaignResult &b)
-{
-    return a.trials == b.trials && a.successes == b.successes
-           && a.totalFlips == b.totalFlips
-           && a.crossVmFlipsRaw == b.crossVmFlipsRaw
-           && a.crossVmFlipsVisible == b.crossVmFlipsVisible
-           && a.takeovers == b.takeovers && a.simTimeNs == b.simTimeNs
-           && a.codes == b.codes;
-}
-
-} // namespace
-
 class VmDifferential : public ::testing::TestWithParam<Arch>
 {
 };
@@ -373,33 +293,19 @@ class VmDifferential : public ::testing::TestWithParam<Arch>
 TEST_P(VmDifferential, CampaignIdenticalAcrossEngineMatrixAndJobs)
 {
     Arch arch = GetParam();
-    std::vector<TraceEvent> ref_tr;
-    CrossVmCampaignResult ref =
-        crossVmRun(arch, 1, enginePairs[0], ref_tr);
-    std::string ref_bytes = goldenSerialize(ref_tr);
-    EXPECT_FALSE(ref_tr.empty());
+    SystemSpec spec =
+        tracedSpec(arch, nativeDimm(arch, "S4"), CatVm | CatFlip | CatPhase);
+    spec.ecc.enabled = true;
+    Digest ref = expectMatrixMatches(
+        spec, {1u, 8u}, [](const SystemSpec &s, unsigned jobs) {
+            return crossVmScenario(s, 42, jobs, 20000, 4);
+        });
     // The stream must carry the VM-boundary events or it would not
     // guard the new subsystem.
     std::set<EventKind> kinds;
-    for (const TraceEvent &e : ref_tr)
+    for (const TraceEvent &e : traceEvents(ref))
         kinds.insert(e.kind);
     EXPECT_TRUE(kinds.count(EventKind::VmMapped));
-
-    for (unsigned jobs : {1u, 8u}) {
-        for (std::size_t e = 0; e < std::size(enginePairs); ++e) {
-            if (jobs == 1 && e == 0)
-                continue; // the reference itself
-            std::vector<TraceEvent> got_tr;
-            CrossVmCampaignResult got =
-                crossVmRun(arch, jobs, enginePairs[e], got_tr);
-            EXPECT_EQ(goldenSerialize(got_tr), ref_bytes)
-                << "trace diverged, engine pair " << e << " jobs "
-                << jobs;
-            EXPECT_TRUE(sameCampaign(got, ref))
-                << "campaign result diverged, engine pair " << e
-                << " jobs " << jobs;
-        }
-    }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllArchs, VmDifferential,
@@ -414,19 +320,15 @@ TEST(VmIsolation, DefendedConfigsNeverLeakCrossVmFlips)
     // Every configuration that claims to prevent cross-VM flips is
     // attacked with a real budget across seeds; a single cross-VM flip
     // falsifies the defense claim. RHO_VM_FUZZ_SEEDS widens the sweep.
-    unsigned num_seeds = 3;
-    if (const char *env = std::getenv("RHO_VM_FUZZ_SEEDS")) {
-        int v = std::atoi(env);
-        if (v > 0)
-            num_seeds = static_cast<unsigned>(v);
-    }
+    std::uint64_t num_seeds = envKnob("RHO_VM_FUZZ_SEEDS", 3);
+    ASSERT_GT(num_seeds, 0u) << "RHO_VM_FUZZ_SEEDS must be positive";
     const VmConfig defended[] = {
         {VmPlacement::Guarded, false},
         {VmPlacement::Contiguous, true},
         {VmPlacement::Interleaved, true},
         {VmPlacement::Guarded, true},
     };
-    for (unsigned s = 0; s < num_seeds; ++s) {
+    for (std::uint64_t s = 0; s < num_seeds; ++s) {
         std::uint64_t seed = hashCombine(0x150fa7e, s);
         for (const VmConfig &cfg : defended) {
             MemorySystem sys(SystemSpec(Arch::RaptorLake,
