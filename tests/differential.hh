@@ -319,6 +319,23 @@ tracedSpec(Arch arch, const DimmProfile &dimm, std::uint32_t categories,
 }
 
 /**
+ * Raptor Lake on the DDR5 sample with both DDR5 mitigations armed:
+ * RFM at the Strict level and PRAC at threshold 64 with 3 ABO slots,
+ * low enough that a short hammer raises several ALERTs per bank.
+ */
+inline SystemSpec
+ddr5MitigationSpec(std::uint32_t categories)
+{
+    SystemSpec spec = tracedSpec(Arch::RaptorLake,
+                                 DimmProfile::ddr5Sample(), categories);
+    spec.rfm = RfmConfig::forLevel(RfmLevel::Strict);
+    spec.prac.enabled = true;
+    spec.prac.threshold = 64;
+    spec.prac.aboSlots = 3;
+    return spec;
+}
+
+/**
  * Quickstart pipeline: the sweep campaign examples/quickstart.cc runs,
  * scaled down to two locations of one seeded non-uniform pattern.
  */
