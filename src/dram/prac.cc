@@ -7,8 +7,7 @@
 namespace rho
 {
 
-PracEngine::PracEngine(const PracConfig &cfg_, std::uint32_t num_banks)
-    : cfg(cfg_), counts(num_banks)
+PracEngine::PracEngine(const PracConfig &cfg_) : cfg(cfg_)
 {
     if (cfg.enabled && cfg.threshold == 0)
         panic("PracEngine: threshold must be positive when enabled");
@@ -17,62 +16,18 @@ PracEngine::PracEngine(const PracConfig &cfg_, std::uint32_t num_banks)
 }
 
 void
-PracEngine::reset()
+PracEngine::serviceHottest(std::uint32_t bank, std::vector<HotRow> &hot,
+                           PracAlertAction &action) const
 {
-    for (auto &bank : counts)
-        bank.clear();
-    alertCount = 0;
-}
-
-std::uint32_t
-PracEngine::rowCount(std::uint32_t bank, std::uint64_t row) const
-{
-    const auto &table = counts[bank];
-    auto it = table.find(row);
-    return it == table.end() ? 0 : it->second;
-}
-
-PracAlertAction
-PracEngine::observeAct(std::uint32_t bank, std::uint64_t row)
-{
-    PracAlertAction action;
-    if (!cfg.enabled)
-        return action;
-
-    auto &table = counts[bank];
-    std::uint32_t &count = table[row];
-    if (++count < cfg.threshold)
-        return action;
-
-    // ALERT_n: the crossing row is serviced first, then the hottest
-    // remaining counters at or above half threshold fill the ABO
-    // service slots (hottest first, lower row number on ties — the
-    // std::map scan makes the order deterministic).
-    ++alertCount;
-    action.peak = count;
-    action.protect.push_back({bank, row});
-    count = 0;
-
-    if (cfg.aboSlots > 1) {
-        std::vector<std::pair<std::uint32_t, std::uint64_t>> hot;
-        std::uint32_t floor = cfg.threshold / 2;
-        for (const auto &[r, c] : table) {
-            if (r != row && c >= floor && c > 0)
-                hot.push_back({c, r});
-        }
-        std::sort(hot.begin(), hot.end(),
-                  [](const auto &a, const auto &b) {
-                      return a.first != b.first ? a.first > b.first
-                                                : a.second < b.second;
-                  });
-        unsigned extra = std::min<std::size_t>(cfg.aboSlots - 1,
-                                               hot.size());
-        for (unsigned i = 0; i < extra; ++i) {
-            action.protect.push_back({bank, hot[i].second});
-            table[hot[i].second] = 0;
-        }
+    std::sort(hot.begin(), hot.end(), [](const HotRow &a, const HotRow &b) {
+        return a.count != b.count ? a.count > b.count : a.row < b.row;
+    });
+    std::size_t extra =
+        std::min<std::size_t>(cfg.aboSlots - 1, hot.size());
+    for (std::size_t i = 0; i < extra; ++i) {
+        action.protect.push_back({bank, hot[i].row});
+        *hot[i].counter = 0;
     }
-    return action;
 }
 
 } // namespace rho

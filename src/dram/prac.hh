@@ -28,7 +28,6 @@
 #define RHO_DRAM_PRAC_HH
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "dram/trr.hh"
@@ -55,7 +54,7 @@ struct PracConfig
     unsigned aboSlots = 2;
 };
 
-/** What one alert serviced (empty `protect` = no alert). */
+/** What one alert serviced. */
 struct PracAlertAction
 {
     std::vector<TrrTarget> protect; //!< rows whose neighbourhoods refresh
@@ -63,21 +62,59 @@ struct PracAlertAction
 };
 
 /**
- * Exact per-row activation counting. The owning Dimm feeds it ACTs;
- * it returns the rows serviced under Alert Back-Off when a counter
- * crosses the threshold.
+ * The PRAC alert rule. The per-row counters live in the owning Dimm's
+ * row state (a real device keeps them in the rows themselves); the
+ * engine counts ACTs on them, decides ALERT_n and picks the rows the
+ * Alert Back-Off window services.
  */
 class PracEngine
 {
   public:
-    PracEngine(const PracConfig &cfg, std::uint32_t num_banks);
+    explicit PracEngine(const PracConfig &cfg);
 
     /**
-     * Observe one activation.
-     * @return the ABO service decision (protect empty unless ALERT_n
-     *         was asserted by this ACT).
+     * Count one activation on the activated row's counter.
+     * @return true when the counter reached the threshold: ALERT_n is
+     *         asserted and the caller runs alertBackOff().
      */
-    PracAlertAction observeAct(std::uint32_t bank, std::uint64_t row);
+    bool
+    countAct(std::uint32_t &counter) const
+    {
+        return ++counter >= cfg.threshold;
+    }
+
+    /**
+     * Alert Back-Off for `row`, whose `counter` just crossed: the row
+     * is serviced first, then the hottest other counters at or above
+     * half the threshold fill the remaining aboSlots - 1 slots, hottest
+     * first and the lower row on ties. That is a total order, so the
+     * order in which `forEachCounter` visits the rows cannot change the
+     * choice. Every serviced counter is zeroed.
+     *
+     * @param forEachCounter called with a visitor; calls the visitor
+     *        with (row, counter&) for every row of `bank` it tracks.
+     */
+    template <typename ForEachCounter>
+    PracAlertAction
+    alertBackOff(std::uint32_t bank, std::uint64_t row,
+                 std::uint32_t &counter, ForEachCounter forEachCounter)
+    {
+        ++alertCount;
+        PracAlertAction action;
+        action.peak = counter;
+        action.protect.push_back({bank, row});
+        counter = 0;
+        if (cfg.aboSlots > 1) {
+            std::vector<HotRow> hot;
+            std::uint32_t floor = cfg.threshold / 2;
+            forEachCounter([&](std::uint64_t r, std::uint32_t &c) {
+                if (c > 0 && c >= floor)
+                    hot.push_back({c, r, &c});
+            });
+            serviceHottest(bank, hot, action);
+        }
+        return action;
+    }
 
     bool enabled() const { return cfg.enabled; }
 
@@ -86,21 +123,25 @@ class PracEngine
     /** ALERT_n assertions (= ABO windows) so far. */
     std::uint64_t alerts() const { return alertCount; }
 
-    /** Current counter of one row (test introspection; 0 if untracked). */
-    std::uint32_t rowCount(std::uint32_t bank, std::uint64_t row) const;
-
     /**
-     * Restore the factory-fresh engine: drops every per-row counter
-     * and the alert count.
+     * Restore the factory-fresh engine: drops the alert count. (The
+     * counters go with the owning Dimm's row state.)
      */
-    void reset();
+    void reset() { alertCount = 0; }
 
   private:
+    struct HotRow
+    {
+        std::uint32_t count;
+        std::uint64_t row;
+        std::uint32_t *counter;
+    };
+
+    /** Fill the extra ABO slots from `hot` and zero their counters. */
+    void serviceHottest(std::uint32_t bank, std::vector<HotRow> &hot,
+                        PracAlertAction &action) const;
+
     PracConfig cfg;
-    // Ordered map per bank: deterministic iteration for the hottest-
-    // rows scan regardless of insertion history. Campaigns touch a
-    // handful of distinct rows per bank, so the tree stays tiny.
-    std::vector<std::map<std::uint64_t, std::uint32_t>> counts;
     std::uint64_t alertCount = 0;
 };
 
