@@ -42,7 +42,6 @@ campaignKey(const SystemSpec &spec, const HammerConfig &cfg,
     key = hashCombine(key, spec.rfm.raaimt);
     key = hashCombine(key, spec.rfm.refDecrement);
     key = hashCombine(key, spec.rfm.victimsPerRfm);
-    key = hashCombine(key, spec.rfm.recencyDepth);
     key = hashCombine(key, spec.prac.enabled ? 1 : 0);
     key = hashCombine(key, spec.prac.threshold);
     key = hashCombine(key, spec.prac.aboSlots);
