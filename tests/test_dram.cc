@@ -139,7 +139,8 @@ TEST(Dimm, SameBankActsRespectTrc)
 TEST(Dimm, DisturbanceFlipsVictim)
 {
     // Synthetic profile with one dense weak row region and TRR off.
-    Dimm d(denseProfile(), DramTiming::ddr4(2666), noTrr());
+    const DimmProfile prof = denseProfile(); // Dimm keeps a reference
+    Dimm d(prof, DramTiming::ddr4(2666), noTrr());
 
     std::uint64_t agg1 = 5000, victim = 5001, agg2 = 5002;
     d.fillRow(0, victim, 0x55, 0.0);
@@ -160,7 +161,8 @@ TEST(Dimm, DisturbanceFlipsVictim)
 
 TEST(Dimm, VictimActivationRestoresCharge)
 {
-    Dimm d(denseProfile(), DramTiming::ddr4(2666), noTrr());
+    const DimmProfile prof = denseProfile(); // Dimm keeps a reference
+    Dimm d(prof, DramTiming::ddr4(2666), noTrr());
 
     std::uint64_t agg1 = 5000, victim = 5001, agg2 = 5002;
     d.fillRow(0, victim, 0x55, 0.0);
@@ -178,8 +180,9 @@ TEST(Dimm, VictimActivationRestoresCharge)
 
 TEST(Dimm, AutoRefreshResetsDisturbance)
 {
-    Dimm d(weakCells(DimmProfile::byId("S4"), 4.0, 3000.0, 0.1, 2500),
-           DramTiming::ddr4(2666), noTrr());
+    const DimmProfile prof = // Dimm keeps a reference
+        weakCells(DimmProfile::byId("S4"), 4.0, 3000.0, 0.1, 2500);
+    Dimm d(prof, DramTiming::ddr4(2666), noTrr());
     const auto &t = d.timing();
 
     std::uint64_t agg1 = 7000, victim = 7001, agg2 = 7002;

@@ -217,8 +217,9 @@ TEST(DimmEcc, CorrectionEventsLandOnTheReadPath)
     const std::uint8_t fill = 0xA5;
     EccConfig ecc_on;
     ecc_on.enabled = true;
-    Dimm d(multiBitProfile(), DramTiming::ddr4(2666), noTrr(), RfmConfig{},
-           PracConfig{}, ecc_on);
+    const DimmProfile prof = multiBitProfile(); // Dimm keeps a reference
+    Dimm d(prof, DramTiming::ddr4(2666), noTrr(), RfmConfig{}, PracConfig{},
+           ecc_on);
     Tracer tracer(TraceConfig{true, CatFlip, std::size_t{1} << 20});
     d.setTracer(&tracer);
     auto victims = hammerNeighbourhood(d, fill);

@@ -156,8 +156,9 @@ eccMiscorrectTrace()
 {
     EccConfig ecc;
     ecc.enabled = true;
-    Dimm d(multiBitProfile(), DramTiming::ddr4(2666), noTrr(), RfmConfig{},
-           PracConfig{}, ecc);
+    const DimmProfile prof = multiBitProfile(); // Dimm keeps a reference
+    Dimm d(prof, DramTiming::ddr4(2666), noTrr(), RfmConfig{}, PracConfig{},
+           ecc);
     return traceEvents(traceDimm(d, CatFlip, [](Dimm &d) {
         for (std::uint64_t r = 4998; r <= 5006; ++r)
             d.fillRow(0, r, 0xA5, 0.0);

@@ -239,8 +239,9 @@ namespace
 std::size_t
 doubleSidedFlips(const TrrConfig &trr, int pairs = 12000)
 {
-    Dimm d(weakCells(DimmProfile::byId("S4"), 4.0, 4000.0, 0.1, 3000),
-           DramTiming::ddr4(2666), trr);
+    const DimmProfile prof = // Dimm keeps a reference
+        weakCells(DimmProfile::byId("S4"), 4.0, 4000.0, 0.1, 3000);
+    Dimm d(prof, DramTiming::ddr4(2666), trr);
     d.fillRow(0, 5001, 0x55, 0.0);
     Ns now = 0.0;
     now = hammerVictim(d, 5001, now, pairs);
