@@ -17,7 +17,7 @@
  *  - service_relative_throughput: one sweep campaign sharded over
  *    supervised worker processes vs the same sweep in-process with the
  *    same total parallelism, fsync off on both, so only supervision,
- *    fork, status files and the journal merge differ.
+ *    fork, the per-shard journals and the journal merge differ.
  *
  * Absolute rates are rhobench's (sim_acts_per_s, run_s), not this
  * harness's.
@@ -180,7 +180,7 @@ class ServiceSweep
         svc.supervisor.workers = par;
     }
 
-    ~ServiceSweep() { removeServiceFiles(); }
+    ~ServiceSweep() { service::removeServiceJournals(base, svc.shards); }
     ServiceSweep(const ServiceSweep &) = delete;
     ServiceSweep &operator=(const ServiceSweep &) = delete;
 
@@ -198,7 +198,7 @@ class ServiceSweep
     double
     supervised()
     {
-        removeServiceFiles();
+        service::removeServiceJournals(base, svc.shards);
         Clock::time_point t0 = Clock::now();
         service::serviceSweepCampaign(spec, pattern, cfg, params, seed,
                                       svc);
@@ -206,17 +206,6 @@ class ServiceSweep
     }
 
   private:
-    void
-    removeServiceFiles() const
-    {
-        for (unsigned k = 0; k < svc.shards; ++k) {
-            std::string shard = base + ".shard" + std::to_string(k);
-            std::remove(shard.c_str());
-            std::remove((shard + ".status").c_str());
-        }
-        std::remove((base + ".merged").c_str());
-    }
-
     static constexpr std::uint64_t seed = 1;
     SystemSpec spec;
     HammerConfig cfg;

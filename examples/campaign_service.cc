@@ -9,7 +9,9 @@
  *   --shards N       worker shards                        (default 4)
  *   --workers N      concurrent worker processes          (default 2)
  *   --jobs N         threads inside each worker           (default 1)
- *   --journal BASE   journal path prefix   (default /tmp/rho_svc.<pid>)
+ *   --journal BASE   journal path prefix; a run over the same BASE
+ *                    resumes from its journals (default
+ *                    /tmp/rho_svc.<pid>, removed after the run)
  *   --exec           fork+exec workers through this binary's --worker
  *                    entry instead of forked body-mode workers
  *   --chaos-kill P   P(worker launch is SIGKILLed mid-shard)
@@ -26,7 +28,8 @@
  *
  * The internal `--worker` entry is what --exec launches; it re-derives
  * the campaign deterministically from its arguments and runs exactly
- * one shard attempt.
+ * one shard attempt. It exits with status 2 on a malformed operand, a
+ * shard that does not fit in the locations, or more than 1024 jobs.
  */
 
 #include <unistd.h>
@@ -163,31 +166,37 @@ int
 workerMain(int argc, char **argv)
 {
     // --worker <arch> <dimm> <locations> <jobs> <seed> <shard> <first>
-    //          <count> <journal> <status> <attempt> <crash-after>
-    //          <hang-after> <rot-prob> <chaos-seed>
-    if (argc != 17)
-        bench::usageError(strFormat("--worker: expected 15 operands, got %d",
+    //          <count> <journal> <attempt> <crash-after> <hang-after>
+    //          <rot-prob> <chaos-seed>
+    if (argc != 16)
+        bench::usageError(strFormat("--worker: expected 14 operands, got %d",
                                     argc - 2));
     char **a = argv + 2;
     Arch arch = parseArch(a[0]);
     const char *dimm = a[1];
     unsigned locations = parseCount("--worker locations", a[2]);
-    unsigned jobs = parseUint("--worker jobs", a[3]);
+    unsigned jobs = unsigned(bench::parseUnsigned("--worker jobs", a[3],
+                                                  bench::maxJobs));
     std::uint64_t seed = parseSeed("--worker seed", a[4]);
 
     ShardSpec shard;
     shard.id = parseUint("--worker shard", a[5]);
     shard.firstTask = parseUint("--worker first", a[6]);
     shard.taskCount = parseUint("--worker count", a[7]);
+    if (shard.firstTask > locations
+        || shard.taskCount > locations - shard.firstTask)
+        bench::usageError(strFormat("--worker shard [%u, +%u) lies outside"
+                                    " the %u location(s)",
+                                    shard.firstTask, shard.taskCount,
+                                    locations));
     shard.journalPath = a[8];
-    shard.statusPath = a[9];
-    unsigned attempt = parseCount("--worker attempt", a[10]);
+    unsigned attempt = parseCount("--worker attempt", a[9]);
 
     WorkerChaos chaos;
-    chaos.crashAfterRecords = parseUint("--worker crash-after", a[11]);
-    chaos.hangAfterRecords = parseUint("--worker hang-after", a[12]);
-    double rotProb = parseProbability("--worker rot-prob", a[13]);
-    std::uint64_t chaosSeed = parseSeed("--worker chaos-seed", a[14]);
+    chaos.crashAfterRecords = parseUint("--worker crash-after", a[10]);
+    chaos.hangAfterRecords = parseUint("--worker hang-after", a[11]);
+    double rotProb = parseProbability("--worker rot-prob", a[12]);
+    std::uint64_t chaosSeed = parseSeed("--worker chaos-seed", a[13]);
 
     Scenario sc(arch, dimm, seed);
     SweepParams params;
@@ -205,7 +214,7 @@ workerMain(int argc, char **argv)
         };
     }
     return runSweepShardWorker(sc.spec, sc.pattern, sc.cfg, params, seed,
-                               shard, attempt, chaos);
+                               shard, chaos);
 }
 
 } // namespace
@@ -223,8 +232,7 @@ main(int argc, char **argv)
     double chaosKill = 0.0, chaosHang = 0.0, bitRot = 0.0;
     std::uint64_t seed = 42;
     bool execMode = false, verify = false, showLog = false;
-    std::string journalBase =
-        "/tmp/rho_svc." + std::to_string(::getpid());
+    std::string journalBase;
 
     int positional = 0;
     for (int i = 1; i < argc; ++i) {
@@ -269,6 +277,12 @@ main(int argc, char **argv)
             bench::usageError(std::string("unexpected argument ") + flag);
     }
 
+    // The default journal is private to this process: no later run can
+    // resume from it, so it is removed once the merge has read it.
+    bool tempJournal = journalBase.empty();
+    if (tempJournal)
+        journalBase = "/tmp/rho_svc." + std::to_string(::getpid());
+
     Scenario sc(arch, dimm, seed);
     SweepParams params;
     params.numLocations = locations;
@@ -308,7 +322,7 @@ main(int argc, char **argv)
                 std::to_string(seed), std::to_string(shard.id),
                 std::to_string(shard.firstTask),
                 std::to_string(shard.taskCount), shard.journalPath,
-                shard.statusPath, std::to_string(attempt),
+                std::to_string(attempt),
                 std::to_string(chaos.crashAfterRecords),
                 std::to_string(chaos.hangAfterRecords),
                 std::to_string(bitRot),
@@ -320,6 +334,8 @@ main(int argc, char **argv)
     SweepServiceOutcome out =
         serviceSweepCampaign(sc.spec, sc.pattern, sc.cfg, params, seed,
                              service);
+    if (tempJournal)
+        removeServiceJournals(journalBase, shards);
 
     if (showLog) {
         std::printf("\nsupervisor log:\n");

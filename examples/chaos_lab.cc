@@ -171,6 +171,7 @@ runSupervisorScenario(std::uint64_t seed)
 
     SweepServiceOutcome out =
         serviceSweepCampaign(spec, pattern, cfg, params, seed, service);
+    removeServiceJournals(service.journalBase, service.shards);
 
     for (const auto &line : out.report.supervisor.log)
         if (line.find("launched") == std::string::npos)

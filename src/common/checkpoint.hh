@@ -96,7 +96,7 @@ struct JournalOptions
 
     /**
      * Observer called after each record is durably appended (service
-     * workers wire their status-file heartbeat here).
+     * workers wire their chaos plan here).
      */
     std::function<void(unsigned index, std::uint64_t seq)> onRecord;
 };

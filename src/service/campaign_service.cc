@@ -4,11 +4,11 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <memory>
 #include <utility>
 
 #include "common/logging.hh"
-#include "service/worker_protocol.hh"
 
 namespace rho::service
 {
@@ -17,16 +17,14 @@ namespace
 {
 
 /**
- * Chain the worker-side hooks onto journal options: status heartbeat
- * first, then the chaos plan (so the record that trips the chaos is
- * already durable — crash-after-record semantics, the worst case for
- * the resume path).
+ * Chain the worker's chaos plan onto journal options, after any hook
+ * already in `opts` (so the record that trips the chaos is already
+ * durable — crash-after-record semantics, the worst case for the
+ * resume path).
  */
 JournalOptions
-withWorkerHooks(JournalOptions opts, StatusFile &status,
-                const WorkerChaos &chaos)
+withWorkerHooks(JournalOptions opts, const WorkerChaos &chaos)
 {
-    opts = withStatusHeartbeat(std::move(opts), status);
     if (!chaos.any())
         return opts;
     auto inner = opts.onRecord;
@@ -64,6 +62,12 @@ workerJournalOptions(const ServiceParams &service)
     return opts;
 }
 
+std::string
+mergedJournalPath(const std::string &journal_base)
+{
+    return journal_base + ".merged";
+}
+
 /**
  * Shard, supervise, and absorb completed shard journals into the
  * merged journal. On return `mask_out` marks the tasks the parent's
@@ -94,7 +98,7 @@ superviseAndMerge(unsigned total_tasks, const ServiceParams &service,
     report.supervisor = service.execArgv
         ? supervisor.runExec(shards, service.execArgv)
         : supervisor.run(shards, body);
-    report.mergedJournalPath = service.journalBase + ".merged";
+    report.mergedJournalPath = mergedJournalPath(service.journalBase);
 
     // Quarantined shards are excluded from the merge; their tasks are
     // the degradation the FailureCode reports.
@@ -149,6 +153,14 @@ superviseAndMerge(unsigned total_tasks, const ServiceParams &service,
 
 } // namespace
 
+void
+removeServiceJournals(const std::string &journal_base, unsigned shards)
+{
+    for (const ShardSpec &s : makeShards(shards, shards, journal_base))
+        std::remove(s.journalPath.c_str());
+    std::remove(mergedJournalPath(journal_base).c_str());
+}
+
 WorkerChaos
 chaosFromFaults(FaultInjector &faults, const ShardSpec &shard,
                 unsigned attempt)
@@ -170,19 +182,13 @@ int
 runSweepShardWorker(const SystemSpec &spec, const HammerPattern &pattern,
                     const HammerConfig &cfg, SweepParams params,
                     std::uint64_t seed, const ShardSpec &shard,
-                    unsigned attempt, const WorkerChaos &chaos)
+                    const WorkerChaos &chaos)
 {
-    StatusFile status(shard.statusPath);
-    status.start(shard.id, static_cast<int>(::getpid()), attempt);
-
     std::vector<std::uint8_t> mask = shard.mask(params.numLocations);
     params.checkpointPath = shard.journalPath;
     params.taskMask = &mask;
-    params.journal = withWorkerHooks(std::move(params.journal), status,
-                                     chaos);
+    params.journal = withWorkerHooks(std::move(params.journal), chaos);
     sweepCampaign(spec, pattern, cfg, params, seed);
-
-    status.finish(shard.taskCount);
     return 0;
 }
 
@@ -202,13 +208,13 @@ serviceSweepCampaign(const SystemSpec &spec, const HammerPattern &pattern,
     base.journal = JournalOptions{};
     base.taskMask = nullptr;
 
-    WorkerBody body = [&](const ShardSpec &shard, unsigned attempt,
+    WorkerBody body = [&](const ShardSpec &shard, unsigned,
                           const WorkerChaos &chaos) {
         SweepParams wp = base;
         wp.jobs = std::max(1u, service.jobsPerWorker);
         wp.journal = workerJournalOptions(service);
         return runSweepShardWorker(spec, pattern, cfg, std::move(wp),
-                                   seed, shard, attempt, chaos);
+                                   seed, shard, chaos);
     };
 
     std::vector<std::uint8_t> mask;

@@ -6,8 +6,9 @@
  * Flow for one campaign (serviceSweepCampaign):
  *
  *  1. The task keyspace [0, N) is split into contiguous shards
- *     (shard.hh). Each shard gets its own journal + status file under
- *     `ServiceParams::journalBase`.
+ *     (shard.hh). Each shard gets its own journal under
+ *     `ServiceParams::journalBase`; its growth is the worker's
+ *     heartbeat.
  *  2. The Supervisor drives one worker process per shard (fork in body
  *     mode; the example binary also exposes an exec-mode `--worker`
  *     entry via runSweepShardWorker). Workers run the ordinary
@@ -107,17 +108,22 @@ SweepServiceOutcome serviceSweepCampaign(const SystemSpec &spec,
 /**
  * The exec-mode entry point for one sweep shard attempt (the example
  * binary's `--worker`): the same shard-worker routine body-mode
- * workers run — write the status trail, run the masked campaign
- * against the shard journal, execute any chaos plan. Returns the
- * process exit code.
+ * workers run — run the masked campaign against the shard journal and
+ * execute any chaos plan. Returns the process exit code.
  *
  * `params.journal` should carry the fsync policy (and any bitRot
- * hook); the status heartbeat and chaos hooks are chained onto it.
+ * hook); the chaos hook is chained onto it.
  */
 int runSweepShardWorker(const SystemSpec &spec, const HammerPattern &pattern,
                         const HammerConfig &cfg, SweepParams params,
                         std::uint64_t seed, const ShardSpec &shard,
-                        unsigned attempt, const WorkerChaos &chaos);
+                        const WorkerChaos &chaos);
+
+/**
+ * Delete the journals a service run over `shards` shards leaves under
+ * `journal_base`: every shard journal and the merged journal.
+ */
+void removeServiceJournals(const std::string &journal_base, unsigned shards);
 
 /**
  * Deterministic chaos plan for one (shard, attempt) drawn from the

@@ -6,9 +6,11 @@
  * contiguous shards; each shard is executed by one worker process that
  * journals completed tasks into the shard's own checkpoint journal
  * (all shard journals share the campaign's journal key, so the
- * supervisor can absorb them into one merged journal afterwards). A
- * shard that keeps failing is quarantined and reported through the
- * FailureCode taxonomy instead of aborting the campaign.
+ * supervisor can absorb them into one merged journal afterwards). The
+ * shard journal is also the worker's only channel to the supervisor:
+ * its growth is the heartbeat. A shard that keeps failing is
+ * quarantined and reported through the FailureCode taxonomy instead
+ * of aborting the campaign.
  */
 
 #ifndef RHO_SERVICE_SHARD_HH
@@ -32,7 +34,6 @@ struct ShardSpec
     unsigned firstTask = 0;
     unsigned taskCount = 0;
     std::string journalPath; //!< per-shard checkpoint journal
-    std::string statusPath;  //!< per-shard worker status file
 
     /** Execution mask for SweepParams/FuzzParams::taskMask. */
     std::vector<std::uint8_t>
@@ -54,18 +55,6 @@ enum class ShardState : std::uint8_t
     Quarantined, //!< retry budget exhausted; excluded from the merge
 };
 
-constexpr const char *
-shardStateName(ShardState s)
-{
-    switch (s) {
-    case ShardState::Pending: return "pending";
-    case ShardState::Running: return "running";
-    case ShardState::Done: return "done";
-    case ShardState::Quarantined: return "quarantined";
-    }
-    return "unknown";
-}
-
 /** Final per-shard accounting reported by the supervisor. */
 struct ShardReport
 {
@@ -81,8 +70,8 @@ struct ShardReport
 
 /**
  * Partition [0, totalTasks) into at most `shards` contiguous,
- * balanced, non-empty shards. Journal/status paths derive from
- * `journal_base` ("<base>.shard<k>" / "<base>.shard<k>.status").
+ * balanced, non-empty shards. Journal paths derive from
+ * `journal_base` ("<base>.shard<k>").
  */
 inline std::vector<ShardSpec>
 makeShards(unsigned total_tasks, unsigned shards,
@@ -98,7 +87,6 @@ makeShards(unsigned total_tasks, unsigned shards,
         s.firstTask = first;
         s.taskCount = base + (k < extra ? 1 : 0);
         s.journalPath = strFormat("%s.shard%u", journal_base.c_str(), k);
-        s.statusPath = s.journalPath + ".status";
         first += s.taskCount;
         out.push_back(std::move(s));
     }

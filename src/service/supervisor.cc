@@ -1,6 +1,7 @@
 #include "service/supervisor.hh"
 
 #include <signal.h>
+#include <sys/stat.h>
 #include <sys/wait.h>
 #include <time.h>
 #include <unistd.h>
@@ -12,7 +13,6 @@
 
 #include "common/logging.hh"
 #include "common/table.hh"
-#include "service/worker_protocol.hh"
 
 namespace rho::service
 {
@@ -47,6 +47,16 @@ sleepFor(double seconds)
     ts.tv_sec = static_cast<time_t>(seconds);
     ts.tv_nsec = static_cast<long>((seconds - ts.tv_sec) * 1e9);
     nanosleep(&ts, nullptr);
+}
+
+/** Byte size of `path`, or 0 when it does not exist (yet). */
+long long
+fileSize(const std::string &path)
+{
+    struct stat st;
+    if (::stat(path.c_str(), &st) != 0)
+        return 0;
+    return static_cast<long long>(st.st_size);
 }
 
 std::string
@@ -190,12 +200,14 @@ Supervisor::supervise(const std::vector<ShardSpec> &shards,
         }
 
         // Reap exits and police heartbeats/deadlines.
+        bool reapedAny = false;
         for (auto &slot : slots) {
             if (slot.report.state != ShardState::Running)
                 continue;
             int status = 0;
             int reaped = ::waitpid(slot.pid, &status, WNOHANG);
             if (reaped == slot.pid) {
+                reapedAny = true;
                 if (WIFEXITED(status) && WEXITSTATUS(status) == 0) {
                     slot.report.state = ShardState::Done;
                     log.push_back(strFormat("shard %u attempt %u: done",
@@ -258,12 +270,11 @@ Supervisor::supervise(const std::vector<ShardSpec> &shards,
                 continue;
             }
 
-            // Still running: any status/journal byte change is a
+            // Still running: any journal byte-size change is a
             // heartbeat.
-            StatusSnapshot snap = readStatus(slot.report.spec.statusPath,
-                                             slot.report.spec.journalPath);
-            if (snap.progressBytes != slot.lastProgressBytes) {
-                slot.lastProgressBytes = snap.progressBytes;
+            long long bytes = fileSize(slot.report.spec.journalPath);
+            if (bytes != slot.lastProgressBytes) {
+                slot.lastProgressBytes = bytes;
                 slot.lastProgressAt = now;
             }
             bool heartbeatLost = cfg.heartbeatTimeoutS > 0.0 &&
@@ -283,7 +294,11 @@ Supervisor::supervise(const std::vector<ShardSpec> &shards,
             }
         }
 
-        sleepFor(kPollIntervalS);
+        // A reap frees a slot or ends the run: go straight to the next
+        // pass. A pass without one sleeps, so backoff delays never
+        // busy-spin.
+        if (!reapedAny)
+            sleepFor(kPollIntervalS);
     }
 
     result.finalWorkers = concurrency;

@@ -9,10 +9,9 @@
  *
  *  - workers are forked (body mode, for tests and in-binary services)
  *    or fork+exec'd (exec mode, for a separate worker entry point);
- *  - liveness is judged purely from the file protocol
- *    (worker_protocol.hh): any byte-size change of the status or
- *    journal file is a heartbeat. No pipes, no signals-from-child —
- *    a dead worker's trail is still readable;
+ *  - liveness is judged purely from the shard journal: any change
+ *    of its byte size is a heartbeat. No pipes, no signals-from-child
+ *    — a dead worker's journal is still readable;
  *  - a worker silent past `heartbeatTimeoutS`, or alive past
  *    `shardDeadlineS`, is SIGKILLed and counted as a hang;
  *  - failed shards retry under a bounded exponential backoff
@@ -79,7 +78,7 @@ struct SupervisorConfig
     unsigned workers = 2; //!< concurrent worker processes
     RetryPolicy retry{};
 
-    /** Kill a worker with no file growth for this long (seconds). */
+    /** Kill a worker with no journal growth for this long (seconds). */
     double heartbeatTimeoutS = 10.0;
     /** Kill a worker attempt that outlives this wall-clock budget. */
     double shardDeadlineS = 120.0;

@@ -1,7 +1,7 @@
 /**
  * @file
  * The campaign service layer: shard partitioning, retry/backoff,
- * the worker file protocol, the fork/poll/SIGKILL supervisor, and the
+ * the journal heartbeat, the fork/poll/SIGKILL supervisor, and the
  * end-to-end guarantee that supervised multi-process campaigns merge
  * bit-identically to uninterrupted in-process runs — under worker
  * crashes, hangs and journal bit-rot.
@@ -9,10 +9,13 @@
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
 #include <signal.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdio>
+#include <thread>
 #include <string>
 #include <vector>
 
@@ -20,7 +23,6 @@
 #include "fault/fault_injector.hh"
 #include "hammer/tuned_configs.hh"
 #include "service/campaign_service.hh"
-#include "service/worker_protocol.hh"
 
 using namespace rho;
 using namespace rho::service;
@@ -32,17 +34,6 @@ std::string
 tempBase(const char *name)
 {
     return testing::TempDir() + name + "." + std::to_string(::getpid());
-}
-
-void
-removeServiceFiles(const std::string &base, unsigned shards)
-{
-    std::remove((base + ".merged").c_str());
-    for (unsigned k = 0; k < shards; ++k) {
-        std::remove((base + ".shard" + std::to_string(k)).c_str());
-        std::remove(
-            (base + ".shard" + std::to_string(k) + ".status").c_str());
-    }
 }
 
 /** Fast supervision knobs for tests. */
@@ -112,7 +103,6 @@ TEST(Service, MakeShardsBalancedAndComplete)
         EXPECT_EQ(covered[i], 1u) << i;
 
     EXPECT_EQ(shards[1].journalPath, "/tmp/j.shard1");
-    EXPECT_EQ(shards[1].statusPath, "/tmp/j.shard1.status");
 }
 
 TEST(Service, MakeShardsClampsToTaskCount)
@@ -125,44 +115,6 @@ TEST(Service, MakeShardsClampsToTaskCount)
 }
 
 // ---------------------------------------------------------------------
-// Worker file protocol
-// ---------------------------------------------------------------------
-
-TEST(Service, StatusFileRoundTrip)
-{
-    std::string path = tempBase("rho_status");
-    {
-        StatusFile status(path);
-        status.start(3, 1234, 2);
-        status.taskDone(7, 1);
-        status.taskDone(8, 2);
-    }
-    StatusSnapshot snap = readStatus(path, path + ".nojournal");
-    EXPECT_TRUE(snap.started);
-    EXPECT_FALSE(snap.finished);
-    EXPECT_EQ(snap.tasksDone, 2u);
-    EXPECT_GT(snap.progressBytes, 0);
-
-    {
-        StatusFile status(path); // a new attempt truncates
-        status.start(3, 1235, 3);
-        status.finish(4);
-    }
-    snap = readStatus(path, path + ".nojournal");
-    EXPECT_TRUE(snap.finished);
-    EXPECT_EQ(snap.tasksDone, 0u);
-    std::remove(path.c_str());
-}
-
-TEST(Service, MissingStatusFilesReadAsEmpty)
-{
-    StatusSnapshot snap = readStatus("/nonexistent/a", "/nonexistent/b");
-    EXPECT_FALSE(snap.started);
-    EXPECT_FALSE(snap.finished);
-    EXPECT_EQ(snap.progressBytes, 0);
-}
-
-// ---------------------------------------------------------------------
 // Supervisor (body mode)
 // ---------------------------------------------------------------------
 
@@ -171,12 +123,10 @@ TEST(Service, SupervisorRunsAllShards)
     std::string base = tempBase("rho_sup_ok");
     auto shards = makeShards(6, 3, base);
     Supervisor sup(testSupervisor());
-    SupervisorResult res = sup.run(shards, [](const ShardSpec &shard,
-                                              unsigned, const WorkerChaos &) {
-        StatusFile status(shard.statusPath);
-        status.finish(shard.taskCount);
-        return 0;
-    });
+    SupervisorResult res = sup.run(
+        shards, [](const ShardSpec &, unsigned, const WorkerChaos &) {
+            return 0;
+        });
     EXPECT_TRUE(res.complete());
     EXPECT_EQ(res.crashes, 0u);
     ASSERT_EQ(res.shards.size(), 3u);
@@ -185,7 +135,7 @@ TEST(Service, SupervisorRunsAllShards)
         EXPECT_EQ(r.attempts, 1u);
         EXPECT_EQ(r.code, FailureCode::None);
     }
-    removeServiceFiles(base, 3);
+    removeServiceJournals(base, 3);
 }
 
 TEST(Service, SupervisorRetriesCrashedWorker)
@@ -207,7 +157,7 @@ TEST(Service, SupervisorRetriesCrashedWorker)
     EXPECT_EQ(res.shards[0].attempts, 2u);
     EXPECT_EQ(res.shards[0].lastFailure, FailureCode::WorkerCrashed);
     EXPECT_EQ(res.shards[1].attempts, 1u);
-    removeServiceFiles(base, 2);
+    removeServiceJournals(base, 2);
 }
 
 TEST(Service, SupervisorQuarantinesAfterRetryBudget)
@@ -230,7 +180,7 @@ TEST(Service, SupervisorQuarantinesAfterRetryBudget)
     EXPECT_EQ(res.shards[1].attempts, 3u);
     EXPECT_EQ(res.shards[1].code, FailureCode::ShardQuarantined);
     EXPECT_EQ(res.shards[1].lastFailure, FailureCode::WorkerCrashed);
-    removeServiceFiles(base, 2);
+    removeServiceJournals(base, 2);
 }
 
 TEST(Service, SupervisorKillsHungWorker)
@@ -252,7 +202,39 @@ TEST(Service, SupervisorKillsHungWorker)
     EXPECT_EQ(res.hangs, 1u);
     EXPECT_EQ(res.shards[0].attempts, 2u);
     EXPECT_EQ(res.shards[0].lastFailure, FailureCode::WorkerHung);
-    removeServiceFiles(base, 1);
+    removeServiceJournals(base, 1);
+}
+
+TEST(Service, SupervisorKeepsProgressingWorkerAlive)
+{
+    std::string base = tempBase("rho_sup_alive");
+    auto shards = makeShards(1, 1, base);
+    SupervisorConfig cfg = testSupervisor();
+    cfg.heartbeatTimeoutS = 0.5;
+    Supervisor sup(cfg);
+    // Outlive the heartbeat timeout twice over, growing the journal by
+    // one byte every 20 ms: growth alone must keep the worker alive.
+    SupervisorResult res = sup.run(
+        shards, [](const ShardSpec &shard, unsigned,
+                   const WorkerChaos &) -> int {
+            int fd = ::open(shard.journalPath.c_str(),
+                            O_CREAT | O_WRONLY | O_APPEND, 0644);
+            if (fd < 0)
+                return 1;
+            for (int i = 0; i < 50; ++i) {
+                if (::write(fd, "x", 1) != 1)
+                    return 1;
+                std::this_thread::sleep_for(std::chrono::milliseconds(20));
+            }
+            ::close(fd);
+            return 0;
+        });
+    EXPECT_TRUE(res.complete());
+    EXPECT_EQ(res.hangs, 0u);
+    ASSERT_EQ(res.shards.size(), 1u);
+    EXPECT_EQ(res.shards[0].state, ShardState::Done);
+    EXPECT_EQ(res.shards[0].attempts, 1u);
+    removeServiceJournals(base, 1);
 }
 
 TEST(Service, SupervisorShedsConcurrencyOnRepeatedSignalDeaths)
@@ -274,7 +256,7 @@ TEST(Service, SupervisorShedsConcurrencyOnRepeatedSignalDeaths)
     EXPECT_EQ(res.crashes, 4u);
     EXPECT_EQ(res.peakWorkers, 4u);
     EXPECT_LT(res.finalWorkers, res.peakWorkers);
-    removeServiceFiles(base, 4);
+    removeServiceJournals(base, 4);
 }
 
 // ---------------------------------------------------------------------
@@ -348,7 +330,7 @@ TEST(Service, SweepServiceMatchesInProcessRun)
     EXPECT_EQ(out.report.tasksFromWorkers, 6u);
     EXPECT_EQ(out.report.tasksReexecuted, 0u);
     EXPECT_TRUE(out.report.supervisor.complete());
-    removeServiceFiles(jbase, 3);
+    removeServiceJournals(jbase, 3);
 }
 
 TEST(Service, SweepServiceSurvivesKilledWorkersBitIdentical)
@@ -375,7 +357,7 @@ TEST(Service, SweepServiceSurvivesKilledWorkersBitIdentical)
     EXPECT_EQ(out.report.code, FailureCode::None);
     EXPECT_EQ(out.report.supervisor.crashes, 3u);
     EXPECT_EQ(out.report.tasksFromWorkers, 6u);
-    removeServiceFiles(jbase, 3);
+    removeServiceJournals(jbase, 3);
 }
 
 TEST(Service, SweepServiceSurvivesHungWorkerBitIdentical)
@@ -401,7 +383,7 @@ TEST(Service, SweepServiceSurvivesHungWorkerBitIdentical)
     expectSweepEqual(out.result, base);
     EXPECT_EQ(out.report.supervisor.hangs, 1u);
     EXPECT_EQ(out.report.code, FailureCode::None);
-    removeServiceFiles(jbase, 2);
+    removeServiceJournals(jbase, 2);
 }
 
 TEST(Service, SweepServiceSurvivesJournalBitRotBitIdentical)
@@ -427,7 +409,7 @@ TEST(Service, SweepServiceSurvivesJournalBitRotBitIdentical)
     EXPECT_EQ(out.report.code, FailureCode::None);
     EXPECT_EQ(out.report.tasksFromWorkers + out.report.tasksReexecuted,
               6u);
-    removeServiceFiles(jbase, 2);
+    removeServiceJournals(jbase, 2);
 }
 
 TEST(Service, QuarantinedShardReportsFailureCodeInsteadOfAborting)
@@ -466,7 +448,7 @@ TEST(Service, QuarantinedShardReportsFailureCodeInsteadOfAborting)
             expected.push_back(base.flipsPerLocation[i]);
     }
     EXPECT_EQ(out.result.flipsPerLocation, expected);
-    removeServiceFiles(jbase, 3);
+    removeServiceJournals(jbase, 3);
 }
 
 TEST(Service, ChaosFromFaultsIsDeterministic)
