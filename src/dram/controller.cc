@@ -25,12 +25,7 @@ MemoryController::MemoryController(AddressMapping mapping,
               static_cast<unsigned long long>(map.numRows()),
               static_cast<unsigned long long>(profile.geom.rowsPerBank));
     }
-}
-
-DramAccessResult
-MemoryController::access(PhysAddr pa, Ns now)
-{
-    return dev->access(map.decode(pa), now);
+    recent.fill({0, map.decode(0)});
 }
 
 DramAccessResult

@@ -7,6 +7,7 @@
 #ifndef RHO_DRAM_CONTROLLER_HH
 #define RHO_DRAM_CONTROLLER_HH
 
+#include <array>
 #include <memory>
 
 #include "dram/dimm.hh"
@@ -28,8 +29,16 @@ class MemoryController
                      const PracConfig &prac_cfg = PracConfig{},
                      const EccConfig &ecc_cfg = EccConfig{});
 
-    /** Timed access by physical address. */
-    DramAccessResult access(PhysAddr pa, Ns now);
+    /**
+     * Timed access by physical address. The last two decodes are
+     * memoized, so a probe alternating two lines (TimingProbe's pair
+     * trains) decodes each once per train.
+     */
+    DramAccessResult
+    access(PhysAddr pa, Ns now)
+    {
+        return dev->access(memoDecode(pa), now);
+    }
 
     /**
      * Timed access by pre-decoded DRAM address — the fast path for
@@ -51,8 +60,29 @@ class MemoryController
     const Dimm &dimm() const { return *dev; }
 
   private:
+    /** decode(pa) through the two-entry memo (least recent evicted). */
+    const DramAddr &
+    memoDecode(PhysAddr pa)
+    {
+        if (recent[mru].pa != pa) {
+            mru ^= 1;
+            if (recent[mru].pa != pa)
+                recent[mru] = {pa, map.decode(pa)};
+        }
+        return recent[mru].da;
+    }
+
+    struct Decoded
+    {
+        PhysAddr pa;
+        DramAddr da;
+    };
+
     AddressMapping map;
     std::unique_ptr<Dimm> dev;
+    /** Memoized decodes; both start as address 0's, so none is stale. */
+    std::array<Decoded, 2> recent;
+    unsigned mru = 0; //!< index of the most recently used entry
 };
 
 } // namespace rho

@@ -73,7 +73,7 @@ Dimm::anyRowState() const
     if (!rows.empty())
         return true;
     for (const BankRows &b : bankRows) {
-        if (!b.pool.empty())
+        if (b.used != 0)
             return true;
     }
     return false;
@@ -134,13 +134,13 @@ Dimm::applyAutoRefresh(RowState &rs, std::uint32_t bank,
 Dimm::RowState *
 Dimm::flatFind(const BankRows &b, std::uint64_t row) const
 {
-    if (b.keys.empty())
+    if (b.index.empty())
         return nullptr;
-    std::size_t mask = b.keys.size() - 1;
+    std::size_t mask = b.index.size() - 1;
     std::size_t i = splitMix64(row) & mask;
-    while (b.keys[i] != BankRows::emptyKey) {
-        if (b.keys[i] == row)
-            return b.vals[i];
+    while (b.index[i].row != BankRows::emptyKey) {
+        if (b.index[i].row == row)
+            return b.index[i].rs;
         i = (i + 1) & mask;
     }
     return nullptr;
@@ -149,41 +149,51 @@ Dimm::flatFind(const BankRows &b, std::uint64_t row) const
 void
 Dimm::flatGrow(BankRows &b)
 {
-    std::vector<std::uint64_t> old_keys = std::move(b.keys);
-    std::vector<RowState *> old_vals = std::move(b.vals);
-    std::size_t cap = old_keys.empty() ? 256 : old_keys.size() * 2;
-    b.keys.assign(cap, BankRows::emptyKey);
-    b.vals.assign(cap, nullptr);
+    std::vector<BankRows::Slot> old = std::move(b.index);
+    std::size_t cap = old.empty() ? 256 : old.size() * 2;
+    b.index.assign(cap, BankRows::Slot{});
     std::size_t mask = cap - 1;
-    for (std::size_t j = 0; j < old_keys.size(); ++j) {
-        if (old_keys[j] == BankRows::emptyKey)
+    for (const BankRows::Slot &slot : old) {
+        if (slot.row == BankRows::emptyKey)
             continue;
-        std::size_t i = splitMix64(old_keys[j]) & mask;
-        while (b.keys[i] != BankRows::emptyKey)
+        std::size_t i = splitMix64(slot.row) & mask;
+        while (b.index[i].row != BankRows::emptyKey)
             i = (i + 1) & mask;
-        b.keys[i] = old_keys[j];
-        b.vals[i] = old_vals[j];
+        b.index[i] = slot;
     }
 }
 
 /**
  * Find-or-create without applying the lazy auto-refresh (callers do
  * that at each use). Checks the direct-mapped cache, then the
- * open-addressed index, then inserts into the pointer-stable pool.
+ * open-addressed index, then takes the next slot of the chunked pool.
  */
 Dimm::RowState *
 Dimm::flatLookup(BankRows &b, std::uint64_t row, Ns now)
 {
-    BankRows::CacheEntry &ce = b.cache[row & (BankRows::cacheWays - 1)];
-    if (ce.tag == row)
+    BankRows::Slot &ce = b.cacheSlot(row);
+    if (ce.row == row)
         return ce.rs;
     RowState *rs = flatFind(b, row);
     if (!rs) {
-        if (b.keys.empty() || (b.used + 1) * 10 >= b.keys.size() * 7)
+        if (b.index.empty() || (b.used + 1) * 10 >= b.index.size() * 7)
             flatGrow(b);
-        b.pool.emplace_back();
-        rs = &b.pool.back();
-        rs->lastRefresh = autoRefreshBefore(row, now);
+        if (b.poolNext == b.poolEnd) {
+            std::size_t n = std::clamp(b.used, BankRows::minChunkRows,
+                                       BankRows::maxChunkRows);
+            b.chunks.push_back(std::make_unique<RowState[]>(n));
+            b.poolNext = b.chunks.back().get();
+            b.poolEnd = b.poolNext + n;
+        }
+        rs = b.poolNext++;
+        // The new row starts refreshed at its last slot, with the
+        // auto-refresh memo applyAutoRefresh(now) would set: every
+        // caller applies the lazy refresh at this same `now` next, and
+        // finds it a no-op without recomputing the slot.
+        Ns last = autoRefreshBefore(row, now);
+        rs->lastRefresh = last;
+        rs->arLast = last;
+        rs->arBoundary = last + tim.tREFW;
         // Weak cells materialize lazily (see disturbCells): every
         // threshold is at least hcMin, so hcMin bounds them before the
         // list exists and the usual threshold compare doubles as the
@@ -191,16 +201,14 @@ Dimm::flatLookup(BankRows &b, std::uint64_t row, Ns now)
         rs->minUnflipped = prof.flippable
             ? static_cast<double>(prof.hcMin)
             : std::numeric_limits<double>::infinity();
-        std::size_t mask = b.keys.size() - 1;
+        std::size_t mask = b.index.size() - 1;
         std::size_t i = splitMix64(row) & mask;
-        while (b.keys[i] != BankRows::emptyKey)
+        while (b.index[i].row != BankRows::emptyKey)
             i = (i + 1) & mask;
-        b.keys[i] = row;
-        b.vals[i] = rs;
+        b.index[i] = {row, rs};
         ++b.used;
     }
-    ce.tag = row;
-    ce.rs = rs;
+    ce = {row, rs};
     return rs;
 }
 
@@ -224,20 +232,32 @@ Dimm::rowState(std::uint32_t bank, std::uint64_t row, Ns now)
     return rs;
 }
 
+Dimm::RowCells &
+Dimm::coldPart(RowState &rs)
+{
+    if (!rs.cold)
+        rs.cold = std::make_unique<RowCells>();
+    return *rs.cold;
+}
+
+bool
+Dimm::hasCells(const RowState &rs)
+{
+    return rs.cold && !rs.cold->cells.empty();
+}
+
 std::vector<std::uint8_t> &
 Dimm::materializeData(RowState &rs)
 {
-    if (!rs.data) {
-        rs.data = std::make_unique<std::vector<std::uint8_t>>(
-            prof.geom.rowBytes, rs.fill);
+    RowCells &c = coldPart(rs);
+    if (c.data.empty()) {
+        c.data.assign(prof.geom.rowBytes, rs.fill);
         // The ECC shadow materializes with the data: both start as the
         // fill pattern, so data implies shadow while ECC is on.
-        if (ecc.enabled) {
-            rs.shadow = std::make_unique<std::vector<std::uint8_t>>(
-                prof.geom.rowBytes, rs.fill);
-        }
+        if (ecc.enabled)
+            c.shadow.assign(prof.geom.rowBytes, rs.fill);
     }
-    return *rs.data;
+    return c.data;
 }
 
 /**
@@ -249,8 +269,8 @@ EccDecision
 Dimm::decodeCodeword(const RowState &rs, std::uint32_t base) const
 {
     std::vector<std::uint32_t> errs;
-    const auto &data = *rs.data;
-    const auto &shadow = *rs.shadow;
+    const auto &data = rs.cold->data;
+    const auto &shadow = rs.cold->shadow;
     for (std::uint32_t b = 0; b < ecc.codewordBytes; ++b) {
         std::uint8_t diff = data[base + b] ^ shadow[base + b];
         while (diff) {
@@ -266,9 +286,12 @@ void
 Dimm::recomputeMinThreshold(RowState &rs)
 {
     double m = std::numeric_limits<double>::infinity();
-    for (std::size_t i = 0; i < rs.cells.size(); ++i) {
-        if (!rs.flipped[i])
-            m = std::min(m, static_cast<double>(rs.cells[i].threshold));
+    if (rs.cold) {
+        const RowCells &c = *rs.cold;
+        for (std::size_t i = 0; i < c.cells.size(); ++i) {
+            if (!c.flipped[i])
+                m = std::min(m, static_cast<double>(c.cells[i].threshold));
+        }
     }
     rs.minUnflipped = m;
 }
@@ -284,9 +307,14 @@ Dimm::disturbNeighbour(std::uint32_t bank, std::uint64_t victim,
 void
 Dimm::initCells(RowState &rs, std::uint32_t bank, std::uint64_t victim)
 {
-    rs.cells = prof.weakCellsFor(bank, victim);
-    rs.flipped.assign(rs.cells.size(), false);
     rs.cellsInit = true;
+    std::vector<WeakCell> cells = prof.weakCellsFor(bank, victim);
+    // A row without weak cells can never flip: it needs no cold part.
+    if (!cells.empty()) {
+        RowCells &c = coldPart(rs);
+        c.flipped.assign(cells.size(), false);
+        c.cells = std::move(cells);
+    }
     recomputeMinThreshold(rs);
 }
 
@@ -316,7 +344,7 @@ Dimm::disturbCells(RowState &rs, std::uint32_t bank, std::uint64_t victim,
         // Reference: eager materialization, linear scan every time.
         if (!rs.cellsInit)
             initCells(rs, bank, victim);
-        if (rs.cells.empty())
+        if (!hasCells(rs))
             return;
     }
 
@@ -327,8 +355,9 @@ void
 Dimm::scanCells(RowState &rs, std::uint32_t bank, std::uint64_t victim,
                 Ns now)
 {
-    for (std::size_t i = 0; i < rs.cells.size(); ++i) {
-        if (rs.flipped[i] || rs.disturb < rs.cells[i].threshold)
+    RowCells &cold = *rs.cold;
+    for (std::size_t i = 0; i < cold.cells.size(); ++i) {
+        if (cold.flipped[i] || rs.disturb < cold.cells[i].threshold)
             continue;
         // Injected non-reproduction (Kim et al.: flip reproducibility
         // is itself probabilistic): the cell spontaneously retains its
@@ -349,7 +378,7 @@ Dimm::scanCells(RowState &rs, std::uint32_t bank, std::uint64_t victim,
         // flip only manifests if the stored bit is in the vulnerable
         // orientation (true cell storing 1, anti cell storing 0).
         auto &data = materializeData(rs);
-        const WeakCell &c = rs.cells[i];
+        const WeakCell &c = cold.cells[i];
         std::uint32_t byte = c.bitOffset >> 3;
         std::uint8_t mask = 1u << (c.bitOffset & 7);
         bool stored_one = data[byte] & mask;
@@ -364,7 +393,7 @@ Dimm::scanCells(RowState &rs, std::uint32_t bank, std::uint64_t victim,
             RHO_TRACE(tracer, now, EventKind::BitFlip, 1, bank, victim,
                       c.bitOffset);
         }
-        rs.flipped[i] = true;
+        cold.flipped[i] = true;
     }
     recomputeMinThreshold(rs);
 }
@@ -457,7 +486,7 @@ Dimm::pracCounter(std::uint32_t bank, std::uint64_t row, Ns now)
 {
     if (store == RowStoreKind::Flat) {
         BankRows &b = bankRows[bank];
-        const BankRows::NbEntry &ne = b.nbCache[row & (BankRows::nbWays - 1)];
+        const BankRows::NbEntry &ne = b.nbEntry(row);
         return (ne.tag == row ? ne.self : flatLookup(b, row, now))->pracCount;
     }
     auto [it, inserted] = rows.try_emplace(rowKey(bank, row));
@@ -473,9 +502,9 @@ Dimm::forEachPracCounter(std::uint32_t bank, Visit visit)
 {
     if (store == RowStoreKind::Flat) {
         BankRows &b = bankRows[bank];
-        for (std::size_t i = 0; i < b.keys.size(); ++i) {
-            if (b.keys[i] != BankRows::emptyKey)
-                visit(b.keys[i], b.vals[i]->pracCount);
+        for (const BankRows::Slot &slot : b.index) {
+            if (slot.row != BankRows::emptyKey)
+                visit(slot.row, slot.rs->pracCount);
         }
         return;
     }
@@ -570,7 +599,7 @@ Dimm::doAct(std::uint32_t bank, std::uint64_t row, Ns now)
 
     if (store == RowStoreKind::Flat) {
         BankRows &b = bankRows[bank];
-        BankRows::NbEntry &ne = b.nbCache[row & (BankRows::nbWays - 1)];
+        BankRows::NbEntry &ne = b.nbEntry(row);
         if (ne.tag != row) {
             ne.tag = row;
             ne.self = flatLookup(b, row, now);
@@ -719,20 +748,22 @@ Dimm::writeBytes(const DramAddr &da, const std::uint8_t *data,
     std::copy(data, data + len, bytes.begin() + da.col);
     // The device recomputes check bits over the written data: the
     // shadow tracks exactly what was last written.
-    if (rs.shadow)
-        std::copy(data, data + len, rs.shadow->begin() + da.col);
+    std::vector<std::uint8_t> &shadow = rs.cold->shadow;
+    if (!shadow.empty())
+        std::copy(data, data + len, shadow.begin() + da.col);
     // The write activates and restores the row.
     resetDisturb(rs, da.bank, da.row, now, ResetSource::DataWrite);
     rs.lastRefresh = now;
     // Re-arm exactly the latches whose stored byte was rewritten: a
     // partial write leaves cells outside the range latched (their data
     // was not touched, so there is no fresh charge state to lose).
-    if (rs.cellsInit && !rs.cells.empty()) {
+    if (hasCells(rs)) {
+        RowCells &c = *rs.cold;
         bool rearmed = false;
-        for (std::size_t i = 0; i < rs.cells.size(); ++i) {
-            std::uint32_t byte = rs.cells[i].bitOffset >> 3;
-            if (rs.flipped[i] && byte >= da.col && byte < da.col + len) {
-                rs.flipped[i] = false;
+        for (std::size_t i = 0; i < c.cells.size(); ++i) {
+            std::uint32_t byte = c.cells[i].bitOffset >> 3;
+            if (c.flipped[i] && byte >= da.col && byte < da.col + len) {
+                c.flipped[i] = false;
                 rearmed = true;
             }
         }
@@ -745,12 +776,13 @@ std::uint8_t
 Dimm::readByte(const DramAddr &da, Ns now)
 {
     RowState &rs = rowState(da.bank, da.row, now);
-    std::uint8_t v = rs.data ? (*rs.data)[da.col] : rs.fill;
+    bool stored = rs.cold && !rs.cold->data.empty();
+    std::uint8_t v = stored ? rs.cold->data[da.col] : rs.fill;
     // On-die ECC runs on the read path, per codeword. An event is
     // emitted only when the decoder's action lands in the byte being
     // returned — i.e. when the controller-visible value differs from
     // the raw cells.
-    if (ecc.enabled && rs.data) {
+    if (ecc.enabled && stored) {
         std::uint32_t base = da.col - (da.col % ecc.codewordBytes);
         EccDecision d = decodeCodeword(rs, base);
         if (d.action == EccAction::Corrected
@@ -782,15 +814,17 @@ Dimm::fillRow(std::uint32_t bank, std::uint64_t row, std::uint8_t pattern,
 {
     RowState &rs = rowState(bank, row, now);
     rs.fill = pattern;
-    if (rs.data)
-        std::fill(rs.data->begin(), rs.data->end(), pattern);
-    if (rs.shadow)
-        std::fill(rs.shadow->begin(), rs.shadow->end(), pattern);
+    if (rs.cold) {
+        std::fill(rs.cold->data.begin(), rs.cold->data.end(), pattern);
+        std::fill(rs.cold->shadow.begin(), rs.cold->shadow.end(), pattern);
+    }
     resetDisturb(rs, bank, row, now, ResetSource::DataWrite);
     rs.lastRefresh = now;
     // The whole row's data is rewritten: every latch re-arms.
     if (rs.cellsInit) {
-        std::fill(rs.flipped.begin(), rs.flipped.end(), false);
+        if (rs.cold)
+            std::fill(rs.cold->flipped.begin(), rs.cold->flipped.end(),
+                      false);
         recomputeMinThreshold(rs);
     }
 }
@@ -801,9 +835,9 @@ Dimm::diffRow(std::uint32_t bank, std::uint64_t row, std::uint8_t expected,
 {
     std::vector<FlipRecord> out;
     RowState &rs = rowState(bank, row, now);
-    if (!rs.data)
+    if (!rs.cold || rs.cold->data.empty())
         return out;
-    const auto &bytes = *rs.data;
+    const auto &bytes = rs.cold->data;
     if (!ecc.enabled) {
         for (std::uint32_t b = 0; b < bytes.size(); ++b) {
             std::uint8_t diff = bytes[b] ^ expected;

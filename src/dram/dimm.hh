@@ -42,7 +42,6 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <limits>
 #include <memory>
 #include <unordered_map>
@@ -218,29 +217,36 @@ class Dimm
     }
 
   private:
-    struct RowState
+    /**
+     * Cold per-row state, allocated the first time a row needs it: its
+     * weak cells (built once its disturbance could flip one) and its
+     * stored data. A broad working set of rows that are only activated
+     * and disturbed never allocates one.
+     */
+    struct RowCells
     {
-        Ns lastRefresh = -1e18;
-        double disturb = 0.0;
-        bool cellsInit = false;
-        /**
-         * PRAC activation counter (PRAC on only). Like the device's
-         * in-row counter it survives REF; only an ABO service or
-         * reset() clears it.
-         */
-        std::uint32_t pracCount = 0;
         std::vector<WeakCell> cells;
-        std::vector<bool> flipped;
-        std::unique_ptr<std::vector<std::uint8_t>> data;
+        std::vector<bool> flipped; //!< flip latch per cell
+        /** Stored bytes; empty until a flip or write materializes it. */
+        std::vector<std::uint8_t> data;
         /**
          * As-written copy of the row (on-die ECC only): what the
          * device's check bits were computed over. Maintained by the
          * functional write paths (writeBytes/fillRow), never by the
          * flip machinery — the shadow-vs-data diff per codeword is
-         * exactly the decoder's error set.
+         * exactly the decoder's error set. Materializes with `data`.
          */
-        std::unique_ptr<std::vector<std::uint8_t>> shadow;
-        std::uint8_t fill = 0;
+        std::vector<std::uint8_t> shadow;
+    };
+
+    /**
+     * Hot per-row state: everything an ACT, a disturbance or a refresh
+     * reads, in one cache line, plus the pointer to the cold part.
+     */
+    struct alignas(64) RowState
+    {
+        Ns lastRefresh = -1e18;
+        double disturb = 0.0;
 
         /**
          * Conservative lower bound on the smallest threshold among
@@ -249,8 +255,8 @@ class Dimm
          * minUnflipped <= min{threshold(c) : c unlatched}, so a stale
          * (too-low) bound costs a wasted scan but never skips a flip.
          * Flat rows start at the profile's hcMin (every threshold is
-         * clamped to at least hcMin) and build `cells` only when
-         * `disturb` first reaches it; Reference rows build `cells` at
+         * clamped to at least hcMin) and build their cells only when
+         * `disturb` first reaches it; Reference rows build them at
          * their first disturbance.
          */
         double minUnflipped = std::numeric_limits<double>::infinity();
@@ -262,40 +268,83 @@ class Dimm
         // a no-op and returns after one comparison.
         Ns arLast = 1e18;
         Ns arBoundary = -1e18;
-    };
 
-    /** Per-bank flat row store: index + pool + lookup caches. */
+        std::unique_ptr<RowCells> cold;
+
+        /**
+         * PRAC activation counter (PRAC on only). Like the device's
+         * in-row counter it survives REF; only an ABO service or
+         * reset() clears it.
+         */
+        std::uint32_t pracCount = 0;
+        /** Weak cells looked up (cold->cells holds them, if any). */
+        bool cellsInit = false;
+        std::uint8_t fill = 0; //!< fill pattern the data starts as
+    };
+    static_assert(sizeof(RowState) == 64,
+                  "the hot row state must stay one cache line");
+
+    /** Per-bank flat row store: index + chunked pool + lookup caches. */
     struct BankRows
     {
         static constexpr std::uint64_t emptyKey = ~0ULL;
-        static constexpr std::size_t cacheWays = 64;
-        static constexpr std::size_t nbWays = 32;
+        static constexpr unsigned cacheWayBits = 6; //!< 64 ways
+        static constexpr unsigned nbWayBits = 5;    //!< 32 ways
+        static constexpr std::size_t minChunkRows = 8;
+        static constexpr std::size_t maxChunkRows = 128;
 
-        // Open-addressed index (linear probing, power-of-two size):
-        // row number -> pointer into the pool. Grown at 70% load.
-        std::vector<std::uint64_t> keys;
-        std::vector<RowState *> vals;
-        std::size_t used = 0;
-
-        // Pointer-stable storage for the rows of this bank.
-        std::deque<RowState> pool;
-
-        /** Direct-mapped cache of recently touched rows. */
-        struct CacheEntry
+        /**
+         * Way of `row` in a 2^Bits-way direct-mapped cache: the row
+         * number xor-folded in Bits-wide slices. Neighbouring rows
+         * still take distinct ways, and so do rows a power-of-two
+         * stride apart (an SBDR pair differing in one row bit), which
+         * the low row bits alone would map onto one way.
+         */
+        template <unsigned Bits>
+        static std::size_t
+        wayOf(std::uint64_t row)
         {
-            std::uint64_t tag = emptyKey;
+            std::uint64_t x = row;
+            for (unsigned s = Bits; s < 32; s += Bits)
+                x ^= row >> s;
+            return x & ((std::uint64_t{1} << Bits) - 1);
+        }
+
+        /** A row number and its state (index and cache slots alike). */
+        struct Slot
+        {
+            std::uint64_t row = emptyKey;
             RowState *rs = nullptr;
         };
-        std::array<CacheEntry, cacheWays> cache;
+
+        // Open-addressed index (linear probing, power-of-two size):
+        // row number -> pointer into the pool, one slot per probe.
+        // Grown at 70% load.
+        std::vector<Slot> index;
+        std::size_t used = 0; //!< rows in the index and the pool
+
+        /**
+         * Pointer-stable storage for the rows of this bank: chunks
+         * filled in order, each as large as the rows before it, from
+         * minChunkRows up to maxChunkRows. A bank holding a few hot
+         * rows stays small; a broad working set allocates 128 rows at
+         * a time.
+         */
+        std::vector<std::unique_ptr<RowState[]>> chunks;
+        RowState *poolNext = nullptr; //!< next free slot of the last chunk
+        RowState *poolEnd = nullptr;  //!< end of the last chunk
+
+        /** Direct-mapped cache of recently touched rows. */
+        std::array<Slot, std::size_t{1} << cacheWayBits> cache;
 
         /**
          * Open-neighbourhood cache for doAct: the activated row plus
          * its four blast-radius neighbours, resolved once and reused
          * while the hammer loop revisits the row. Direct-mapped on the
-         * row number; an entry is displaced (invalidated) when a
-         * different row maps onto its way. A non-uniform pattern puts
-         * up to 14 aggressor pairs (28 rows) in one bank, so 32 ways
-         * hold a whole pattern where 8 thrashed.
+         * folded row number; an entry is displaced (invalidated) when
+         * a different row maps onto its way. A non-uniform pattern
+         * puts up to 14 aggressor pairs (28 rows) in one bank, so 32
+         * ways hold a whole pattern where 8 thrashed.
          */
         struct NbEntry
         {
@@ -303,7 +352,19 @@ class Dimm
             RowState *self = nullptr;
             std::array<RowState *, 4> nb{}; //!< d = -2,-1,+1,+2
         };
-        std::array<NbEntry, nbWays> nbCache;
+        std::array<NbEntry, std::size_t{1} << nbWayBits> nbCache;
+
+        Slot &
+        cacheSlot(std::uint64_t row)
+        {
+            return cache[wayOf<cacheWayBits>(row)];
+        }
+
+        NbEntry &
+        nbEntry(std::uint64_t row)
+        {
+            return nbCache[wayOf<nbWayBits>(row)];
+        }
     };
 
     /** Reference-store key: the bank above the low rowKeyBits. */
@@ -341,6 +402,8 @@ class Dimm
                    Ns now);
     void recomputeMinThreshold(RowState &rs);
     void processTrrTicks(Ns now);
+    static RowCells &coldPart(RowState &rs);
+    static bool hasCells(const RowState &rs);
     std::vector<std::uint8_t> &materializeData(RowState &rs);
     EccDecision decodeCodeword(const RowState &rs,
                                std::uint32_t base) const;

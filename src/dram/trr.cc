@@ -6,7 +6,8 @@ namespace rho
 {
 
 TrrSampler::TrrSampler(const TrrConfig &cfg_, std::uint32_t num_banks)
-    : cfg(cfg_), tables(num_banks), rng(cfg_.seed)
+    : cfg(cfg_), trigger(std::max<std::uint32_t>(cfg_.matchThreshold, 1)),
+      tables(num_banks), rng(cfg_.seed)
 {
 }
 
@@ -17,6 +18,7 @@ TrrSampler::reset()
         table.clear();
     rng = ReplayRng(cfg.seed);
     issued = 0;
+    armed = 0;
 }
 
 std::optional<TrrTarget>
@@ -37,7 +39,7 @@ TrrSampler::observeAct(std::uint32_t bank, std::uint64_t row, Ns now)
     auto &table = tables[bank];
     for (auto &e : table) {
         if (e.row == row) {
-            ++e.count;
+            armed += ++e.count == trigger;
             RHO_TRACE(tracer, now, EventKind::TrrSample, 0, bank, row,
                       e.count);
             return ptrr_hit;
@@ -45,6 +47,7 @@ TrrSampler::observeAct(std::uint32_t bank, std::uint64_t row, Ns now)
     }
     if (table.size() < cfg.counters) {
         table.push_back({row, 1});
+        armed += trigger == 1;
         RHO_TRACE(tracer, now, EventKind::TrrSample, 0, bank, row, 1);
         return ptrr_hit;
     }
@@ -54,7 +57,7 @@ TrrSampler::observeAct(std::uint32_t bank, std::uint64_t row, Ns now)
     RHO_TRACE(tracer, now, EventKind::TrrSample, 0, bank, row, 0);
     for (auto &e : table) {
         if (e.count > 0)
-            --e.count;
+            armed -= e.count-- == trigger;
     }
     std::erase_if(table, [&](const Entry &e) {
         if (e.count != 0)
@@ -66,19 +69,17 @@ TrrSampler::observeAct(std::uint32_t bank, std::uint64_t row, Ns now)
 }
 
 std::vector<TrrTarget>
-TrrSampler::onRefreshTick(Ns now)
+TrrSampler::issueTargets(Ns now)
 {
     (void)now;
     std::vector<TrrTarget> out;
-    if (!cfg.enabled)
-        return out;
 
     // Gather rows over threshold across banks, strongest first.
     struct Cand { std::uint32_t bank; std::size_t idx; std::uint32_t cnt; };
     std::vector<Cand> cands;
     for (std::uint32_t b = 0; b < tables.size(); ++b) {
         for (std::size_t i = 0; i < tables[b].size(); ++i) {
-            if (tables[b][i].count >= cfg.matchThreshold)
+            if (tables[b][i].count >= trigger)
                 cands.push_back({b, i, tables[b][i].count});
         }
     }
@@ -96,6 +97,7 @@ TrrSampler::onRefreshTick(Ns now)
         std::erase_if(tables[b],
                       [row](const Entry &e) { return e.row == row; });
     }
+    armed -= out.size();
     issued += out.size();
     return out;
 }

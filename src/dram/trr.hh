@@ -75,7 +75,15 @@ class TrrSampler
      * @return aggressor rows (up to maxRefreshesPerTick) whose
      *         neighbours the device refreshes now.
      */
-    std::vector<TrrTarget> onRefreshTick(Ns now = 0.0);
+    std::vector<TrrTarget>
+    onRefreshTick(Ns now = 0.0)
+    {
+        // Nearly every tick finds no entry at the threshold; the count
+        // of those that are lets it skip the scan of every bank table.
+        if (armed == 0)
+            return {};
+        return issueTargets(now);
+    }
 
     /** Number of targeted refreshes issued so far (statistics). */
     std::uint64_t targetedRefreshes() const { return issued; }
@@ -108,8 +116,16 @@ class TrrSampler
         std::uint32_t count;
     };
 
+    std::vector<TrrTarget> issueTargets(Ns now);
+
     TrrConfig cfg;
+    /**
+     * The count at which an entry triggers: matchThreshold, raised to
+     * 1 because entries never sit at count 0 (threshold 0 acts as 1).
+     */
+    std::uint32_t trigger;
     std::vector<std::vector<Entry>> tables; // per flat bank
+    std::size_t armed = 0; //!< table entries with count >= trigger
     ReplayRng rng; //!< the draws of Rng(cfg.seed), without its overhead
     std::uint64_t issued = 0;
     Tracer *tracer = nullptr;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/logging.hh"
 #include "fault/fault_injector.hh"
 
 namespace rho
@@ -34,6 +35,8 @@ TimingProbe::TimingProbe(MemorySystem &sys_, std::uint64_t seed)
 double
 TimingProbe::measurePair(PhysAddr a, PhysAddr b, unsigned rounds)
 {
+    if (rounds == 0)
+        panic("TimingProbe::measurePair: rounds must be positive");
     latBuf.clear();
     Ns fastest = 1e18;
     for (unsigned r = 0; r < rounds; ++r) {

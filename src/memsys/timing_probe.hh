@@ -33,6 +33,7 @@ class TimingProbe
     /**
      * Average per-access latency (ns) of alternately accessing a and
      * b, each address accessed `rounds` times, flushed in between.
+     * Panics on rounds == 0 (an empty train has no average).
      *
      * Accesses slower than the train's fastest by more than
      * refSpikeCutoffNs are excluded from the average: on platforms

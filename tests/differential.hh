@@ -27,6 +27,7 @@
 #ifndef RHO_TESTS_DIFFERENTIAL_HH
 #define RHO_TESTS_DIFFERENTIAL_HH
 
+#include <bit>
 #include <cctype>
 #include <cerrno>
 #include <cmath>
@@ -45,6 +46,9 @@
 #include "exploit/cross_vm.hh"
 #include "hammer/sweep.hh"
 #include "hammer/tuned_configs.hh"
+#include "memsys/timing_probe.hh"
+#include "os/buddy_allocator.hh"
+#include "os/pagemap.hh"
 #include "trace/golden.hh"
 #include "trace/metrics.hh"
 #include "trace/tracer.hh"
@@ -426,6 +430,77 @@ crossVmScenario(const SystemSpec &spec, std::uint64_t seed, unsigned jobs,
     for (FailureCode c : r.codes)
         d.outcome.push_back(static_cast<std::uint64_t>(c));
     d.trace = goldenSerialize(events);
+    return d;
+}
+
+/**
+ * Broad-row SBDR probing, the device path of reverse engineering:
+ * `budget` TimingProbe pair trains of 50 rounds over pairs drawn from a
+ * PhysPool. A third of the pairs are random, a third are moved into one
+ * bank, and a third sit in one bank a power-of-two row stride apart
+ * (the strides that alias in a cache indexed by the low row bits). The
+ * two rows beside each train's first line are filled before it and
+ * diffed after it, so weak cells materialize, flip and (with ECC on)
+ * decode in rows created moments earlier. Halfway, Dimm::reset() runs
+ * and the second half re-probes the first half's pairs, so state that
+ * outlived the reset would show. One machine, so `jobs` has nothing to
+ * fan out. The outcome holds each train's latency bits and every
+ * diffed flip.
+ */
+inline Digest
+broadRowScenario(const SystemSpec &spec, std::uint64_t seed,
+                 unsigned /*jobs*/, std::uint64_t budget)
+{
+    MemorySystem sys(spec);
+    Tracer tracer(TraceConfig{true, spec.trace.categories,
+                              std::size_t{1} << 22});
+    sys.attachTracer(&tracer);
+    BuddyAllocator buddy(sys.mapping().memBytes(), 0.02, seed);
+    PhysPool pool(buddy, 0.70);
+    TimingProbe probe(sys, seed);
+    const AddressMapping &m = sys.mapping();
+    Dimm &dimm = sys.dimm();
+    const auto row_bits =
+        static_cast<std::uint64_t>(std::bit_width(m.numRows() - 1));
+    Rng rng(seed);
+    std::vector<std::uint64_t> outcome;
+    for (std::uint64_t i = 0; i < budget; ++i) {
+        if (i == budget / 2) {
+            dimm.reset();
+            rng = Rng(seed); // re-probe the first half's pairs
+        }
+        PhysAddr a = pool.randomAddr(rng);
+        PhysAddr b = pool.randomAddr(rng);
+        DramAddr da = m.decode(a);
+        if (i % 3 != 2) {
+            DramAddr db = m.decode(b);
+            db.bank = da.bank;
+            if (i % 3 == 0)
+                db.row = da.row ^ std::uint64_t{1}
+                                      << rng.uniformInt(0, row_bits - 1);
+            b = m.encode(db);
+        }
+        std::vector<std::uint64_t> victims;
+        for (std::uint64_t v : {da.row - 1, da.row + 1}) {
+            if (v < m.numRows())
+                victims.push_back(v);
+        }
+        auto pattern = static_cast<std::uint8_t>(0x55 ^ i);
+        for (std::uint64_t v : victims)
+            dimm.fillRow(da.bank, v, pattern, sys.now());
+        outcome.push_back(std::bit_cast<std::uint64_t>(
+            probe.measurePair(a, b, 50)));
+        for (std::uint64_t v : victims) {
+            for (const FlipRecord &f :
+                 dimm.diffRow(da.bank, v, pattern, sys.now()))
+                outcome.push_back(f.row << 16 | f.bitOffset);
+        }
+    }
+    sys.attachTracer(nullptr);
+    EXPECT_EQ(tracer.dropped(), 0u);
+    Digest d = deviceDigest(sys);
+    d.outcome = std::move(outcome);
+    d.trace = goldenSerialize(tracer.events());
     return d;
 }
 

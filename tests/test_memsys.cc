@@ -3,6 +3,8 @@
  * Tests for MemorySystem composition and the SBDR timing probe.
  */
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "memsys/memory_system.hh"
@@ -84,6 +86,73 @@ TEST(MemorySystem, FunctionalDataPath)
     EXPECT_EQ(sys.readByte(0xdead01), 0x00);
 }
 
+/**
+ * The controller memoizes its last decodes; dramAccess must stay the
+ * exact twin of dramAccessResolved through hits, misses and evictions.
+ * Each arch drives two systems over the same streams: pairs alternating
+ * two lines (same bank, power-of-two row strides, and random), three
+ * lines cycled (the third random or one low bit from the first),
+ * single lines repeated, and random addresses.
+ */
+TEST(MemorySystem, DramAccessMatchesResolvedUnderMemo)
+{
+    for (Arch arch : allArchs) {
+        SCOPED_TRACE(archName(arch));
+        TrrConfig trr;
+        trr.sampleProb = 1.0;
+        trr.matchThreshold = 8;
+        SystemSpec spec(arch, DimmProfile::byId("S1"), trr);
+        MemorySystem viaAddr(spec);
+        MemorySystem viaHandle(spec);
+        const AddressMapping &m = viaAddr.mapping();
+        Rng rng(0x3e30 + static_cast<std::uint64_t>(arch));
+        auto randomAddr = [&] {
+            return rng.uniformInt(0, m.memBytes() - 1);
+        };
+        auto sameBankPartner = [&](PhysAddr a, std::uint64_t stride) {
+            DramAddr d = m.decode(a);
+            d.row = (d.row + stride) % m.numRows();
+            return m.encode(d);
+        };
+
+        std::vector<PhysAddr> stream;
+        for (unsigned k = 0; k < 24; ++k) {
+            PhysAddr a = randomAddr();
+            PhysAddr b = k % 3 == 0   ? randomAddr()
+                         : k % 3 == 1 ? sameBankPartner(a, 1ull << (k % 12))
+                                      : sameBankPartner(a, 1 + k);
+            // Every other third line is a near twin of the first: one
+            // low address bit apart, often in another bank.
+            PhysAddr c = k % 2 ? a ^ (std::uint64_t{64} << (k % 12))
+                               : randomAddr();
+            for (unsigned r = 0; r < 40; ++r)
+                stream.insert(stream.end(), {a, b});
+            for (unsigned r = 0; r < 20; ++r)
+                stream.insert(stream.end(), {a, b, c});
+            stream.insert(stream.end(), 10, c);
+            stream.insert(stream.end(), 5, a);
+        }
+        for (unsigned k = 0; k < 2000; ++k)
+            stream.push_back(randomAddr());
+
+        for (std::size_t i = 0; i < stream.size(); ++i) {
+            PhysAddr pa = stream[i];
+            Ns got = viaAddr.dramAccess(pa, viaAddr.now() + 12.0);
+            Ns want = viaHandle.dramAccessResolved(
+                viaHandle.resolveLine(pa), viaHandle.now() + 12.0);
+            ASSERT_EQ(got, want) << "access " << i;
+            viaAddr.advance(got);
+            viaHandle.advance(want);
+        }
+        EXPECT_EQ(viaAddr.now(), viaHandle.now());
+        EXPECT_EQ(viaAddr.dimm().totalActs(), viaHandle.dimm().totalActs());
+        EXPECT_EQ(viaAddr.dimm().trrRefreshCount(),
+                  viaHandle.dimm().trrRefreshCount());
+        EXPECT_GT(viaAddr.dimm().totalActs(), stream.size() / 2);
+        EXPECT_GT(viaAddr.dimm().trrRefreshCount(), 0u);
+    }
+}
+
 namespace
 {
 
@@ -134,6 +203,13 @@ TEST(TimingProbe, AdvancesClockAndCountsAccesses)
     probe.measurePair(0x1000, 0x2000, 50);
     EXPECT_EQ(probe.accessCount(), 100u);
     EXPECT_GT(sys.now(), t0 + 100 * 40.0); // >= overhead+latency each
+}
+
+TEST(TimingProbe, ZeroRoundsPanics)
+{
+    MemorySystem sys(SystemSpec(Arch::CometLake, DimmProfile::byId("S2")));
+    TimingProbe probe(sys, 7);
+    EXPECT_DEATH(probe.measurePair(0x1000, 0x2000, 0), "rounds");
 }
 
 TEST(TimingProbe, MeasurementNoiseIsBounded)

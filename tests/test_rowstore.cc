@@ -59,9 +59,9 @@ expectStoresAgree(const DimmProfile &p, const DramTiming &timing,
 TEST(RowStoreDifferential, ColdRowChurnMatchesReference)
 {
     // Thousands of distinct rows force the open-addressed index to
-    // grow and the direct-mapped caches to alias (stride 64 maps every
-    // row onto one way), exercising every cold path against the
-    // reference store.
+    // grow and displace every way of the direct-mapped caches over and
+    // over (bank 1 walks a power-of-two stride), exercising every cold
+    // path against the reference store.
     const DimmProfile &p = DimmProfile::byId("S4");
     expectStoresAgree(p, DramTiming::ddr4(p.freqMts), TrrConfig{}, [](Dimm &d) {
         Ns now = 0.0;
@@ -69,8 +69,8 @@ TEST(RowStoreDifferential, ColdRowChurnMatchesReference)
         for (std::uint64_t i = 0; i < 3000; ++i) {
             std::uint64_t row = (i * 977) % rows;      // scattered
             now += d.access({0, row, 0}, now).latency;
-            std::uint64_t aliased = (i * 64) % rows;   // one cache way
-            now += d.access({1, aliased, 0}, now).latency;
+            std::uint64_t strided = (i * 64) % rows;
+            now += d.access({1, strided, 0}, now).latency;
         }
     });
 }
@@ -93,6 +93,29 @@ TEST(RowStoreDifferential, TrrEvasionIdenticalAcrossSeeds)
         total_flips += ref.flips;
     }
     EXPECT_GT(total_flips, 0u);
+}
+
+TEST(RowStoreDifferential, BroadRowProbeIdenticalAcrossEngineMatrix)
+{
+    // Thousands of rows created, flipped and dropped by SBDR probe
+    // trains, ECC off and on: the flat store's hot/cold row split and
+    // chunked pool against the reference store.
+    static const DimmProfile weak = // the spec keeps a pointer
+        weakCells(DimmProfile::byId("S1"), 64.0, 40.0, 0.3, 20);
+    for (bool ecc : {false, true}) {
+        SCOPED_TRACE(ecc ? "ECC on" : "ECC off");
+        SystemSpec spec = tracedSpec(Arch::RaptorLake, weak, CatAll,
+                                     aggressiveTrr());
+        spec.ecc.enabled = ecc;
+        Digest ref = expectMatrixMatches(
+            spec, {1u}, [](const SystemSpec &s, unsigned jobs) {
+                return broadRowScenario(s, 23, jobs, 400);
+            });
+        EXPECT_GT(ref.acts, 10000u); // since the reset
+        EXPECT_GT(ref.trrRefreshes, 0u);
+        EXPECT_GT(ref.flips, 0u);
+        EXPECT_GT(ref.outcome.size(), 400u); // some flips escape ECC
+    }
 }
 
 // ---------------------------------------------------------------------

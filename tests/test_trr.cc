@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -230,6 +231,78 @@ TEST(TrrSampler, ResetReplaysFreshSampler)
     EXPECT_EQ(s.targetedRefreshes(), 0u);
     EXPECT_EQ(driveTrr(s), first);
     EXPECT_EQ(s.targetedRefreshes(), first.size());
+}
+
+/**
+ * Pins onRefreshTick against TrrModel's brute-force scan of every bank
+ * table, tick by tick, at the default sampling probabilities. Each
+ * config runs a seeded stream over 4 banks: one dominant and two minor
+ * hot rows per bank, mixed with fresh decoys at a rate that changes
+ * every 2000 ACTs, a tick after ~1 ACT in 40, and a reset() halfway. Threshold 0 rides along:
+ * entries never sit at count 0, so it must behave like threshold 1.
+ */
+TEST(TrrOracle, RefreshTickMatchesFullScanModel)
+{
+    constexpr std::uint32_t kBanks = 4;
+    constexpr std::uint64_t kActs = 40000;
+    std::uint64_t cfg_index = 0;
+    for (std::uint32_t threshold : {0u, 1u, 2u, 5u, 24u}) {
+        for (unsigned counters : {1u, 4u, 16u}) {
+            for (bool ptrr : {false, true}) {
+                SCOPED_TRACE("threshold " + std::to_string(threshold)
+                             + " counters " + std::to_string(counters)
+                             + (ptrr ? " pTRR" : ""));
+                TrrConfig cfg;
+                cfg.matchThreshold = threshold;
+                cfg.counters = counters;
+                cfg.ptrr = ptrr;
+                TrrSampler s(cfg, kBanks);
+                TrrModel model(cfg, kBanks);
+                Rng stream(0x7e57 + cfg_index++);
+                double decoy_rate = 0.0;
+                std::uint64_t issued = 0; // since the reset
+                std::uint64_t targets = 0;
+                for (std::uint64_t i = 0; i < kActs; ++i) {
+                    if (i == kActs / 2) {
+                        s.reset();
+                        model = TrrModel(cfg, kBanks);
+                    }
+                    if (i % 2000 == 0)
+                        decoy_rate = stream.uniformReal(0.0, 0.7);
+                    auto bank = static_cast<std::uint32_t>(
+                        stream.uniformInt(0, kBanks - 1));
+                    std::uint64_t row = 1000 * bank;
+                    if (stream.chance(decoy_rate))
+                        row = 100000 + stream.uniformInt(0, 1u << 20);
+                    else if (stream.chance(0.2))
+                        row += 2 * stream.uniformInt(1, 2);
+                    std::optional<TrrTarget> got = s.observeAct(bank, row);
+                    std::optional<TrrTarget> want =
+                        model.observeAct(bank, row);
+                    ASSERT_EQ(got.has_value(), want.has_value())
+                        << "ACT " << i;
+                    issued += i >= kActs / 2 && want;
+                    if (!stream.chance(1.0 / 40))
+                        continue;
+                    std::vector<TrrTarget> ticked = s.onRefreshTick();
+                    std::vector<TrrTarget> scanned = model.onRefreshTick();
+                    ASSERT_EQ(ticked.size(), scanned.size()) << "ACT " << i;
+                    for (std::size_t k = 0; k < scanned.size(); ++k) {
+                        ASSERT_EQ(ticked[k].bank, scanned[k].bank)
+                            << "ACT " << i;
+                        ASSERT_EQ(ticked[k].row, scanned[k].row)
+                            << "ACT " << i;
+                    }
+                    if (i >= kActs / 2) {
+                        issued += scanned.size();
+                        targets += scanned.size();
+                    }
+                }
+                EXPECT_EQ(s.targetedRefreshes(), issued);
+                EXPECT_GT(targets, 0u);
+            }
+        }
+    }
 }
 
 namespace
