@@ -61,9 +61,12 @@ main(int argc, char **argv)
         } else if (positional == 0) {
             arch = parseArch(argv[i]);
             ++positional;
-        } else {
+        } else if (positional == 1) {
             dimm = argv[i];
             ++positional;
+        } else {
+            bench::usageError(std::string("unexpected argument '")
+                              + argv[i] + "': expected [arch] [dimm]");
         }
     }
 

@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <cstring>
 
+#include "bench_util.hh"
 #include "common/logging.hh"
 #include "hammer/nop_tuner.hh"
 #include "hammer/pattern_fuzzer.hh"
@@ -35,9 +36,13 @@ main(int argc, char **argv)
     setVerbose(false);
 
     const char *trace_path = nullptr;
-    for (int i = 1; i + 1 < argc; ++i) {
-        if (!std::strcmp(argv[i], "--trace"))
-            trace_path = argv[i + 1];
+    for (int i = 1; i < argc; ++i) {
+        if (std::strcmp(argv[i], "--trace"))
+            bench::usageError(std::string("unknown argument '") + argv[i]
+                              + "': expected --trace FILE.json");
+        if (i + 1 >= argc)
+            bench::usageError("--trace needs a value");
+        trace_path = argv[++i];
     }
 
     // 1. A simulated machine: Raptor Lake core + DDR4 DIMM "S2".

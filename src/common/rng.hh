@@ -11,9 +11,10 @@
 #ifndef RHO_COMMON_RNG_HH
 #define RHO_COMMON_RNG_HH
 
+#include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <random>
-#include <string>
 #include <vector>
 
 namespace rho
@@ -38,25 +39,107 @@ hashCombine(std::uint64_t a, std::uint64_t b)
 
 /**
  * Seeded pseudo-random source with the distribution helpers the
- * simulator needs. Thin wrapper around std::mt19937_64.
+ * simulator needs: a block-refilled mt19937_64 whose every draw equals
+ * the standard library's.
+ *
+ * The draws are semantic. The flush-jitter coin and the obfuscated
+ * branch feed timing and the branch predictor, the TRR coins decide
+ * which ACTs are sampled, so the stream must stay the mt19937_64
+ * sequence, consumed exactly as the std distribution objects consume
+ * it. The per-access draws (raw(), peek()/consumeIf(), chance(),
+ * uniformInt()) are the replay loop's and the TRR sampler's hot path,
+ * so they are written out against the installed libstdc++ rather than
+ * paying for a distribution object per call:
+ *
+ *  - the seeding constructor and the twist are the standard's
+ *    mersenne_twister_engine recurrences (the output sequence is fixed
+ *    by the C++ standard, not an implementation detail);
+ *  - generate_canonical<double, 53>: for a 64-bit engine the generic
+ *    loop collapses to one draw, double(x) / 2^64, clamped to
+ *    nextafter(1, 0) when the conversion rounds up to 1.0;
+ *  - bernoulli_distribution: canonical < p;
+ *  - uniform_int_distribution<uint64_t>: Lemire's nearly divisionless
+ *    downscaling over __uint128_t, exactly the libstdc++ path taken
+ *    whenever the engine range is 2^64.
+ *
+ * The rarer draws (uniformReal, normal, logNormal, poisson) use the
+ * std distribution objects directly: Rng is a UniformRandomBitGenerator
+ * with the mt19937_64 range. tests/test_rng.cc pins every draw against
+ * the std engine and distributions; the golden traces pin the composed
+ * behaviour end to end.
  */
 class Rng
 {
   public:
-    explicit Rng(std::uint64_t seed) : engine(seed) {}
+    using result_type = std::uint64_t;
+
+    /** The stream of a mt19937_64 seeded with `seed`. */
+    explicit Rng(std::uint64_t seed);
+
+    static constexpr result_type min() { return 0; }
+    static constexpr result_type max() { return ~result_type(0); }
+
+    /** Raw 64-bit draw; the mt19937_64 sequence. */
+    std::uint64_t
+    raw()
+    {
+        std::uint64_t z = peek();
+        ++idx;
+        return z;
+    }
+
+    result_type operator()() { return raw(); }
+
+    /**
+     * The next raw draw, without consuming it. Pair with consumeIf():
+     * a caller whose draw is gated on a random condition (the
+     * obfuscated branch draws a target only when taken) can compute
+     * the would-be value unconditionally and advance the stream by 0
+     * or 1 — no host branch on random data. consumeIf(true) after
+     * peek() is exactly raw(); consumeIf(false) leaves the stream
+     * untouched.
+     */
+    std::uint64_t
+    peek()
+    {
+        if (idx >= kN)
+            twist();
+        std::uint64_t z = state[idx];
+        z ^= (z >> 29) & 0x5555555555555555ULL;
+        z ^= (z << 17) & 0x71d67fffeda60000ULL;
+        z ^= (z << 37) & 0xfff7eee000000000ULL;
+        z ^= z >> 43;
+        return z;
+    }
+
+    void consumeIf(bool take) { idx += take; }
 
     /** Uniform integer in [lo, hi] (inclusive). */
     std::uint64_t
     uniformInt(std::uint64_t lo, std::uint64_t hi)
     {
-        return std::uniform_int_distribution<std::uint64_t>(lo, hi)(engine);
+        std::uint64_t urange = hi - lo;
+        if (urange == ~0ULL)
+            return raw(); // whole engine range: raw draw
+        std::uint64_t uerange = urange + 1;
+        unsigned __int128 product =
+            static_cast<unsigned __int128>(raw()) * uerange;
+        std::uint64_t low = static_cast<std::uint64_t>(product);
+        if (low < uerange) {
+            std::uint64_t threshold = (0 - uerange) % uerange;
+            while (low < threshold) {
+                product = static_cast<unsigned __int128>(raw()) * uerange;
+                low = static_cast<std::uint64_t>(product);
+            }
+        }
+        return lo + static_cast<std::uint64_t>(product >> 64);
     }
 
     /** Uniform real in [lo, hi). */
     double
     uniformReal(double lo, double hi)
     {
-        return std::uniform_real_distribution<double>(lo, hi)(engine);
+        return std::uniform_real_distribution<double>(lo, hi)(*this);
     }
 
     /** Bernoulli trial with success probability p. */
@@ -67,21 +150,21 @@ class Rng
             return false;
         if (p >= 1.0)
             return true;
-        return std::bernoulli_distribution(p)(engine);
+        return canonical() < p;
     }
 
     /** Normal distribution sample. */
     double
     normal(double mean, double stddev)
     {
-        return std::normal_distribution<double>(mean, stddev)(engine);
+        return std::normal_distribution<double>(mean, stddev)(*this);
     }
 
     /** Log-normal distribution sample (of the underlying normal). */
     double
     logNormal(double logMean, double logSigma)
     {
-        return std::lognormal_distribution<double>(logMean, logSigma)(engine);
+        return std::lognormal_distribution<double>(logMean, logSigma)(*this);
     }
 
     /** Poisson distribution sample. */
@@ -90,7 +173,7 @@ class Rng
     {
         if (mean <= 0.0)
             return 0;
-        return std::poisson_distribution<std::uint64_t>(mean)(engine);
+        return std::poisson_distribution<std::uint64_t>(mean)(*this);
     }
 
     /** Pick a uniformly random element of a non-empty vector. */
@@ -113,26 +196,47 @@ class Rng
     }
 
     /** Derive an independent child generator (for sub-components). */
-    Rng
-    fork()
-    {
-        return Rng(engine());
-    }
-
-    /** Raw 64-bit draw. */
-    std::uint64_t raw() { return engine(); }
-
-    /**
-     * Engine state in the standard mersenne_twister_engine text
-     * serialization (312 state words + read position). Lets an exact
-     * engine replica (common/replay_rng.hh) take over the stream and hand
-     * it back without disturbing it.
-     */
-    std::string saveEngineState() const;
-    void loadEngineState(const std::string &text);
+    Rng fork() { return Rng(raw()); }
 
   private:
-    std::mt19937_64 engine;
+    /**
+     * Round-to-nearest uint64 -> double without the compiler's
+     * sign-test branch. x86-64 has no unsigned conversion before
+     * AVX-512, so `double(x)` compiles to a branch on bit 63 — which
+     * is random engine output here and mispredicts half the time,
+     * costing more than the rest of the draw combined. Splitting into
+     * two exactly-representable halves (hi * 2^32 is exact, lo is
+     * exact) sums to mathematical x and rounds exactly once, so the
+     * result is bit-identical to the direct conversion.
+     */
+    static double
+    toDouble(std::uint64_t x)
+    {
+        double hi = static_cast<double>(
+            static_cast<std::int64_t>(x >> 32));
+        double lo = static_cast<double>(
+            static_cast<std::int64_t>(x & 0xffffffffULL));
+        return hi * 0x1p32 + lo;
+    }
+
+    /** std::generate_canonical<double, 53> over this engine. */
+    double
+    canonical()
+    {
+        double ret = toDouble(raw()) * 0x1p-64;
+        // double(x) rounds up to 2^64 for the top ~2^10 inputs; the
+        // standard clamps the quotient below 1.0.
+        if (ret >= 1.0) [[unlikely]]
+            ret = std::nextafter(1.0, 0.0);
+        return ret;
+    }
+
+    void twist();
+
+    static constexpr std::size_t kN = 312;
+
+    std::uint64_t state[kN];
+    std::size_t idx = kN;
 };
 
 } // namespace rho

@@ -169,11 +169,6 @@ SimCpu::run(const HammerKernel &kernel, MemoryBackend &mem,
         // needs no InstrRetire trace event of its own.
         plan.compile(kernel, arch, /*fuse_nop_runs=*/tracer == nullptr);
         plan.resolveLines(mem);
-        // The replay loop draws through the batched engine replica;
-        // hand it the stream and take it back afterwards so reference
-        // and blocked runs of this core consume one continuous
-        // sequence.
-        rrng.importFrom(rng);
         bool indexed = kernel.mode() == AddressingMode::CppIndexed;
         if (tracer) {
             if (indexed)
@@ -186,7 +181,6 @@ SimCpu::run(const HammerKernel &kernel, MemoryBackend &mem,
             else
                 replayBlocked<false, false>(mem);
         }
-        rrng.exportTo(rng);
     }
 
     ctr.timeNs = now - start_ns;
@@ -267,15 +261,15 @@ SimCpu::replayBlocked(MemoryBackend &mem)
               case PlanCode::BranchObf: {
                 ++ctr.branches;
                 now += op.d0; // cyc(obfOverheadCyc)
-                bool taken = rrng.chance(0.5);
+                bool taken = rng.chance(0.5);
                 // Reference: `taken ? 1 + uniformInt(0, 7) : 0`. That
                 // gates a draw on a coin flip — an unpredictable host
                 // branch. Peek the would-be draw, advance the stream
                 // only if taken, and mask the target instead.
                 // uniformInt(0, 7)'s Lemire downscale is one draw with
                 // no rejection (8 divides 2^64) and reduces to x >> 61.
-                std::uint64_t tdraw = rrng.peek();
-                rrng.consumeIf(taken);
+                std::uint64_t tdraw = rng.peek();
+                rng.consumeIf(taken);
                 std::uint64_t target = (1 + (tdraw >> 61))
                     & (0 - static_cast<std::uint64_t>(taken));
                 bool miss = bp.predictAndUpdate(
@@ -335,7 +329,7 @@ SimCpu::replayBlocked(MemoryBackend &mem)
                 Ns flush_lat = flush_lat_base;
                 if (jitter_gated) {
                     flush_lat +=
-                        static_cast<double>(rrng.chance(jitter_prob))
+                        static_cast<double>(rng.chance(jitter_prob))
                         * jitter_add;
                 }
                 Ns done = cache.recordFlush(op.line, issue, flush_lat);

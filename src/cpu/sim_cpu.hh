@@ -53,7 +53,6 @@
 #include <deque>
 #include <vector>
 
-#include "common/replay_rng.hh"
 #include "common/rng.hh"
 #include "cpu/arch_params.hh"
 #include "cpu/block_plan.hh"
@@ -133,10 +132,6 @@ class SimCpu
                      std::uint64_t mem_read_budget, Ns start_ns = 0.0);
 
     const ArchParams &params() const { return arch; }
-
-    /** Engine selection; takes effect at the next run(). */
-    void setModel(CpuModelKind k) { kind = k; }
-    CpuModelKind model() const { return kind; }
 
     /**
      * Attach a tracer (nullptr detaches) for retire/stall/cache/
@@ -229,9 +224,8 @@ class SimCpu
     Ns dram(MemoryBackend &mem, PhysAddr pa, Ns t);
 
     const ArchParams &arch;
-    CpuModelKind kind;
+    const CpuModelKind kind;
     Rng rng;
-    ReplayRng rrng; //!< Blocked engine's view of rng (synced per run)
     BranchPredictor bp;
     BlockPlan plan; //!< Blocked engine's compiled body (reused storage)
 

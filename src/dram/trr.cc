@@ -16,7 +16,7 @@ TrrSampler::reset()
 {
     for (auto &table : tables)
         table.clear();
-    rng = ReplayRng(cfg.seed);
+    rng = Rng(cfg.seed);
     issued = 0;
     armed = 0;
 }

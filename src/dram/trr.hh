@@ -23,7 +23,7 @@
 #include <optional>
 #include <vector>
 
-#include "common/replay_rng.hh"
+#include "common/rng.hh"
 #include "common/types.hh"
 #include "trace/tracer.hh"
 
@@ -126,7 +126,7 @@ class TrrSampler
     std::uint32_t trigger;
     std::vector<std::vector<Entry>> tables; // per flat bank
     std::size_t armed = 0; //!< table entries with count >= trigger
-    ReplayRng rng; //!< the draws of Rng(cfg.seed), without its overhead
+    Rng rng;
     std::uint64_t issued = 0;
     Tracer *tracer = nullptr;
 };

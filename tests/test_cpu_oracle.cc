@@ -135,9 +135,12 @@ TEST(CpuOracle, VariableLatencyBackendIdenticalEverywhere)
 
 TEST(CpuOracle, RngStreamHandoffSpansRuns)
 {
-    // Back-to-back runs on one core: the blocked engine borrows the
-    // rng stream and must hand it back exactly where the reference
-    // engine would have left it, or the second run diverges.
+    // Back-to-back runs on one core draw from one rng stream: each run
+    // must leave it exactly where the reference engine would, or the
+    // next run diverges. A zero budget runs the reference loop on the
+    // Blocked core too, so its middle run mixes both loops on one
+    // stream; in the obfuscated kernel that run's one op is a branch
+    // that draws.
     for (const char *shape : {"obfuscated", "plain"}) {
         HammerKernel k = shapedKernel(shape);
         RecordingMemory m1(60.0), m2(60.0);
@@ -147,9 +150,12 @@ TEST(CpuOracle, RngStreamHandoffSpansRuns)
                    CpuModelKind::Reference);
         blocked.run(k, m1, 3000);
         ref.run(k, m2, 3000);
+        PerfCounters b0 = blocked.run(k, m1, 0, 5e5);
+        PerfCounters r0 = ref.run(k, m2, 0, 5e5);
+        expectSameCounters(b0, r0, std::string("zero-budget run, ") + shape);
         PerfCounters b2 = blocked.run(k, m1, 3000, 1e6);
         PerfCounters r2 = ref.run(k, m2, 3000, 1e6);
-        expectSameCounters(b2, r2, std::string("second run, ") + shape);
+        expectSameCounters(b2, r2, std::string("third run, ") + shape);
     }
 }
 

@@ -1,18 +1,18 @@
 /**
  * @file
- * Determinism and distribution sanity tests for the Rng wrapper, and
- * the ReplayRng replica (common/replay_rng.hh) pinned against the std
- * library objects it replaces: seeding, raw engine stream, bernoulli
- * and uniform-int draws, and the state handoff both ways.
+ * Determinism and distribution sanity tests for Rng, and Rng pinned
+ * draw by draw against the std library objects it stands for: a
+ * std::mt19937_64 seeded the same way, the bernoulli, uniform-int,
+ * uniform-real, normal, log-normal and Poisson distributions on it,
+ * and fork().
  */
 
+#include <algorithm>
 #include <random>
-#include <sstream>
 #include <string>
 
 #include <gtest/gtest.h>
 
-#include "common/replay_rng.hh"
 #include "common/rng.hh"
 
 using namespace rho;
@@ -96,22 +96,39 @@ TEST(SplitMix, StableHashes)
     EXPECT_NE(hashCombine(1, 2), hashCombine(2, 1));
 }
 
+// ---------------------------------------------------------------------
+// Rng vs the std library. The suite is named for the batched replay
+// draws (raw, peek/consumeIf, chance, uniformInt) it pins.
+// ---------------------------------------------------------------------
+
 namespace
 {
 
-// ---------------------------------------------------------------------
-// ReplayRng vs the std library
-// ---------------------------------------------------------------------
-
-/** std::mt19937_64 positioned at the same state as `r`. */
-std::mt19937_64
-stdEngineAt(const Rng &r)
+/** Advance both engines by `n` raw draws (land mid-block). */
+void
+skipBoth(Rng &r, std::mt19937_64 &eng, int n)
 {
-    std::mt19937_64 eng;
-    std::istringstream in(r.saveEngineState());
-    in >> eng;
-    EXPECT_TRUE(static_cast<bool>(in));
-    return eng;
+    for (int i = 0; i < n; ++i)
+        ASSERT_EQ(r.raw(), eng());
+}
+
+/** The next raw draws of both engines agree: the streams are in step. */
+void
+expectInStep(Rng &r, std::mt19937_64 &eng)
+{
+    for (int i = 0; i < 4; ++i)
+        EXPECT_EQ(r.raw(), eng()) << "in-step draw " << i;
+}
+
+/** Rng::chance as the std objects draw it, short-circuits included. */
+bool
+stdChance(std::mt19937_64 &eng, double p)
+{
+    if (p <= 0.0)
+        return false;
+    if (p >= 1.0)
+        return true;
+    return std::bernoulli_distribution(p)(eng);
 }
 
 } // namespace
@@ -119,17 +136,17 @@ stdEngineAt(const Rng &r)
 TEST(ReplayRng, RawStreamMatchesStdEngine)
 {
     for (std::uint64_t seed : {1ULL, 42ULL, 0xdeadbeefULL, ~0ULL}) {
-        Rng src(seed);
-        // Start mid-block too: a partially consumed engine state must
-        // import at the right read position.
-        for (int skip = 0; skip < 3; ++skip)
-            src.raw();
-        ReplayRng rr;
-        rr.importFrom(src);
-        std::mt19937_64 eng = stdEngineAt(src);
-        // > 2 full twist blocks (312 words each).
-        for (int i = 0; i < 1000; ++i)
-            ASSERT_EQ(rr.next(), eng()) << "seed " << seed << " draw " << i;
+        // Start mid-block too: skip the same draws on both engines.
+        for (int skip : {0, 3, 311, 312, 500}) {
+            Rng r(seed);
+            std::mt19937_64 eng(seed);
+            skipBoth(r, eng, skip);
+            // > 2 full twist blocks (312 words each).
+            for (int i = 0; i < 1000; ++i) {
+                ASSERT_EQ(r.raw(), eng())
+                    << "seed " << seed << " skip " << skip << " draw " << i;
+            }
+        }
     }
 }
 
@@ -137,19 +154,17 @@ TEST(ReplayRng, ChanceMatchesRngAndStaysInSync)
 {
     const double probs[] = {-0.5, 0.0, 1e-18, 0.02, 0.1, 0.25, 0.5,
                             0.6,  0.7, 0.999, 1.0,  1.5};
-    Rng ref(77);
-    Rng shadow(77);
-    ReplayRng rr;
-    rr.importFrom(shadow);
+    Rng r(77);
+    std::mt19937_64 eng(77);
+    skipBoth(r, eng, 5);
     for (int round = 0; round < 400; ++round) {
         for (double p : probs) {
-            ASSERT_EQ(rr.chance(p), ref.chance(p))
+            ASSERT_EQ(r.chance(p), stdChance(eng, p))
                 << "p " << p << " round " << round;
         }
     }
-    // The replica consumed exactly the same number of engine words.
-    rr.exportTo(shadow);
-    EXPECT_EQ(shadow.saveEngineState(), ref.saveEngineState());
+    // Rng consumed exactly the same number of engine words.
+    expectInStep(r, eng);
 }
 
 TEST(ReplayRng, UniformIntMatchesRngAndStaysInSync)
@@ -167,64 +182,45 @@ TEST(ReplayRng, UniformIntMatchesRngAndStaysInSync)
                             {0, 0xfffffffffffffffdULL},
                             {5, ~0ULL - 1},
                             {0, ~0ULL}};
-    Rng ref(123);
-    Rng shadow(123);
-    ReplayRng rr;
-    rr.importFrom(shadow);
+    Rng r(123);
+    std::mt19937_64 eng(123);
+    skipBoth(r, eng, 7);
     for (int round = 0; round < 500; ++round) {
-        for (const Range &r : ranges) {
-            ASSERT_EQ(rr.uniformInt(r.lo, r.hi),
-                      ref.uniformInt(r.lo, r.hi))
-                << "[" << r.lo << ", " << r.hi << "] round " << round;
+        for (const Range &rg : ranges) {
+            ASSERT_EQ(r.uniformInt(rg.lo, rg.hi),
+                      std::uniform_int_distribution<std::uint64_t>(
+                          rg.lo, rg.hi)(eng))
+                << "[" << rg.lo << ", " << rg.hi << "] round " << round;
         }
     }
-    rr.exportTo(shadow);
-    EXPECT_EQ(shadow.saveEngineState(), ref.saveEngineState());
+    expectInStep(r, eng);
 }
 
 TEST(ReplayRng, PeekConsumeIfAdvancesByZeroOrOne)
 {
-    Rng ref(9);
-    Rng shadow(9);
-    ReplayRng rr;
-    rr.importFrom(shadow);
+    Rng r(9);
+    std::mt19937_64 eng(9);
     for (int i = 0; i < 700; ++i) {
-        std::uint64_t expect = ref.raw();
-        ASSERT_EQ(rr.peek(), expect);
-        ASSERT_EQ(rr.peek(), expect); // peek does not advance
+        std::uint64_t expect = eng();
+        ASSERT_EQ(r.peek(), expect);
+        ASSERT_EQ(r.peek(), expect); // peek does not advance
         if (i % 3 == 0) {
-            rr.consumeIf(false); // still not advanced
-            ASSERT_EQ(rr.peek(), expect);
+            r.consumeIf(false); // still not advanced
+            ASSERT_EQ(r.peek(), expect);
         }
-        rr.consumeIf(true);
+        r.consumeIf(true);
     }
-    rr.exportTo(shadow);
-    EXPECT_EQ(shadow.saveEngineState(), ref.saveEngineState());
-}
-
-TEST(ReplayRng, StateRoundTripsBothWays)
-{
-    Rng a(31337);
-    for (int i = 0; i < 500; ++i)
-        a.raw(); // land mid-block
-    std::string before = a.saveEngineState();
-    ReplayRng rr;
-    rr.importFrom(a);
-    Rng b(1);
-    rr.exportTo(b);
-    EXPECT_EQ(b.saveEngineState(), before);
-    // And the streams agree after the round trip.
-    EXPECT_EQ(a.raw(), b.raw());
+    expectInStep(r, eng);
 }
 
 TEST(ReplayRng, SeedConstructorMatchesStdEngine)
 {
     for (std::uint64_t seed : {0ULL, 1ULL, 0x7272ULL, ~0ULL}) {
-        ReplayRng rr(seed);
+        Rng r(seed);
         std::mt19937_64 eng(seed);
         // > 2 full twist blocks (312 words each).
         for (int i = 0; i < 700; ++i)
-            ASSERT_EQ(rr.next(), eng()) << "seed " << seed << " draw " << i;
+            ASSERT_EQ(r(), eng()) << "seed " << seed << " draw " << i;
     }
 }
 
@@ -233,15 +229,59 @@ TEST(ReplayRng, SeedConstructorChanceMatchesRng)
     // The TRR sampler's two coins: the sampling probability and pTRR.
     for (std::uint64_t seed : {0ULL, 1ULL, 0x7272ULL, ~0ULL}) {
         for (double p : {0.25, 4e-3}) {
-            ReplayRng rr(seed);
-            Rng ref(seed);
+            Rng r(seed);
+            std::mt19937_64 eng(seed);
             for (int i = 0; i < 2000; ++i) {
-                ASSERT_EQ(rr.chance(p), ref.chance(p))
+                ASSERT_EQ(r.chance(p), stdChance(eng, p))
                     << "seed " << seed << " p " << p << " draw " << i;
             }
-            Rng shadow(1);
-            rr.exportTo(shadow);
-            EXPECT_EQ(shadow.saveEngineState(), ref.saveEngineState());
+            expectInStep(r, eng);
         }
+    }
+}
+
+TEST(Rng, StdDistributionDrawsMatchStdEngine)
+{
+    // The draws Rng leaves to the std distribution objects, interleaved
+    // with the batched ones, so every draw starts at a different
+    // engine position (mid-block and across twists) and a miscounted
+    // word anywhere shows up in every later draw.
+    for (std::uint64_t seed : {0ULL, 1ULL, 0x5eedULL, 0xdeadbeefULL, ~0ULL}) {
+        Rng r(seed);
+        std::mt19937_64 eng(seed);
+        for (int i = 0; i < 3000; ++i) {
+            std::string at = "seed " + std::to_string(seed) + " round "
+                + std::to_string(i);
+            double lo = -1.0 - i % 7, hi = 2.0 + i % 5;
+            ASSERT_EQ(r.uniformReal(lo, hi),
+                      std::uniform_real_distribution<double>(lo, hi)(eng))
+                << at;
+            double mean = 0.5 * (i % 9), sd = 0.1 + 0.3 * (i % 4);
+            ASSERT_EQ(r.normal(mean, sd),
+                      std::normal_distribution<double>(mean, sd)(eng))
+                << at;
+            ASSERT_EQ(r.logNormal(mean, sd),
+                      std::lognormal_distribution<double>(mean, sd)(eng))
+                << at;
+            // Small means (inversion) and large ones (rejection).
+            double pm = i % 3 == 0 ? 0.7 : i % 3 == 1 ? 4.5 : 35.0;
+            ASSERT_EQ(r.poisson(pm),
+                      std::poisson_distribution<std::uint64_t>(pm)(eng))
+                << at;
+            ASSERT_EQ(r.poisson(0.0), 0u) << at; // draws nothing
+            ASSERT_EQ(r.chance(0.3), stdChance(eng, 0.3)) << at;
+            ASSERT_EQ(r.uniformInt(2, 11 + i % 13),
+                      std::uniform_int_distribution<std::uint64_t>(
+                          2, 11 + i % 13)(eng))
+                << at;
+            if (i % 100 == 0) {
+                // A fork is seeded with the parent's next raw draw.
+                Rng child = r.fork();
+                std::mt19937_64 std_child(eng());
+                for (int k = 0; k < 400; ++k)
+                    ASSERT_EQ(child.raw(), std_child()) << at << " fork";
+            }
+        }
+        expectInStep(r, eng);
     }
 }

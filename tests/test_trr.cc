@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -84,8 +85,9 @@ namespace
 {
 
 /**
- * Straight-line model of TrrSampler drawing through Rng (libstdc++'s
- * mt19937_64 + bernoulli_distribution): the pTRR coin first, then the
+ * Straight-line model of TrrSampler drawing through the std library
+ * (std::mt19937_64 + std::bernoulli_distribution, with Rng::chance's
+ * draw-free p <= 0 and p >= 1 edges): the pTRR coin first, then the
  * TRR sampling coin, per ACT.
  */
 struct TrrModel
@@ -97,17 +99,27 @@ struct TrrModel
     };
 
     TrrModel(const TrrConfig &c, std::uint32_t banks)
-        : cfg(c), tables(banks), rng(c.seed)
+        : cfg(c), tables(banks), eng(c.seed)
     {
+    }
+
+    bool
+    chance(double p)
+    {
+        if (p <= 0.0)
+            return false;
+        if (p >= 1.0)
+            return true;
+        return std::bernoulli_distribution(p)(eng);
     }
 
     std::optional<TrrTarget>
     observeAct(std::uint32_t bank, std::uint64_t row)
     {
         std::optional<TrrTarget> hit;
-        if (cfg.ptrr && rng.chance(cfg.ptrrSampleProb))
+        if (cfg.ptrr && chance(cfg.ptrrSampleProb))
             hit = TrrTarget{bank, row};
-        if (!cfg.enabled || !rng.chance(cfg.sampleProb))
+        if (!cfg.enabled || !chance(cfg.sampleProb))
             return hit;
         auto &table = tables[bank];
         for (auto &e : table) {
@@ -154,7 +166,7 @@ struct TrrModel
 
     TrrConfig cfg;
     std::vector<std::vector<Entry>> tables;
-    Rng rng;
+    std::mt19937_64 eng;
 };
 
 /** One sampler decision: a pTRR hit or a per-tick targeted refresh. */
@@ -198,7 +210,7 @@ driveTrr(Sampler &s)
  * Pins the sampling stream at the default probabilities (every other
  * TrrSampler test uses sampleProb 1.0, which draws nothing): every
  * pTRR hit and every targeted refresh matches a model that draws from
- * Rng(cfg.seed).
+ * a std::mt19937_64 seeded with cfg.seed.
  */
 TEST(TrrSampler, DrawStreamMatchesRngModel)
 {
