@@ -19,10 +19,13 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <utility>
 
 #include "common/logging.hh"
+#include "common/parallel.hh"
 #include "common/table.hh"
-#include "common/thread_pool.hh"
+#include "dram/dimm_profile.hh"
+#include "mapping/mapping_presets.hh"
 
 namespace rho::bench
 {
@@ -93,11 +96,59 @@ parseJobs(int argc, char **argv)
         parseFlag(argc, argv, "--jobs", 0, maxJobs, "-j"));
 }
 
+/** Command-line names of the four evaluated micro-architectures. */
+inline constexpr std::pair<const char *, Arch> archNames[] = {
+    {"comet", Arch::CometLake},
+    {"rocket", Arch::RocketLake},
+    {"alder", Arch::AlderLake},
+    {"raptor", Arch::RaptorLake},
+};
+
+/** The Arch named `s` in archNames; any other name exits via usageError(). */
+inline Arch
+parseArch(const char *s)
+{
+    for (const auto &[name, arch] : archNames) {
+        if (!std::strcmp(s, name))
+            return arch;
+    }
+    usageError(std::string("unknown arch '") + s
+               + "' (expected comet, rocket, alder or raptor)");
+}
+
+/** The archNames name of `arch` (an arch parseArch() returned). */
+inline const char *
+archArg(Arch arch)
+{
+    for (const auto &[name, a] : archNames) {
+        if (a == arch)
+            return name;
+    }
+    panic("archArg: %s has no command-line name", archName(arch).c_str());
+}
+
+/**
+ * `s` if it is the id of a paper DIMM (DimmProfile::all()); any other
+ * id exits via usageError().
+ */
+inline const char *
+parseDimm(const char *s)
+{
+    std::string ids;
+    for (const DimmProfile *p : DimmProfile::all()) {
+        if (p->id == s)
+            return s;
+        ids += (ids.empty() ? "" : ", ") + p->id;
+    }
+    usageError(std::string("unknown DIMM '") + s + "' (expected " + ids
+               + ")");
+}
+
 /** Announce the fan-out width a campaign bench will use. */
 inline void
 announceJobs(unsigned jobs)
 {
-    unsigned resolved = jobs == 0 ? ThreadPool::defaultJobs() : jobs;
+    unsigned resolved = resolveJobs(jobs);
     std::printf("campaign engine: %u worker thread%s%s\n\n", resolved,
                 resolved == 1 ? "" : "s",
                 jobs == 0 ? " (auto; override with --jobs N)" : "");

@@ -45,7 +45,6 @@ main(int argc, char **argv)
                 ParallelStats stats;
                 auto res = fuzzCampaign(spec, cfg, params, 20, &stats);
                 total_stats.tasksRun += stats.tasksRun;
-                total_stats.steals += stats.steals;
                 total_stats.wallNs += stats.wallNs;
                 total_stats.simNs += stats.simNs;
                 row.push_back(strFormat(
@@ -59,11 +58,9 @@ main(int argc, char **argv)
         table.print();
         std::printf("\n");
     }
-    std::printf("engine: jobs=%u tasks=%llu steals=%llu wall=%.0f ms "
-                "sim=%.0f ms\n\n",
+    std::printf("engine: jobs=%u tasks=%llu wall=%.0f ms sim=%.0f ms\n\n",
                 total_stats.jobs,
                 (unsigned long long)total_stats.tasksRun,
-                (unsigned long long)total_stats.steals,
                 total_stats.wallNs / 1e6, total_stats.simNs / 1e6);
     std::puts("Shape: rho-M >= rho-S >> BL everywhere; BL-M often "
               "below BL-S on Comet/Rocket; BL ~0 on Alder/Raptor "

@@ -23,8 +23,8 @@
  *   --log            print the supervisor event log
  *
  * Counts must be integers (locations, shards and workers at least 1),
- * probabilities numbers in [0, 1]; malformed input, an unknown flag or
- * a third positional argument exits with status 2.
+ * probabilities numbers in [0, 1]; malformed input, an unknown arch,
+ * DIMM or flag, or a third positional argument exits with status 2.
  *
  * The internal `--worker` entry is what --exec launches; it re-derives
  * the campaign deterministically from its arguments and runs exactly
@@ -53,21 +53,6 @@ using namespace rho::service;
 
 namespace
 {
-
-Arch
-parseArch(const char *s)
-{
-    if (!std::strcmp(s, "comet"))
-        return Arch::CometLake;
-    if (!std::strcmp(s, "rocket"))
-        return Arch::RocketLake;
-    if (!std::strcmp(s, "alder"))
-        return Arch::AlderLake;
-    if (!std::strcmp(s, "raptor"))
-        return Arch::RaptorLake;
-    bench::usageError(std::string("unknown arch '") + s
-                      + "' (expected comet, rocket, alder or raptor)");
-}
 
 /** `v`, the value of `what`, as an unsigned int (0 allowed). */
 unsigned
@@ -104,18 +89,6 @@ std::uint64_t
 parseSeed(const std::string &what, const char *v)
 {
     return bench::parseUnsigned(what, v, UINT64_MAX, 0);
-}
-
-const char *
-archArg(Arch a)
-{
-    switch (a) {
-    case Arch::CometLake: return "comet";
-    case Arch::RocketLake: return "rocket";
-    case Arch::AlderLake: return "alder";
-    case Arch::RaptorLake: return "raptor";
-    }
-    return "raptor";
 }
 
 /** The campaign is a pure function of (arch, dimm, seed): both the
@@ -172,8 +145,8 @@ workerMain(int argc, char **argv)
         bench::usageError(strFormat("--worker: expected 14 operands, got %d",
                                     argc - 2));
     char **a = argv + 2;
-    Arch arch = parseArch(a[0]);
-    const char *dimm = a[1];
+    Arch arch = bench::parseArch(a[0]);
+    const char *dimm = bench::parseDimm(a[1]);
     unsigned locations = parseCount("--worker locations", a[2]);
     unsigned jobs = unsigned(bench::parseUnsigned("--worker jobs", a[3],
                                                   bench::maxJobs));
@@ -270,9 +243,9 @@ main(int argc, char **argv)
         else if (flag[0] == '-')
             bench::usageError(std::string("unknown flag ") + flag);
         else if (positional == 0)
-            arch = parseArch(flag), ++positional;
+            arch = bench::parseArch(flag), ++positional;
         else if (positional == 1)
-            dimm = flag, ++positional;
+            dimm = bench::parseDimm(flag), ++positional;
         else
             bench::usageError(std::string("unexpected argument ") + flag);
     }
@@ -317,7 +290,7 @@ main(int argc, char **argv)
         service.execArgv = [&](const ShardSpec &shard, unsigned attempt,
                                const WorkerChaos &chaos) {
             return std::vector<std::string>{
-                self, "--worker", archArg(arch), dimm,
+                self, "--worker", bench::archArg(arch), dimm,
                 std::to_string(locations), std::to_string(jobs),
                 std::to_string(seed), std::to_string(shard.id),
                 std::to_string(shard.firstTask),

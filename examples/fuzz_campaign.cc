@@ -10,6 +10,8 @@
  *   dimm:   S1..S5, H1, M1                    (default S3)
  *   --jobs: worker threads (default: hardware_concurrency); results
  *           are bit-identical for any value.
+ * An unknown arch or DIMM, a malformed --jobs or a third positional
+ * argument exits with status 2 before anything is printed.
  */
 
 #include <cstdio>
@@ -23,25 +25,6 @@
 #include "hammer/tuned_configs.hh"
 
 using namespace rho;
-
-namespace
-{
-
-Arch
-parseArch(const char *s)
-{
-    if (!std::strcmp(s, "comet"))
-        return Arch::CometLake;
-    if (!std::strcmp(s, "rocket"))
-        return Arch::RocketLake;
-    if (!std::strcmp(s, "alder"))
-        return Arch::AlderLake;
-    if (!std::strcmp(s, "raptor"))
-        return Arch::RaptorLake;
-    fatal("unknown arch '%s'", s);
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -59,10 +42,10 @@ main(int argc, char **argv)
                 bench::parseUnsigned(argv[i], argv[i + 1], bench::maxJobs));
             ++i;
         } else if (positional == 0) {
-            arch = parseArch(argv[i]);
+            arch = bench::parseArch(argv[i]);
             ++positional;
         } else if (positional == 1) {
-            dimm = argv[i];
+            dimm = bench::parseDimm(argv[i]);
             ++positional;
         } else {
             bench::usageError(std::string("unexpected argument '")

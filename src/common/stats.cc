@@ -177,9 +177,8 @@ std::string
 ParallelStats::summary() const
 {
     std::string s = strFormat(
-        "jobs=%u tasks=%llu steals=%llu wall=%.0f ms sim=%.0f ms "
-        "(avg task %.1f ms)",
-        jobs, (unsigned long long)tasksRun, (unsigned long long)steals,
+        "jobs=%u tasks=%llu wall=%.0f ms sim=%.0f ms (avg task %.1f ms)",
+        jobs, (unsigned long long)tasksRun,
         wallNs / 1e6, simNs / 1e6, taskWallMs.mean());
     if (tasksRestored > 0) {
         s += strFormat(" restored=%llu",

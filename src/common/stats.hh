@@ -152,7 +152,12 @@ struct ParallelStats
     unsigned jobs = 1;            //!< worker threads used
     std::uint64_t tasksRun = 0;   //!< tasks executed (not restored)
     std::uint64_t tasksRestored = 0; //!< tasks restored from a checkpoint
-    std::uint64_t steals = 0;     //!< tasks migrated between workers
+    /**
+     * Always 0: workers claim tasks from one shared counter, so no
+     * task migrates. Kept only because the frozen rhobench harness
+     * reads it (rhobench/src/bypass_ddr5.cc).
+     */
+    std::uint64_t steals = 0;
     double wallNs = 0.0;          //!< host wall-clock for the fan-out
     double simNs = 0.0;           //!< simulated ns covered (caller-set)
     RunningStat taskWallMs;       //!< per-task host wall-clock, ms

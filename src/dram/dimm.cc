@@ -165,15 +165,13 @@ Dimm::flatGrow(BankRows &b)
 
 /**
  * Find-or-create without applying the lazy auto-refresh (callers do
- * that at each use). Checks the direct-mapped cache, then the
- * open-addressed index, then takes the next slot of the chunked pool.
+ * that at each use). Checks the open-addressed index, then takes the
+ * next slot of the chunked pool. doAct's open-neighbourhood cache
+ * keeps the hammer loop's repeat visits from reaching here.
  */
 Dimm::RowState *
 Dimm::flatLookup(BankRows &b, std::uint64_t row, Ns now)
 {
-    BankRows::Slot &ce = b.cacheSlot(row);
-    if (ce.row == row)
-        return ce.rs;
     RowState *rs = flatFind(b, row);
     if (!rs) {
         if (b.index.empty() || (b.used + 1) * 10 >= b.index.size() * 7)
@@ -208,7 +206,6 @@ Dimm::flatLookup(BankRows &b, std::uint64_t row, Ns now)
         b.index[i] = {row, rs};
         ++b.used;
     }
-    ce = {row, rs};
     return rs;
 }
 

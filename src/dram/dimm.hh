@@ -27,14 +27,13 @@
  *
  * Row-state storage: the hot activation path uses a flat per-bank
  * store (RowStoreKind::Flat) — an open-addressed row index over a
- * pointer-stable pool, fronted by a direct-mapped cache of recently
- * touched rows and a per-bank cache of the activated row's open
- * neighbourhood. A hammer loop revisits the same handful of rows
- * millions of times, so nearly every lookup is a cache hit. The
- * original std::unordered_map path is kept as RowStoreKind::Reference;
- * both produce bit-identical traces and flip sequences (pinned by the
- * differential tests in tests/test_rowstore.cc and the committed
- * goldens).
+ * pointer-stable pool, fronted by a per-bank cache of the activated
+ * row's open neighbourhood. A hammer loop revisits the same handful of
+ * rows millions of times, so nearly every activation is a cache hit
+ * and never reaches the index. The original std::unordered_map path
+ * is kept as RowStoreKind::Reference; both produce bit-identical
+ * traces and flip sequences (pinned by the differential tests in
+ * tests/test_rowstore.cc and the committed goldens).
  */
 
 #ifndef RHO_DRAM_DIMM_HH
@@ -284,33 +283,18 @@ class Dimm
     static_assert(sizeof(RowState) == 64,
                   "the hot row state must stay one cache line");
 
-    /** Per-bank flat row store: index + chunked pool + lookup caches. */
+    /**
+     * Per-bank flat row store: index + chunked pool + open-
+     * neighbourhood cache.
+     */
     struct BankRows
     {
         static constexpr std::uint64_t emptyKey = ~0ULL;
-        static constexpr unsigned cacheWayBits = 6; //!< 64 ways
-        static constexpr unsigned nbWayBits = 5;    //!< 32 ways
+        static constexpr unsigned nbWayBits = 5; //!< 32 ways
         static constexpr std::size_t minChunkRows = 8;
         static constexpr std::size_t maxChunkRows = 128;
 
-        /**
-         * Way of `row` in a 2^Bits-way direct-mapped cache: the row
-         * number xor-folded in Bits-wide slices. Neighbouring rows
-         * still take distinct ways, and so do rows a power-of-two
-         * stride apart (an SBDR pair differing in one row bit), which
-         * the low row bits alone would map onto one way.
-         */
-        template <unsigned Bits>
-        static std::size_t
-        wayOf(std::uint64_t row)
-        {
-            std::uint64_t x = row;
-            for (unsigned s = Bits; s < 32; s += Bits)
-                x ^= row >> s;
-            return x & ((std::uint64_t{1} << Bits) - 1);
-        }
-
-        /** A row number and its state (index and cache slots alike). */
+        /** A row number and its state (one index slot). */
         struct Slot
         {
             std::uint64_t row = emptyKey;
@@ -334,17 +318,17 @@ class Dimm
         RowState *poolNext = nullptr; //!< next free slot of the last chunk
         RowState *poolEnd = nullptr;  //!< end of the last chunk
 
-        /** Direct-mapped cache of recently touched rows. */
-        std::array<Slot, std::size_t{1} << cacheWayBits> cache;
-
         /**
          * Open-neighbourhood cache for doAct: the activated row plus
          * its four blast-radius neighbours, resolved once and reused
          * while the hammer loop revisits the row. Direct-mapped on the
-         * folded row number; an entry is displaced (invalidated) when
-         * a different row maps onto its way. A non-uniform pattern
-         * puts up to 14 aggressor pairs (28 rows) in one bank, so 32
-         * ways hold a whole pattern where 8 thrashed.
+         * row number xor-folded in nbWayBits-wide slices, so
+         * neighbouring rows and rows a power-of-two stride apart (an
+         * SBDR pair differing in one row bit) take distinct ways; an
+         * entry is displaced (invalidated) when a different row maps
+         * onto its way. A non-uniform pattern puts up to 14 aggressor
+         * pairs (28 rows) in one bank, so 32 ways hold a whole pattern
+         * where 8 thrashed.
          */
         struct NbEntry
         {
@@ -354,16 +338,13 @@ class Dimm
         };
         std::array<NbEntry, std::size_t{1} << nbWayBits> nbCache;
 
-        Slot &
-        cacheSlot(std::uint64_t row)
-        {
-            return cache[wayOf<cacheWayBits>(row)];
-        }
-
         NbEntry &
         nbEntry(std::uint64_t row)
         {
-            return nbCache[wayOf<nbWayBits>(row)];
+            std::uint64_t x = row;
+            for (unsigned s = nbWayBits; s < 32; s += nbWayBits)
+                x ^= row >> s;
+            return nbCache[x & (nbCache.size() - 1)];
         }
     };
 

@@ -145,8 +145,10 @@ class PatternFuzzer
  * how many threads run it.
  *
  * @param stats optional per-campaign scheduling/timing counters.
- * @param metrics optional unified counters (see sweepCampaign);
- *        totals are identical for any `jobs` value.
+ * @param metrics optional unified counters: the six per-task ones
+ *        sweepCampaign lists, with "campaign.patterns" in place of
+ *        "campaign.locations"; totals are identical for any `jobs`
+ *        value.
  * @param trace optional merged event stream; filled only when
  *        spec.trace.enabled (see sweepCampaign for semantics).
  */

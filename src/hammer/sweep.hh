@@ -108,9 +108,11 @@ SweepResult sweep(HammerSession &session, const HammerPattern &pattern,
  * @param stats optional per-campaign scheduling/timing counters.
  * @param metrics optional unified counters ("dram.acts",
  *        "dram.refreshes.trr", "dram.refreshes.rfm",
- *        "cpu.dram_accesses", "hammer.flips", "campaign.locations",
- *        plus "parallel.*"); totals are merged in task order and are
+ *        "dram.alerts.prac", "cpu.dram_accesses", "hammer.flips" and
+ *        "campaign.locations"); totals are merged in task order and are
  *        identical for any `jobs` value and across checkpoint resumes.
+ *        Scheduling counters stay in `stats`; addMetrics(ParallelStats)
+ *        turns them into "parallel.*" where a caller wants them.
  * @param trace optional merged event stream. Filled only when
  *        spec.trace.enabled: each task records into its own Tracer
  *        (tid = task index) and streams concatenate in task order, so

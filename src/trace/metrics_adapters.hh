@@ -84,7 +84,6 @@ addMetrics(MetricsRegistry &m, const ParallelStats &ps)
     m.set("parallel.jobs", ps.jobs);
     m.add("parallel.tasks_run", ps.tasksRun);
     m.add("parallel.tasks_restored", ps.tasksRestored);
-    m.add("parallel.steals", ps.steals);
     m.add("parallel.wall_ns", metricNs(ps.wallNs));
     m.add("parallel.sim_ns", metricNs(ps.simNs));
 }

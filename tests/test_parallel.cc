@@ -1,9 +1,9 @@
 /**
  * @file
- * Tests for the parallel campaign engine: work-stealing thread-pool
- * semantics (ordering, exception propagation, edge cases) and the
- * headline determinism guarantee — sweep and fuzz campaigns produce
- * bit-identical results for any job count.
+ * Tests for the parallel campaign engine: parallelMapOrdered()
+ * semantics (ordering, exception propagation, edge cases, idle
+ * workers) and the headline determinism guarantee — sweep and fuzz
+ * campaigns produce bit-identical results for any job count.
  */
 
 #include <atomic>
@@ -11,6 +11,8 @@
 #include <cstdio>
 #include <stdexcept>
 #include <thread>
+
+#include <sys/resource.h>
 
 #include <gtest/gtest.h>
 
@@ -22,39 +24,70 @@
 
 using namespace rho;
 
+// The ThreadPool suite keeps the name of the work-stealing pool that
+// parallelMapOrdered() once ran on; it now tests the claim counter.
+
 TEST(ThreadPool, DefaultJobsIsPositive)
 {
-    EXPECT_GE(ThreadPool::defaultJobs(), 1u);
-    EXPECT_EQ(resolveJobs(0), ThreadPool::defaultJobs());
+    unsigned hw = std::thread::hardware_concurrency();
+    EXPECT_GE(resolveJobs(0), 1u);
+    EXPECT_EQ(resolveJobs(0), hw > 0 ? hw : 1u);
     EXPECT_EQ(resolveJobs(3), 3u);
 }
 
 TEST(ThreadPool, ZeroTasksIsANoOp)
 {
-    ThreadPool pool(4);
-    pool.wait(); // must not hang with nothing submitted
-    EXPECT_EQ(pool.counters().tasksRun, 0u);
-
-    auto out = parallelMapOrdered(0, 4, [](unsigned i) { return i; });
+    ParallelStats stats;
+    std::atomic<unsigned> calls{0};
+    auto out = parallelMapOrdered(
+        0, 4, [&calls](unsigned i) { calls.fetch_add(1); return i; },
+        &stats);
     EXPECT_TRUE(out.empty());
+    EXPECT_EQ(calls.load(), 0u);
+    EXPECT_EQ(stats.jobs, 1u);
+    EXPECT_EQ(stats.tasksRun, 0u);
+    EXPECT_EQ(stats.taskWallMs.count(), 0u);
 }
 
 TEST(ThreadPool, RunsEverySubmittedTask)
 {
-    ThreadPool pool(4);
+    ParallelStats stats;
     std::atomic<unsigned> hits{0};
-    for (unsigned i = 0; i < 100; ++i)
-        pool.submit([&hits] { hits.fetch_add(1); });
-    pool.wait();
+    auto hit = [&hits](unsigned) { return hits.fetch_add(1) + 1; };
+    parallelMapOrdered(100, 4, hit, &stats);
     EXPECT_EQ(hits.load(), 100u);
-    EXPECT_EQ(pool.counters().tasksRun, 100u);
+    EXPECT_EQ(stats.jobs, 4u);
+    EXPECT_EQ(stats.tasksRun, 100u);
 
-    // The pool is reusable: a second wave accumulates counters.
-    for (unsigned i = 0; i < 50; ++i)
-        pool.submit([&hits] { hits.fetch_add(1); });
-    pool.wait();
+    // A second call accumulates into the same stats.
+    parallelMapOrdered(50, 4, hit, &stats);
     EXPECT_EQ(hits.load(), 150u);
-    EXPECT_EQ(pool.counters().tasksRun, 150u);
+    EXPECT_EQ(stats.tasksRun, 150u);
+    EXPECT_EQ(stats.taskWallMs.count(), 150u);
+    EXPECT_EQ(stats.steals, 0u);
+}
+
+TEST(ThreadPool, IdleWorkersDoNotSpin)
+{
+    // Three tasks end at once while task 0 sleeps; the three workers
+    // left without a task must not burn CPU until it wakes.
+    constexpr auto sleep = std::chrono::milliseconds(300);
+    auto cpu_s = [] {
+        rusage ru{};
+        getrusage(RUSAGE_SELF, &ru);
+        return ru.ru_utime.tv_sec + ru.ru_stime.tv_sec
+            + (ru.ru_utime.tv_usec + ru.ru_stime.tv_usec) / 1e6;
+    };
+    double before = cpu_s();
+    auto out = parallelMapOrdered(4, 4, [sleep](unsigned i) {
+        if (i == 0)
+            std::this_thread::sleep_for(sleep);
+        return i;
+    });
+    double used = cpu_s() - before;
+    ASSERT_EQ(out.size(), 4u);
+    EXPECT_LT(used, 0.25 * std::chrono::duration<double>(sleep).count())
+        << "process CPU seconds over a 300 ms wait";
 }
 
 TEST(ThreadPool, OrderedResultsRegardlessOfCompletionOrder)

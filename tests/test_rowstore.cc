@@ -59,8 +59,8 @@ expectStoresAgree(const DimmProfile &p, const DramTiming &timing,
 TEST(RowStoreDifferential, ColdRowChurnMatchesReference)
 {
     // Thousands of distinct rows force the open-addressed index to
-    // grow and displace every way of the direct-mapped caches over and
-    // over (bank 1 walks a power-of-two stride), exercising every cold
+    // grow and displace every way of the open-neighbourhood cache over
+    // and over (bank 1 walks a power-of-two stride), exercising every cold
     // path against the reference store.
     const DimmProfile &p = DimmProfile::byId("S4");
     expectStoresAgree(p, DramTiming::ddr4(p.freqMts), TrrConfig{}, [](Dimm &d) {
