@@ -5,9 +5,14 @@
  * traditional (Comet/Rocket) vs recent (Alder/Raptor) schemes.
  *
  * Usage: mapping_explorer [hex-phys-addr]
+ *
+ * At the first or last row of a bank only the one neighbour inside the
+ * bank is printed: the single-sided aggressor.
  */
 
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "bench_util.hh"
 #include "common/bits.hh"
@@ -21,6 +26,9 @@ int
 main(int argc, char **argv)
 {
     setVerbose(false);
+    if (argc > 2)
+        bench::usageError(std::string("unexpected argument '") + argv[2]
+                          + "'");
     PhysAddr pa =
         argc > 1 ? bench::parseUnsigned("address", argv[1], UINT64_MAX, 16)
                  : 0x1a2b3c4d0ULL;
@@ -41,12 +49,21 @@ main(int argc, char **argv)
                     (unsigned long long)da.col,
                     (unsigned long long)m.encode(da));
 
-        std::printf("  double-sided aggressors for this row: "
-                    "0x%09llx / 0x%09llx (rows %llu / %llu)\n",
-                    (unsigned long long)m.rowToPhys(da.bank, da.row - 1),
-                    (unsigned long long)m.rowToPhys(da.bank, da.row + 1),
-                    (unsigned long long)(da.row - 1),
-                    (unsigned long long)(da.row + 1));
+        // The aggressors are the neighbours inside the bank: both
+        // (double-sided), or just one at the bank's first or last row.
+        std::vector<std::uint64_t> aggr;
+        if (da.row > 0)
+            aggr.push_back(da.row - 1);
+        if (da.row + 1 < m.numRows())
+            aggr.push_back(da.row + 1);
+        std::printf("  %s aggressor%s for this row:",
+                    aggr.size() == 2 ? "double-sided" : "single-sided",
+                    aggr.size() == 2 ? "s" : "");
+        for (std::uint64_t r : aggr)
+            std::printf(" 0x%09llx (row %llu)",
+                        (unsigned long long)m.rowToPhys(da.bank, r),
+                        (unsigned long long)r);
+        std::printf("\n");
 
         // How scattered are consecutive physical pages across banks?
         std::printf("  bank walk of 8 consecutive 4K pages:");
