@@ -47,6 +47,8 @@ Dimm::reset()
     std::fill(bankRefSeen.begin(), bankRefSeen.end(), 0.0);
     acts = 0;
     nextTrrTick = tim.tREFI;
+    reclaimDue = false;
+    reclaimFloor = -1e18;
     pendingStall = 0.0;
     rfmStalls = 0.0;
     aboStalls = 0.0;
@@ -158,13 +160,20 @@ Dimm::flatLookup(BankRows &b, std::uint64_t row, Ns now)
         reg = std::make_unique<BankRows::Region>();
     std::uint32_t &leaf =
         (*reg)[(row >> BankRows::leafBits) & (reg->size() - 1)];
-    if (!leaf)
+    if (!leaf) {
         leaf = b.leaves.add() + 1;
+        b.leafRow.resize(b.leaves.size);
+        b.leafRow[leaf - 1] = row >> BankRows::leafBits << BankRows::leafBits;
+    }
     BankRows::Leaf &l = b.leaves[leaf - 1];
     std::uint32_t &ord = l.slot[row & (l.slot.size() - 1)];
     if (ord)
         return &b.rows[ord - 1];
+    if (now < reclaimFloor)
+        panic("Dimm: row created at %.0f ns, before a row sweep", now);
     ord = b.rows.add() + 1;
+    if (b.rows.live() >= b.reclaimAt)
+        reclaimDue = true;
     RowState *rs = &b.rows[ord - 1];
     // The new row starts refreshed at its last slot, with the
     // auto-refresh memo applyAutoRefresh(now) would set: every caller
@@ -183,13 +192,73 @@ Dimm::flatLookup(BankRows &b, std::uint64_t row, Ns now)
     return rs;
 }
 
+/**
+ * Free the dead rows (see RowState) of each bank at its reclaimAt, and
+ * the leaves they leave empty. Runs between ACTs, when nothing holds a
+ * RowState pointer; the bank's neighbourhood cache goes with its rows.
+ */
+void
+Dimm::reclaimRows(Ns now)
+{
+    reclaimDue = false;
+    reclaimFloor = std::max(reclaimFloor, now - tim.tREFW);
+    const Ns cutoff = now - 2 * tim.tREFW;
+    for (BankRows &b : bankRows) {
+        if (b.rows.live() < b.reclaimAt)
+            continue;
+        // Rows in pool order, then the leaves: sweepDead[1 + k] flags
+        // ordinal k. A freed row keeps lastRefresh +inf until reused.
+        sweepDead.assign(b.rows.size + 1, 0);
+        for (std::uint32_t k = 0, c = 0; k < b.rows.size; ++c) {
+            RowState *chunk = b.rows.chunks[c].get();
+            std::uint32_t n = std::min(b.rows.chunkRows(k), b.rows.size - k);
+            for (std::uint32_t i = 0; i < n; ++i, ++k) {
+                RowState &rs = chunk[i];
+                if (rs.lastRefresh < cutoff && !rs.cold && rs.pracCount == 0
+                    && rs.fill == 0) {
+                    rs.lastRefresh = std::numeric_limits<Ns>::infinity();
+                    b.rows.freed.push_back(k);
+                    sweepDead[k + 1] = 1;
+                }
+            }
+        }
+        for (std::uint32_t k = 0; k < b.leaves.size; ++k) {
+            std::uint32_t base = b.leafRow[k];
+            if (base == BankRows::freeLeaf)
+                continue;
+            std::uint32_t left = 0;
+            for (std::uint32_t &ord : b.leaves[k].slot) {
+                ord &= sweepDead[ord] - 1u; // 0 if the row was freed
+                left |= ord;
+            }
+            if (left)
+                continue;
+            BankRows::Region &reg = *b.top[base >> BankRows::regionBits];
+            reg[(base >> BankRows::leafBits) & (reg.size() - 1)] = 0;
+            b.leafRow[k] = BankRows::freeLeaf;
+            b.leaves.freed.push_back(k);
+        }
+        b.nbCache.fill(BankRows::NbEntry{});
+        b.reclaimAt = std::max(2 * b.rows.live(), BankRows::minReclaimRows);
+    }
+}
+
+std::size_t
+Dimm::rowsHeld() const
+{
+    std::size_t n = rows.size();
+    for (const BankRows &b : bankRows)
+        n += b.rows.live();
+    return n;
+}
+
 Dimm::RowState &
 Dimm::rowState(std::uint32_t bank, std::uint64_t row, Ns now)
 {
-    // The data path takes its row from the caller; the radix index has
-    // no entry past the bank.
-    if (row >= prof.geom.rowsPerBank)
-        panic("Dimm: row %llu out of range",
+    // The data path takes its bank and row from the caller; the radix
+    // index has no entry past either.
+    if (bank >= bankRows.size() || row >= prof.geom.rowsPerBank)
+        panic("Dimm: bank %u row %llu out of range", bank,
               static_cast<unsigned long long>(row));
     if (store == RowStoreKind::Flat) {
         RowState *rs = flatLookup(bankRows[bank], row, now);
@@ -416,6 +485,8 @@ Dimm::processTrrTicks(Ns now)
     // is negative) nor the tick loop below could fire.
     if (now < nextTrrTick)
         return;
+    if (reclaimDue && !tracer)
+        reclaimRows(now);
     // If the simulation jumped far ahead (idle phases), fast-forward:
     // stale counters would have decayed anyway.
     if (now - nextTrrTick > tim.tREFW) {
@@ -495,6 +566,9 @@ Dimm::forEachPracCounter(std::uint32_t bank, Visit visit)
 std::uint32_t
 Dimm::pracCount(std::uint32_t bank, std::uint64_t row) const
 {
+    if (bank >= bankRows.size() || row >= prof.geom.rowsPerBank)
+        panic("Dimm::pracCount: bank %u row %llu out of range", bank,
+              static_cast<unsigned long long>(row));
     if (store == RowStoreKind::Flat) {
         const RowState *rs = flatFind(bankRows[bank], row);
         return rs ? rs->pracCount : 0;
@@ -747,6 +821,9 @@ Dimm::writeBytes(const DramAddr &da, const std::uint8_t *data,
 std::uint8_t
 Dimm::readByte(const DramAddr &da, Ns now)
 {
+    if (da.col >= prof.geom.rowBytes)
+        panic("Dimm::readByte: column %llu out of range",
+              static_cast<unsigned long long>(da.col));
     RowState &rs = rowState(da.bank, da.row, now);
     bool stored = rs.cold && !rs.cold->data.empty();
     std::uint8_t v = stored ? rs.cold->data[da.col] : rs.fill;

@@ -32,7 +32,8 @@
  * millions of times, so nearly every activation is a cache hit and
  * never reaches the index; a broad working set (reverse engineering)
  * misses on nearly every ACT and finds the row and its blast-radius
- * neighbours in one 16-row leaf. The original std::unordered_map path
+ * neighbours in one 16-row leaf, and frees rows that auto-refresh has
+ * returned to their factory state. The original std::unordered_map path
  * is kept as RowStoreKind::Reference; both produce bit-identical
  * traces and flip sequences (pinned by the differential tests in
  * tests/test_rowstore.cc and the committed goldens).
@@ -182,6 +183,12 @@ class Dimm
     std::uint32_t pracCount(std::uint32_t bank, std::uint64_t row) const;
 
     /**
+     * Rows the device holds state for (test introspection): every row
+     * ever touched on the reference store, the live ones on the flat.
+     */
+    std::size_t rowsHeld() const;
+
+    /**
      * Restore the factory-fresh device: drops all per-row state and
      * resets the mitigation engines (TRR sampler tables *and* sampling
      * randomness, RFM RAA counters), so a reset device produces the
@@ -245,6 +252,14 @@ class Dimm
     /**
      * Hot per-row state: everything an ACT, a disturbance or a refresh
      * reads, plus the pointer to the cold part, in 48 bytes.
+     * A flat row is dead at `now` with no cold part, PRAC count 0,
+     * fill 0 and lastRefresh < now - 2 tREFW: a touch at or after
+     * now - tREFW applies the lazy auto-refresh first and finds it as
+     * flatLookup creates a new row (DESIGN.md §5.13). reclaimRows frees
+     * dead rows, but not while a tracer is attached: a reclaimed row's
+     * next touch emits no DisturbReset(AutoRefresh), so a tracer
+     * attached after a sweep misses those events. Creating a row before
+     * the last sweep's now - tREFW panics.
      */
     struct alignas(16) RowState
     {
@@ -292,14 +307,23 @@ class Dimm
      * order). Chunks fill in order, each as large as the elements
      * before it: 8, 8, 16, 32, 64, then 128 each. A bank holding a few
      * hot rows stays small and a broad working set allocates 128 at a
-     * time; an ordinal finds its chunk from its bit width.
+     * time; an ordinal finds its chunk from its bit width. Freed
+     * ordinals are reused, reset, before the pool grows.
      */
     template <typename T>
     struct OrdinalPool
     {
         std::vector<std::unique_ptr<T[]>> chunks;
+        std::vector<std::uint32_t> freed;
         std::uint32_t size = 0;
         std::uint32_t capacity = 0;
+
+        std::uint32_t live() const { return size - freed.size(); }
+        /** Elements in the chunk whose first ordinal is `first`. */
+        static std::uint32_t chunkRows(std::uint32_t first)
+        {
+            return std::clamp(first, 8u, 128u);
+        }
 
         T &
         operator[](std::uint32_t k) const
@@ -316,8 +340,14 @@ class Dimm
         std::uint32_t
         add()
         {
+            if (!freed.empty()) {
+                std::uint32_t k = freed.back();
+                freed.pop_back();
+                (*this)[k] = T{};
+                return k;
+            }
             if (size == capacity) {
-                std::uint32_t n = std::clamp(size, 8u, 128u);
+                std::uint32_t n = chunkRows(size);
                 chunks.push_back(std::make_unique<T[]>(n));
                 capacity += n;
             }
@@ -327,11 +357,14 @@ class Dimm
 
     /**
      * Per-bank flat row store: radix index + row pool + open-
-     * neighbourhood cache.
+     * neighbourhood cache. Once its live rows reach reclaimAt, the next
+     * mitigation tick frees its dead rows (see RowState).
      */
     struct BankRows
     {
         static constexpr std::uint64_t emptyKey = ~0ULL;
+        static constexpr std::uint32_t freeLeaf = ~0u;
+        static constexpr std::uint32_t minReclaimRows = 256;
         static constexpr unsigned nbWayBits = 5; //!< 32 ways
         static constexpr unsigned leafBits = 4;    //!< 16 rows per leaf
         static constexpr unsigned regionBits = 10; //!< 64 leaves per region
@@ -352,7 +385,11 @@ class Dimm
                                   std::size_t{1} << (regionBits - leafBits)>;
         std::vector<std::unique_ptr<Region>> top;
         OrdinalPool<Leaf> leaves;
+        /** First row of each leaf by ordinal; freeLeaf once freed. */
+        std::vector<std::uint32_t> leafRow;
         OrdinalPool<RowState> rows; //!< this bank's rows, by ordinal
+        /** Live rows that make the bank due for a sweep. */
+        std::uint32_t reclaimAt = minReclaimRows;
 
         /**
          * Open-neighbourhood cache for doAct: the activated row plus
@@ -396,6 +433,7 @@ class Dimm
     RowState &rowState(std::uint32_t bank, std::uint64_t row, Ns now);
     RowState *flatFind(const BankRows &b, std::uint64_t row) const;
     RowState *flatLookup(BankRows &b, std::uint64_t row, Ns now);
+    void reclaimRows(Ns now);
     bool anyRowState() const;
     void applyAutoRefresh(RowState &rs, std::uint32_t bank,
                           std::uint64_t row, Ns now);
@@ -457,6 +495,11 @@ class Dimm
      * is a single compare until the epoch actually rolls over.
      */
     Ns nextTrrTick = 0.0;
+    /** A bank reached reclaimAt: processTrrTicks sweeps (untraced). */
+    bool reclaimDue = false;
+    /** The last sweep's now - tREFW: no row may be created before it. */
+    Ns reclaimFloor = -1e18;
+    std::vector<std::uint8_t> sweepDead; //!< reclaimRows' scratch
     /**
      * Mitigation stall accrued by the current doAct (tRFM per RFM
      * fire, tABO per alert); access() folds it into the command's

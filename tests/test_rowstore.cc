@@ -6,9 +6,10 @@
  * cells run in the engine matrix of tests/differential.hh), the
  * flat store's radix index at the edges of a bank and in its PRAC
  * walk, the flat store's lazy weak-cell materialization at the hcMin
- * boundary and on the broad-row reverse-engineering path, its heap
- * footprint per row, the Dimm::reset() regressions, and the flip-latch
- * re-arm semantics documented in dimm.hh.
+ * boundary and on the broad-row reverse-engineering path, its
+ * reclamation of rows auto-refresh has reset, its heap footprint per
+ * row and over a long broad run, the Dimm::reset() regressions, and
+ * the flip-latch re-arm semantics documented in dimm.hh.
  */
 
 #include <malloc.h>
@@ -460,11 +461,42 @@ TEST(RowStoreFootprint, BroadRowHeapBytesPerRow)
     EXPECT_LE(per_row, 72.0) << count << " rows";
 }
 
+TEST(RowStoreFootprint, BroadRunHeapStaysBounded)
+{
+    // 40 broad bursts separated by idle gaps of 3 tREFW: every row of
+    // a burst is back in its factory state when the next one starts,
+    // so the flat store reclaims it and the heap in use stops growing
+    // with the rows ever touched.
+    const DimmProfile &p = DimmProfile::byId("S1");
+    auto inUse = [] {
+        struct mallinfo2 m = mallinfo2();
+        return m.uordblks + m.hblkhd;
+    };
+    const std::size_t base = inUse();
+    Dimm d(p, DramTiming::ddr4(p.freqMts), noTrr());
+    std::size_t afterFourth = 0;
+    Ns now = 0.0;
+    for (unsigned burst = 1; burst <= 40; ++burst) {
+        now = broadRun(d, 3000, splitMix64(burst), now)
+              + 3 * d.timing().tREFW;
+        if (burst == 4)
+            afterFourth = inUse() - base;
+    }
+    const std::size_t afterLast = inUse() - base;
+    RecordProperty("heap_after_4th", std::to_string(afterFourth));
+    RecordProperty("heap_after_40th", std::to_string(afterLast));
+    EXPECT_LE(static_cast<double>(afterLast), 1.5 * afterFourth)
+        << afterFourth << " bytes after the 4th burst";
+}
+
 TEST(RowStore, DataPathRowPastTheBankPanics)
 {
-    // access() checks its row; the data-path calls must too, or a flat
-    // device would index its radix past the bank.
+    // access() checks its bank and row; the data-path calls and
+    // pracCount must too, or a flat device would index its radix past
+    // the bank or its banks past the device. readByte checks its
+    // column, or a row with stored data would read past it.
     const DimmProfile &p = DimmProfile::byId("S2");
+    const std::uint32_t banks = p.geom.flatBanks();
     for (RowStoreKind kind : {RowStoreKind::Flat, RowStoreKind::Reference}) {
         Dimm d(p, DramTiming::ddr4(p.freqMts), TrrConfig{});
         d.setRowStore(kind);
@@ -472,6 +504,20 @@ TEST(RowStore, DataPathRowPastTheBankPanics)
                      "out of range");
         EXPECT_DEATH(d.readByte({0, p.geom.rowsPerBank + 5000, 0}, 0.0),
                      "out of range");
+        EXPECT_DEATH(d.fillRow(banks, 100, 0x55, 0.0), "out of range");
+        EXPECT_DEATH(d.fillRow(banks + 1000, 100, 0x55, 0.0),
+                     "out of range");
+        EXPECT_DEATH(d.diffRow(banks, 100, 0x55, 0.0), "out of range");
+        EXPECT_DEATH(d.readByte({banks, 100, 0}, 0.0), "out of range");
+        EXPECT_DEATH(d.pracCount(banks, 100), "out of range");
+        EXPECT_DEATH(d.pracCount(0, p.geom.rowsPerBank), "out of range");
+        std::uint8_t ones = 0xff;
+        d.writeBytes({0, 100, 0}, &ones, 1, 0.0); // row 100 stores data
+        EXPECT_DEATH(d.readByte({0, 100, p.geom.rowBytes}, 0.0),
+                     "out of range");
+        EXPECT_DEATH(d.readByte({0, 100, 12288}, 0.0), "out of range");
+        EXPECT_DEATH(d.readByte({0, 100, 5000000}, 0.0), "out of range");
+        EXPECT_EQ(d.readByte({0, 100, 0}, 0.0), 0xff);
     }
 }
 
@@ -485,6 +531,222 @@ TEST(RowStore, SwitchAfterStateMaterializedPanics)
     d.reset();
     d.setRowStore(RowStoreKind::Reference);
     EXPECT_EQ(d.rowStore(), RowStoreKind::Reference);
+}
+
+// ---------------------------------------------------------------------
+// Reclamation: the flat store frees rows auto-refresh has reset
+// ---------------------------------------------------------------------
+
+namespace
+{
+
+/** What a reclamation script reads back through the public calls. */
+struct Readouts
+{
+    std::vector<std::uint8_t> bytes;
+    std::vector<std::uint32_t> prac;
+    std::vector<std::vector<FlipRecord>> diffs;
+};
+
+/** Thresholds of a few ACTs, so broad traffic flips cells. */
+DimmProfile
+lowThresholdProfile()
+{
+    return weakCells(DimmProfile::byId("S4"), 1.0, 8.0, 0.4, 4);
+}
+
+/**
+ * 48 broad bursts over banks 0-7, separated by idle gaps of 0.3, 0.7,
+ * 1.2 and 3 tREFW in turn (~62 tREFW in all). Half the ACTs revisit
+ * rows 0-127 of their bank; the rest land in a 1024-row window that
+ * moves each burst and comes back every eighth, so rows reclaimed in
+ * a long gap are created again by ACT and by neighbour disturbance.
+ * After each burst the data path reads rows of the window used four
+ * bursts ago, and reads back rows that must stay pinned: filled rows
+ * in bank 1, rows activated three times in bank 2 (PRAC counters above
+ * 0 when PRAC is on) and a hammered victim in bank 3, all in banks
+ * that are swept but away from the bursts' rows. Bank 12 is swept
+ * while two of its rows sit in the neighbourhood cache. A fault injector
+ * suppresses flips and adds spurious refreshes.
+ */
+Readouts
+reclaimScript(Dimm &d)
+{
+    FaultInjector inj(FaultSchedule::flipNonReproduction(0.2).merge(
+                          FaultSchedule::spuriousTrr(0.002)),
+                      29);
+    d.setFaultInjector(&inj);
+    Readouts out;
+    const Ns tREFW = d.timing().tREFW;
+    const double gaps[] = {0.3, 0.7, 1.2, 3.0};
+    const std::uint64_t filled[] = {30001, 30017, 40000};
+    const std::uint64_t counted[] = {20003, 20011, 50000};
+    Ns now = 0.0;
+    for (std::uint64_t r : filled)
+        d.fillRow(1, r, 0x55, now);
+    for (int i = 0; i < 3; ++i) {
+        for (std::uint64_t r : counted)
+            now += d.access({2, r, 0}, now).latency;
+    }
+    for (int i = 0; i < 200; ++i) {
+        now += d.access({3, 11999, 0}, now).latency;
+        now += d.access({3, 12001, 0}, now).latency;
+    }
+    for (std::uint32_t burst = 0; burst < 48; ++burst) {
+        for (std::uint32_t i = 0; i < 2000; ++i) {
+            std::uint64_t h = splitMix64(hashCombine(29, burst * 2000 + i));
+            std::uint64_t row = (h >> 8) % 1024;
+            if (h & 0x80)
+                row = 1024 + (burst % 8) * 1024 + row;
+            else
+                row %= 128;
+            now += d.access({static_cast<std::uint32_t>(h % 8), row, 0},
+                            now).latency;
+        }
+        std::uint64_t old = 1024 + (burst + 4) % 8 * 1024 + burst * 37 % 1024;
+        out.bytes.push_back(d.readByte({burst % 8, old, burst}, now));
+        out.diffs.push_back(d.diffRow(burst % 8, old + 2, 0x00, now));
+        if (burst % 4 == 3) {
+            std::uint8_t b = 0xa5;
+            d.writeBytes({burst % 8, old + 4, 64}, &b, 1, now);
+        }
+        for (std::uint64_t r : filled)
+            out.bytes.push_back(d.readByte({1, r, 100}, now));
+        for (std::uint64_t r : counted)
+            out.prac.push_back(d.pracCount(2, r));
+        out.diffs.push_back(d.diffRow(3, 12000, 0x00, now));
+        // Bank 12 sees no burst. Rows read through the data path, which
+        // bypasses the neighbourhood cache, bring it to its sweep
+        // threshold (the sweep runs at the next tick), then reuse the
+        // ordinals it freed. The two rows activated twice before the
+        // gap are still in the cache; hammering them must disturb their
+        // own neighbours, created afresh.
+        auto created = [&](std::uint64_t j) {
+            return (burst * 1200 + j) % 32768;
+        };
+        for (std::uint64_t j = 0; j < 600; ++j)
+            out.bytes.push_back(d.readByte({12, created(j), 0}, now));
+        now += d.timing().tREFI;
+        now += d.access({0, 60000, 0}, now).latency;
+        for (std::uint64_t j = 600; j < 1200; ++j)
+            out.bytes.push_back(d.readByte({12, created(j), 0}, now));
+        const std::uint64_t hot[] = {40000 + 37 * burst, 50000 + 37 * burst};
+        for (int i = 0; i < 20 && burst > 0; ++i) {
+            for (std::uint64_t r : hot)
+                now += d.access({12, r - 37, 0}, now).latency;
+        }
+        for (std::uint64_t j = 0; j < 1200; ++j)
+            out.diffs.push_back(d.diffRow(12, created(j), 0x00, now));
+        for (std::uint64_t r : hot) {
+            out.diffs.push_back(d.diffRow(12, r - 38, 0x00, now));
+            out.diffs.push_back(d.diffRow(12, r - 36, 0x00, now));
+            for (int i = 0; i < 2; ++i)
+                now += d.access({12, r, 0}, now).latency;
+        }
+        now += gaps[burst % 4] * tREFW;
+    }
+    d.setFaultInjector(nullptr);
+    return out;
+}
+
+void
+expectSameReadouts(const Readouts &got, const Readouts &ref,
+                   const std::string &what)
+{
+    EXPECT_EQ(got.bytes, ref.bytes) << what;
+    EXPECT_EQ(got.prac, ref.prac) << what;
+    ASSERT_EQ(got.diffs.size(), ref.diffs.size()) << what;
+    for (std::size_t i = 0; i < got.diffs.size(); ++i)
+        EXPECT_TRUE(got.diffs[i] == ref.diffs[i]) << what << ", diff " << i;
+}
+
+/** The two device set-ups the reclamation script runs on. */
+struct ReclaimConfig
+{
+    const char *name;
+    TrrConfig trr;
+    PracConfig prac;
+};
+
+std::vector<ReclaimConfig>
+reclaimConfigs()
+{
+    PracConfig prac;
+    prac.enabled = true;
+    prac.threshold = 64;
+    prac.aboSlots = 4;
+    // Aggressive TRR refreshes neighbours from ticks that lag the ACT.
+    return {{"aggressive TRR + PRAC", aggressiveTrr(), prac},
+            {"no mitigation", noTrr(), PracConfig{}}};
+}
+
+} // namespace
+
+TEST(RowStoreReclaim, UntracedRunMatchesReference)
+{
+    const DimmProfile p = lowThresholdProfile();
+    for (const ReclaimConfig &c : reclaimConfigs()) {
+        SCOPED_TRACE(c.name);
+        Dimm flat(p, DramTiming::ddr4(p.freqMts), c.trr, RfmConfig{}, c.prac);
+        Dimm ref(p, DramTiming::ddr4(p.freqMts), c.trr, RfmConfig{}, c.prac);
+        ref.setRowStore(RowStoreKind::Reference);
+        Readouts flatOut = reclaimScript(flat);
+        Readouts refOut = reclaimScript(ref);
+        expectSameDigest(dimmDigest(flat), dimmDigest(ref),
+                         "flat vs reference");
+        expectSameReadouts(flatOut, refOut, "flat vs reference");
+        EXPECT_GT(ref.flipLog().size(), 100u);
+        EXPECT_GT(ref.totalActs(), 96000u);
+        // The reference store holds every row ever created; the flat
+        // store created the same rows and reclaimed some.
+        RecordProperty(c.prac.enabled ? "held_prac" : "held_plain",
+                       std::to_string(flat.rowsHeld()) + " of "
+                           + std::to_string(ref.rowsHeld()));
+        EXPECT_LT(flat.rowsHeld(), ref.rowsHeld());
+    }
+}
+
+TEST(RowStoreReclaim, TracedRunMatchesUntraced)
+{
+    // A traced flat device never reclaims (a reclaimed row would drop
+    // the DisturbReset of its next touch); its results must not
+    // change.
+    const DimmProfile p = lowThresholdProfile();
+    for (const ReclaimConfig &c : reclaimConfigs()) {
+        SCOPED_TRACE(c.name);
+        Dimm untraced(p, DramTiming::ddr4(p.freqMts), c.trr, RfmConfig{},
+                      c.prac);
+        Dimm traced(p, DramTiming::ddr4(p.freqMts), c.trr, RfmConfig{},
+                    c.prac);
+        Readouts untracedOut = reclaimScript(untraced);
+        Readouts tracedOut;
+        Digest g = traceDimm(traced, CatAll, [&](Dimm &d) {
+            tracedOut = reclaimScript(d);
+        });
+        EXPECT_FALSE(traceEvents(g).empty());
+        g.trace.clear();
+        expectSameDigest(dimmDigest(untraced), g, "untraced vs traced");
+        expectSameReadouts(untracedOut, tracedOut, "untraced vs traced");
+        EXPECT_LT(untraced.rowsHeld(), traced.rowsHeld());
+    }
+}
+
+TEST(RowStoreReclaim, RowCreatedBeforeASweepPanics)
+{
+    // Two broad bursts 3 tREFW apart: the second one's sweep frees the
+    // first one's rows. A row created later at a time more than tREFW
+    // before that sweep could diverge from the reference store.
+    const DimmProfile &p = DimmProfile::byId("S1");
+    Dimm d(p, DramTiming::ddr4(p.freqMts), noTrr());
+    const Ns tREFW = d.timing().tREFW;
+    Ns now = broadRun(d, 3000, 1, 0.0) + 3 * tREFW;
+    std::size_t held = d.rowsHeld();
+    now = broadRun(d, 3000, 2, now);
+    ASSERT_LT(d.rowsHeld(), held + held / 2);
+    d.fillRow(0, 65000, 0x55, now - tREFW / 2); // within the contract
+    EXPECT_DEATH(d.fillRow(0, 65010, 0x55, now - 2 * tREFW),
+                 "before a row sweep");
+    EXPECT_DEATH(d.readByte({1, 65020, 0}, 0.0), "before a row sweep");
 }
 
 // ---------------------------------------------------------------------
