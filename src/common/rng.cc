@@ -38,7 +38,41 @@ Rng::twist()
     }
     std::uint64_t y = (state[kN - 1] & upper) | (state[0] & lower);
     state[kN - 1] = state[m - 1] ^ (y >> 1) ^ ((0 - (y & 1)) & a);
+
+    // Tempering (std operator()'s u 29 / d, s 17 / b, t 37 / c, l 43),
+    // done for the whole block here so a draw is a load.
+    for (std::size_t k = 0; k < kN; ++k) {
+        std::uint64_t z = state[k];
+        z ^= (z >> 29) & 0x5555555555555555ULL;
+        z ^= (z << 17) & 0x71d67fffeda60000ULL;
+        z ^= (z << 37) & 0xfff7eee000000000ULL;
+        z ^= z >> 43;
+        out[k] = z;
+    }
     idx = 0;
+}
+
+Rng::Coin::Coin(double p)
+{
+    if (p <= 0.0 || p >= 1.0) {
+        draws = false;
+        heads = p >= 1.0;
+        return;
+    }
+    if (std::isnan(p))
+        return; // chance(NaN) draws and is false: below stays 0
+    // canonical(0) is 0 < p, and canonical(2^64 - 1) is nextafter(1, 0)
+    // >= p for every p < 1, so the least x with canonical(x) >= p lies
+    // in (lo, hi].
+    std::uint64_t lo = 0, hi = ~std::uint64_t(0);
+    while (hi - lo > 1) {
+        std::uint64_t mid = lo + (hi - lo) / 2;
+        if (canonical(mid) >= p)
+            hi = mid;
+        else
+            lo = mid;
+    }
+    below = hi;
 }
 
 } // namespace rho

@@ -6,6 +6,12 @@
  * seeded Rng so that all experiments are exactly reproducible. The
  * splitMix64 hash is also exposed for "stateless" randomness, e.g. the
  * per-row weak-cell profiles that must be recomputable from (seed, row).
+ *
+ * The hot coins (flush jitter, the obfuscated branch, the TRR and pTRR
+ * samplers) cost one load and one integer compare each: each twist
+ * tempers its whole block ahead of the draws, and a fixed-probability
+ * coin is a precomputed threshold on the raw word (Rng::Coin), exact
+ * against the std::bernoulli_distribution it replaces.
  */
 
 #ifndef RHO_COMMON_RNG_HH
@@ -46,18 +52,23 @@ hashCombine(std::uint64_t a, std::uint64_t b)
  * branch feed timing and the branch predictor, the TRR coins decide
  * which ACTs are sampled, so the stream must stay the mt19937_64
  * sequence, consumed exactly as the std distribution objects consume
- * it. The per-access draws (raw(), peek()/consumeIf(), chance(),
- * uniformInt()) are the replay loop's and the TRR sampler's hot path,
- * so they are written out against the installed libstdc++ rather than
- * paying for a distribution object per call:
+ * it. The per-access draws (raw(), peek()/consumeIf(), flip(),
+ * chance(), uniformInt()) are the replay loop's and the TRR sampler's
+ * hot path, so they are written out against the installed libstdc++
+ * rather than paying for a distribution object per call:
  *
  *  - the seeding constructor and the twist are the standard's
  *    mersenne_twister_engine recurrences (the output sequence is fixed
- *    by the C++ standard, not an implementation detail);
+ *    by the C++ standard, not an implementation detail). The twist
+ *    also tempers the whole new block into `out`, one vectorizable
+ *    loop, so a draw is one load;
  *  - generate_canonical<double, 53>: for a 64-bit engine the generic
  *    loop collapses to one draw, double(x) / 2^64, clamped to
  *    nextafter(1, 0) when the conversion rounds up to 1.0;
- *  - bernoulli_distribution: canonical < p;
+ *  - bernoulli_distribution: canonical < p. chance(p) evaluates that
+ *    per call; a Coin built once from p holds the least word whose
+ *    canonical value reaches p, and flip() compares the raw word
+ *    against it (same draws, same results, one integer compare);
  *  - uniform_int_distribution<uint64_t>: Lemire's nearly divisionless
  *    downscaling over __uint128_t, exactly the libstdc++ path taken
  *    whenever the engine range is 2^64.
@@ -104,12 +115,7 @@ class Rng
     {
         if (idx >= kN)
             twist();
-        std::uint64_t z = state[idx];
-        z ^= (z >> 29) & 0x5555555555555555ULL;
-        z ^= (z << 17) & 0x71d67fffeda60000ULL;
-        z ^= (z << 37) & 0xfff7eee000000000ULL;
-        z ^= z >> 43;
-        return z;
+        return out[idx];
     }
 
     void consumeIf(bool take) { idx += take; }
@@ -150,7 +156,35 @@ class Rng
             return false;
         if (p >= 1.0)
             return true;
-        return canonical() < p;
+        return canonical(raw()) < p;
+    }
+
+    /**
+     * A Bernoulli trial with a fixed probability, decided ahead of
+     * time: flip(Coin(p)) draws what chance(p) draws and returns what
+     * it returns. canonical(x) is non-decreasing in the raw word x, so
+     * `canonical(x) < p` is `x < below` for the least x whose
+     * canonical value reaches p; the constructor finds it by binary
+     * search, once. The edges keep chance()'s draws: p <= 0 (and -0.0)
+     * is false and p >= 1 true without a draw, and NaN, which fails
+     * every compare, draws one word and is false.
+     */
+    struct Coin
+    {
+        explicit Coin(double p);
+
+        std::uint64_t below = 0; //!< a drawn x is heads iff x < below
+        bool draws = true;       //!< false: p <= 0 or p >= 1
+        bool heads = false;      //!< the result when nothing is drawn
+    };
+
+    /** chance(p) for the coin's p: one draw and one integer compare. */
+    bool
+    flip(const Coin &c)
+    {
+        if (!c.draws) [[unlikely]]
+            return c.heads;
+        return raw() < c.below;
     }
 
     /** Normal distribution sample. */
@@ -219,11 +253,11 @@ class Rng
         return hi * 0x1p32 + lo;
     }
 
-    /** std::generate_canonical<double, 53> over this engine. */
-    double
-    canonical()
+    /** std::generate_canonical<double, 53> of the raw draw x. */
+    static double
+    canonical(std::uint64_t x)
     {
-        double ret = toDouble(raw()) * 0x1p-64;
+        double ret = toDouble(x) * 0x1p-64;
         // double(x) rounds up to 2^64 for the top ~2^10 inputs; the
         // standard clamps the quotient below 1.0.
         if (ret >= 1.0) [[unlikely]]
@@ -235,7 +269,8 @@ class Rng
 
     static constexpr std::size_t kN = 312;
 
-    std::uint64_t state[kN];
+    std::uint64_t state[kN]; //!< untempered; the twist recurrence
+    std::uint64_t out[kN];   //!< the tempered block the draws read
     std::size_t idx = kN;
 };
 

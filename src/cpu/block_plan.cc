@@ -14,8 +14,8 @@ BlockPlan::compile(const HammerKernel &kernel, const ArchParams &arch,
     auto cyc = [&arch](double cycles) { return cycles / arch.freqGhz; };
 
     indexed = kernel.mode() == AddressingMode::CppIndexed;
-    flushJitterGated = arch.flushJitterProb > 0.0;
     fetchDelta = cyc(1.0 / arch.fetchWidth);
+    flushJitterCoin = Rng::Coin(arch.flushJitterProb);
     addrGenDelta = cyc(arch.addrGenLatencyCyc * arch.depChainBreakFactor);
     l1HitDelta = cyc(arch.l1HitCyc);
     robIssueDelta = cyc(1.0);
@@ -54,11 +54,13 @@ BlockPlan::compile(const HammerKernel &kernel, const ArchParams &arch,
             break;
           case OpKind::BranchObf:
             p.code = PlanCode::BranchObf;
+            p.pcHash = splitMix64(0x4000 + static_cast<std::uint64_t>(i));
             p.d0 = cyc(arch.obfOverheadCyc);
             p.d1 = cyc(arch.branchResolveCyc + arch.mispredictPenaltyCyc);
             break;
           case OpKind::BranchLoop:
             p.code = PlanCode::BranchLoop;
+            p.pcHash = splitMix64(0x8000 + static_cast<std::uint64_t>(i));
             p.d0 = cyc(0.25);
             p.d1 = cyc(arch.branchResolveCyc + arch.mispredictPenaltyCyc);
             break;

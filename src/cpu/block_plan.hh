@@ -15,8 +15,10 @@
  *  - every cycle cost becomes a pre-divided Ns delta,
  *  - every memory op carries its physical address and (when the
  *    backend offers one) a pre-decoded line handle,
- *  - the addressing-mode dependency and the flush-jitter gate become
- *    plan-wide flags the replay loop specializes on.
+ *  - every branch op carries its hashed predictor PC,
+ *  - the addressing-mode dependency becomes a plan-wide flag the
+ *    replay loop specializes on, and the flush-jitter and
+ *    obfuscated-branch coins become plan-wide Rng::Coin thresholds.
  *
  * Bit-identity contract: a delta is the *same* floating-point
  * expression the reference engine evaluates, hoisted — never
@@ -33,6 +35,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/rng.hh"
 #include "common/types.hh"
 #include "cpu/arch_params.hh"
 #include "cpu/kernel.hh"
@@ -84,6 +87,7 @@ struct PlanOp
     std::uint32_t line = 0;          //!< interned cache-line id
     std::uint32_t count = 1;         //!< repeat count (Nop/Alu runs)
     std::uint32_t opIndex = 0;       //!< body position (branch identity)
+    std::uint64_t pcHash = 0;        //!< branch ops: splitMix64 of the PC
     PhysAddr pa = 0;                 //!< resolved physical address
     const void *handle = nullptr;    //!< pre-decoded line (may be null)
     Ns d0 = 0.0;
@@ -121,8 +125,9 @@ class BlockPlan
     // only consumer and reads them in its hottest loop).
     std::vector<PlanOp> ops;
     bool indexed = false;          //!< AddressingMode::CppIndexed
-    bool flushJitterGated = false; //!< arch.flushJitterProb > 0
     Ns fetchDelta = 0.0;           //!< cyc(1 / fetchWidth)
+    Rng::Coin flushJitterCoin{0.0}; //!< Coin(arch.flushJitterProb)
+    Rng::Coin branchCoin{0.5};      //!< the obfuscated branch's direction
     Ns addrGenDelta = 0.0;         //!< cyc(addrGen * depChainBreak)
     Ns l1HitDelta = 0.0;           //!< cyc(l1HitCyc)
     Ns robIssueDelta = 0.0;        //!< cyc(1.0): retire-at-issue cost

@@ -5,9 +5,8 @@
 namespace rho
 {
 
-BranchPredictor::BranchPredictor(unsigned pht_bits, unsigned btb_bits)
-    : phtMask((1u << pht_bits) - 1), btbMask((1u << btb_bits) - 1),
-      pht((1u << pht_bits), 1), btb(1u << btb_bits)
+BranchPredictor::BranchPredictor()
+    : pht(kPhtMask + 1, 1), btb(kBtbMask + 1)
 {
 }
 
@@ -17,8 +16,6 @@ BranchPredictor::reset()
     std::fill(pht.begin(), pht.end(), 1);
     std::fill(btb.begin(), btb.end(), BtbEntry{});
     history = 0;
-    nLookups = 0;
-    nMispredicts = 0;
 }
 
 } // namespace rho

@@ -17,21 +17,23 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/rng.hh"
-
 namespace rho
 {
 
-/** gshare + BTB predictor. */
+/** gshare + BTB predictor: a 4096-entry PHT and a 1024-entry BTB. */
 class BranchPredictor
 {
   public:
-    BranchPredictor(unsigned pht_bits = 12, unsigned btb_bits = 10);
+    BranchPredictor();
 
     /**
      * Predict and then resolve one branch.
      *
-     * @param pc static identity of the branch instruction.
+     * @param pc_hash splitMix64 of the branch instruction's static
+     *        identity. The engines hash each branch PC once (the
+     *        Blocked plan at compile time); splitMix64 is a bijection,
+     *        so indexing and tagging by the hash is the same predictor
+     *        as indexing by the hash and tagging by the PC.
      * @param taken actual direction.
      * @param target actual target identity (0 for fall-through).
      * @return true iff the branch was mispredicted (direction or
@@ -44,18 +46,17 @@ class BranchPredictor
     // The modeled predictor state machine is unchanged — each select
     // computes exactly the value the original if/else produced.
     bool
-    predictAndUpdate(std::uint64_t pc, bool taken, std::uint64_t target)
+    predictAndUpdate(std::uint64_t pc_hash, bool taken, std::uint64_t target)
     {
-        ++nLookups;
-
-        unsigned pht_idx = static_cast<unsigned>(
-            (splitMix64(pc) ^ history) & phtMask);
+        unsigned pht_idx =
+            static_cast<unsigned>((pc_hash ^ history) & kPhtMask);
         std::uint8_t ctr = pht[pht_idx];
         bool predicted_taken = ctr >= 2;
 
-        unsigned btb_idx = static_cast<unsigned>(splitMix64(pc) & btbMask);
+        unsigned btb_idx = static_cast<unsigned>(pc_hash & kBtbMask);
         BtbEntry &be = btb[btb_idx];
-        bool target_hit = be.valid & (be.tag == pc) & (be.target == target);
+        bool target_hit =
+            be.valid & (be.tag == pc_hash) & (be.target == target);
 
         // taken: miss iff direction or target was wrong; not taken:
         // miss iff predicted taken.
@@ -67,33 +68,30 @@ class BranchPredictor
         std::uint8_t up = ctr + (ctr < 3);
         std::uint8_t down = ctr - (ctr > 0);
         pht[pht_idx] = taken ? up : down;
-        be.tag = taken ? pc : be.tag;
+        be.tag = taken ? pc_hash : be.tag;
         be.target = taken ? target : be.target;
         be.valid = be.valid | taken;
-        history = ((history << 1) | (taken ? 1 : 0)) & phtMask;
+        history = ((history << 1) | (taken ? 1 : 0)) & kPhtMask;
 
-        nMispredicts += mispredict;
         return mispredict;
     }
 
     void reset();
 
-    std::uint64_t lookups() const { return nLookups; }
-    std::uint64_t mispredicts() const { return nMispredicts; }
-
   private:
-    unsigned phtMask, btbMask;
+    static constexpr unsigned kPhtBits = 12, kBtbBits = 10;
+    static constexpr std::uint64_t kPhtMask = (1u << kPhtBits) - 1;
+    static constexpr std::uint64_t kBtbMask = (1u << kBtbBits) - 1;
+
     std::vector<std::uint8_t> pht;  //!< 2-bit saturating counters
     struct BtbEntry
     {
-        std::uint64_t tag = 0;
+        std::uint64_t tag = 0; //!< the branch's pc_hash
         std::uint64_t target = 0;
         bool valid = false;
     };
     std::vector<BtbEntry> btb;
     std::uint64_t history = 0;
-    std::uint64_t nLookups = 0;
-    std::uint64_t nMispredicts = 0;
 };
 
 } // namespace rho

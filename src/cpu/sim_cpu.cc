@@ -206,10 +206,10 @@ SimCpu::replayBlocked(MemoryBackend &mem)
     const Ns addr_gen_delta = plan.addrGenDelta;
     const Ns l1_hit_delta = plan.l1HitDelta;
     const Ns rob_issue_delta = plan.robIssueDelta;
-    const bool jitter_gated = plan.flushJitterGated;
+    const Rng::Coin jitter_coin = plan.flushJitterCoin;
+    const Rng::Coin branch_coin = plan.branchCoin;
     const bool flush_sync = arch.flushSynchronous;
     const Ns flush_lat_base = arch.flushLatencyNs;
-    const double jitter_prob = arch.flushJitterProb;
     const Ns jitter_add = arch.flushJitterNs;
 
     for (;;) {
@@ -261,7 +261,7 @@ SimCpu::replayBlocked(MemoryBackend &mem)
               case PlanCode::BranchObf: {
                 ++ctr.branches;
                 now += op.d0; // cyc(obfOverheadCyc)
-                bool taken = rng.chance(0.5);
+                bool taken = rng.flip(branch_coin); // chance(0.5)
                 // Reference: `taken ? 1 + uniformInt(0, 7) : 0`. That
                 // gates a draw on a coin flip — an unpredictable host
                 // branch. Peek the would-be draw, advance the stream
@@ -272,9 +272,7 @@ SimCpu::replayBlocked(MemoryBackend &mem)
                 rng.consumeIf(taken);
                 std::uint64_t target = (1 + (tdraw >> 61))
                     & (0 - static_cast<std::uint64_t>(taken));
-                bool miss = bp.predictAndUpdate(
-                    0x4000 + static_cast<std::uint64_t>(op.opIndex), taken,
-                    target);
+                bool miss = bp.predictAndUpdate(op.pcHash, taken, target);
                 // Select arithmetic, not control flow: `miss` is
                 // random here, so a host branch on it mispredicts at
                 // the full random rate. Adding 0.0 on a hit leaves the
@@ -293,9 +291,8 @@ SimCpu::replayBlocked(MemoryBackend &mem)
               case PlanCode::BranchLoop: {
                 ++ctr.branches;
                 now += op.d0; // cyc(0.25)
-                bool miss = bp.predictAndUpdate(
-                    0x8000 + static_cast<std::uint64_t>(op.opIndex), true,
-                    /*target=*/1);
+                bool miss = bp.predictAndUpdate(op.pcHash, true,
+                                                /*target=*/1);
                 ctr.branchMispredicts += miss;
                 now += static_cast<double>(miss) * op.d1;
                 if constexpr (Traced) {
@@ -326,12 +323,10 @@ SimCpu::replayBlocked(MemoryBackend &mem)
                 ++ctr.flushes;
                 // The jitter coin is random: consume it branchlessly
                 // (false adds 0.0, leaving the latency bit-identical).
-                Ns flush_lat = flush_lat_base;
-                if (jitter_gated) {
-                    flush_lat +=
-                        static_cast<double>(rng.chance(jitter_prob))
-                        * jitter_add;
-                }
+                // A coin of probability 0 draws nothing, as the
+                // reference's `flushJitterProb > 0` gate.
+                Ns flush_lat = flush_lat_base
+                    + static_cast<double>(rng.flip(jitter_coin)) * jitter_add;
                 Ns done = cache.recordFlush(op.line, issue, flush_lat);
                 if (done >= 0.0) {
                     lastFlushDone = std::max(lastFlushDone, done);
@@ -546,7 +541,8 @@ SimCpu::execOp(const Op &op, const HammerKernel &kernel, MemoryBackend &mem,
         // predictor cannot learn either.
         bool taken = rng.chance(0.5);
         std::uint64_t target = taken ? 1 + rng.uniformInt(0, 7) : 0;
-        bool miss = bp.predictAndUpdate(0x4000 + op_index, taken, target);
+        bool miss =
+            bp.predictAndUpdate(splitMix64(0x4000 + op_index), taken, target);
         if (miss) {
             ++ctr.branchMispredicts;
             now += cyc(arch.branchResolveCyc + arch.mispredictPenaltyCyc);
@@ -559,7 +555,7 @@ SimCpu::execOp(const Op &op, const HammerKernel &kernel, MemoryBackend &mem,
       case OpKind::BranchLoop: {
         ++ctr.branches;
         now += cyc(0.25);
-        bool miss = bp.predictAndUpdate(0x8000 + op_index, true,
+        bool miss = bp.predictAndUpdate(splitMix64(0x8000 + op_index), true,
                                         /*target=*/1);
         if (miss) {
             ++ctr.branchMispredicts;

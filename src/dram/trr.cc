@@ -7,7 +7,8 @@ namespace rho
 
 TrrSampler::TrrSampler(const TrrConfig &cfg_, std::uint32_t num_banks)
     : cfg(cfg_), trigger(std::max<std::uint32_t>(cfg_.matchThreshold, 1)),
-      tables(num_banks), rng(cfg_.seed)
+      tables(num_banks), rng(cfg_.seed), sampleCoin(cfg_.sampleProb),
+      ptrrCoin(cfg_.ptrrSampleProb)
 {
 }
 
@@ -21,35 +22,24 @@ TrrSampler::reset()
     armed = 0;
 }
 
-std::optional<TrrTarget>
-TrrSampler::observeAct(std::uint32_t bank, std::uint64_t row, Ns now)
+void
+TrrSampler::recordSample(std::uint32_t bank, std::uint64_t row, Ns now)
 {
     (void)now; // only read when tracing is compiled in
-    std::optional<TrrTarget> ptrr_hit;
-    if (cfg.ptrr && rng.chance(cfg.ptrrSampleProb)) {
-        ++issued;
-        ptrr_hit = TrrTarget{bank, row};
-    }
-
-    if (!cfg.enabled)
-        return ptrr_hit;
-    if (!rng.chance(cfg.sampleProb))
-        return ptrr_hit;
-
     auto &table = tables[bank];
     for (auto &e : table) {
         if (e.row == row) {
             armed += ++e.count == trigger;
             RHO_TRACE(tracer, now, EventKind::TrrSample, 0, bank, row,
                       e.count);
-            return ptrr_hit;
+            return;
         }
     }
     if (table.size() < cfg.counters) {
         table.push_back({row, 1});
         armed += trigger == 1;
         RHO_TRACE(tracer, now, EventKind::TrrSample, 0, bank, row, 1);
-        return ptrr_hit;
+        return;
     }
     // Misra-Gries: a non-resident sample decrements every counter.
     // This is the churn non-uniform patterns exploit: enough distinct
@@ -65,7 +55,6 @@ TrrSampler::observeAct(std::uint32_t bank, std::uint64_t row, Ns now)
         RHO_TRACE(tracer, now, EventKind::TrrEvict, 0, bank, e.row, 0);
         return true;
     });
-    return ptrr_hit;
 }
 
 std::vector<TrrTarget>

@@ -60,13 +60,26 @@ class TrrSampler
     TrrSampler(const TrrConfig &cfg, std::uint32_t num_banks);
 
     /**
-     * Observe one row activation at simulated time `now`.
+     * Observe one row activation at simulated time `now`: the pTRR
+     * coin, then the TRR sampling coin. Inline because it runs on
+     * every ACT; only a sampled ACT (sampleProb of them) reaches the
+     * out-of-line table update.
      *
      * @return a pTRR target needing an *immediate* neighbour refresh,
      *         if pTRR sampled this activation.
      */
-    std::optional<TrrTarget> observeAct(std::uint32_t bank,
-                                        std::uint64_t row, Ns now = 0.0);
+    std::optional<TrrTarget>
+    observeAct(std::uint32_t bank, std::uint64_t row, Ns now = 0.0)
+    {
+        std::optional<TrrTarget> ptrr_hit;
+        if (cfg.ptrr && rng.flip(ptrrCoin)) {
+            ++issued;
+            ptrr_hit = TrrTarget{bank, row};
+        }
+        if (cfg.enabled && rng.flip(sampleCoin))
+            recordSample(bank, row, now);
+        return ptrr_hit;
+    }
 
     /**
      * Called once per tREFI: the device piggybacks targeted refreshes
@@ -116,6 +129,8 @@ class TrrSampler
         std::uint32_t count;
     };
 
+    /** Count one sampled ACT in its bank's Misra-Gries table. */
+    void recordSample(std::uint32_t bank, std::uint64_t row, Ns now);
     std::vector<TrrTarget> issueTargets(Ns now);
 
     TrrConfig cfg;
@@ -127,6 +142,8 @@ class TrrSampler
     std::vector<std::vector<Entry>> tables; // per flat bank
     std::size_t armed = 0; //!< table entries with count >= trigger
     Rng rng;
+    Rng::Coin sampleCoin; //!< Coin(cfg.sampleProb)
+    Rng::Coin ptrrCoin;   //!< Coin(cfg.ptrrSampleProb)
     std::uint64_t issued = 0;
     Tracer *tracer = nullptr;
 };

@@ -4,16 +4,21 @@
  * draw by draw against the std library objects it stands for: a
  * std::mt19937_64 seeded the same way, the bernoulli, uniform-int,
  * uniform-real, normal, log-normal and Poisson distributions on it,
- * and fork().
+ * fork(), and the precomputed Bernoulli thresholds (Rng::Coin).
  */
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <random>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.hh"
+#include "cpu/arch_params.hh"
+#include "mapping/mapping_presets.hh"
 
 using namespace rho;
 
@@ -280,6 +285,134 @@ TEST(Rng, StdDistributionDrawsMatchStdEngine)
                 std::mt19937_64 std_child(eng());
                 for (int k = 0; k < 400; ++k)
                     ASSERT_EQ(child.raw(), std_child()) << at << " fork";
+            }
+        }
+        expectInStep(r, eng);
+    }
+}
+
+// ---------------------------------------------------------------------
+// Rng::Coin: the precomputed threshold equals chance(p) word for word.
+// ---------------------------------------------------------------------
+
+namespace
+{
+
+/** A UniformRandomBitGenerator that returns one fixed word. */
+struct FixedWord
+{
+    using result_type = std::uint64_t;
+    static constexpr result_type min() { return 0; }
+    static constexpr result_type max() { return ~result_type(0); }
+    result_type operator()() { return word; }
+    result_type word;
+};
+
+/** std::bernoulli_distribution(p) on the single draw x. */
+bool
+stdBernoulliAt(double p, std::uint64_t x)
+{
+    FixedWord w{x};
+    return std::bernoulli_distribution(p)(w);
+}
+
+} // namespace
+
+/**
+ * A coin's threshold is exactly the std boundary: the word below it is
+ * heads and the word at it is tails, both for bernoulli_distribution
+ * and for the generate_canonical value it compares. Monotonicity then
+ * fixes every other word.
+ */
+TEST(RngCoin, ThresholdIsTheStdBoundary)
+{
+    std::vector<double> probs = {0.5,    0.25,    4e-3,      0.3,
+                                 1e-18,  1e-300,  4.9e-324,
+                                 std::nextafter(1.0, 0.0)};
+    for (Arch a : allArchs) {
+        double p = ArchParams::forArch(a).flushJitterProb;
+        if (p > 0.0)
+            probs.push_back(p);
+    }
+    for (double p : probs) {
+        Rng::Coin c(p);
+        ASSERT_TRUE(c.draws) << "p " << p;
+        ASSERT_GT(c.below, 0u) << "p " << p;
+        FixedWord at{c.below}, before{c.below - 1};
+        EXPECT_GE((std::generate_canonical<double, 53>(at)), p) << "p " << p;
+        EXPECT_LT((std::generate_canonical<double, 53>(before)), p)
+            << "p " << p;
+        EXPECT_TRUE(stdBernoulliAt(p, c.below - 1)) << "p " << p;
+        EXPECT_FALSE(stdBernoulliAt(p, c.below)) << "p " << p;
+    }
+}
+
+/**
+ * The edges draw what chance() draws: nothing for p <= 0 (-0.0 too)
+ * and p >= 1, one word for NaN, which is tails.
+ */
+TEST(RngCoin, EdgesConsumeWhatChanceConsumes)
+{
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    struct Edge
+    {
+        double p;
+        bool heads;
+        int draws;
+    };
+    const Edge edges[] = {{0.0, false, 0}, {-0.0, false, 0},
+                          {-1.0, false, 0}, {1.0, true, 0},
+                          {1.5, true, 0},   {nan, false, 1}};
+    for (const Edge &e : edges) {
+        Rng coin(31), chance(31);
+        std::mt19937_64 eng(31);
+        skipBoth(coin, eng, 311); // the NaN coin's draws twist
+        for (int i = 0; i < 311; ++i)
+            chance.raw();
+        Rng::Coin c(e.p);
+        for (int round = 0; round < 5; ++round) {
+            ASSERT_EQ(coin.flip(c), e.heads) << "p " << e.p;
+            ASSERT_EQ(chance.chance(e.p), e.heads) << "p " << e.p;
+            for (int k = 0; k < e.draws; ++k)
+                eng();
+        }
+        std::uint64_t next = eng();
+        EXPECT_EQ(coin.raw(), next) << "p " << e.p;
+        EXPECT_EQ(chance.raw(), next) << "p " << e.p;
+    }
+}
+
+/**
+ * Coins interleaved with chance(), uniformInt() and peek()/consumeIf()
+ * across more than three twist blocks give the std draws and leave
+ * the stream in step.
+ */
+TEST(RngCoin, InterleavedStreamStaysInStepWithStdEngine)
+{
+    const double probs[] = {0.5, 0.25, 4e-3, 0.3, 0.0, 1.0, 0.999};
+    std::vector<Rng::Coin> coins;
+    for (double p : probs)
+        coins.emplace_back(p);
+    for (std::uint64_t seed : {0ULL, 0x7272ULL, 0xdeadbeefULL}) {
+        Rng r(seed);
+        std::mt19937_64 eng(seed);
+        // ~3 words a round: ~1900 words, six twist blocks.
+        for (int i = 0; i < 600; ++i) {
+            std::size_t k = i % coins.size();
+            ASSERT_EQ(r.flip(coins[k]), stdChance(eng, probs[k]))
+                << "seed " << seed << " round " << i;
+            ASSERT_EQ(r.chance(probs[(k + 3) % coins.size()]),
+                      stdChance(eng, probs[(k + 3) % coins.size()]))
+                << "seed " << seed << " round " << i;
+            ASSERT_EQ(r.uniformInt(0, 7),
+                      std::uniform_int_distribution<std::uint64_t>(0, 7)(eng))
+                << "seed " << seed << " round " << i;
+            // The obfuscated branch's gated target draw.
+            bool take = i % 3 != 0;
+            std::uint64_t peeked = r.peek();
+            r.consumeIf(take);
+            if (take) {
+                ASSERT_EQ(peeked, eng()) << "seed " << seed << " round " << i;
             }
         }
         expectInStep(r, eng);

@@ -207,27 +207,47 @@ driveTrr(Sampler &s)
 } // namespace
 
 /**
- * Pins the sampling stream at the default probabilities (every other
- * TrrSampler test uses sampleProb 1.0, which draws nothing): every
- * pTRR hit and every targeted refresh matches a model that draws from
- * a std::mt19937_64 seeded with cfg.seed.
+ * Pins the sampling stream (every other TrrSampler test uses
+ * sampleProb 1.0, which draws nothing): every pTRR hit and every
+ * targeted refresh matches a model that draws from a std::mt19937_64
+ * seeded with cfg.seed. Each coin path runs: TRR with pTRR, TRR alone
+ * (the default), pTRR alone and neither, at the default sampleProb and
+ * at a non-dyadic one.
  */
 TEST(TrrSampler, DrawStreamMatchesRngModel)
 {
-    TrrConfig cfg;
-    cfg.ptrr = true;
-    TrrSampler s(cfg, 2);
-    TrrModel model(cfg, 2);
-    std::vector<TrrDecision> got = driveTrr(s);
-    std::vector<TrrDecision> want = driveTrr(model);
-    ASSERT_EQ(got.size(), want.size());
-    for (std::size_t i = 0; i < want.size(); ++i)
-        ASSERT_EQ(got[i], want[i]) << "decision " << i;
-    std::size_t ptrr_hits = std::count_if(
-        want.begin(), want.end(), [](const TrrDecision &d) { return d.ptrr; });
-    EXPECT_GT(ptrr_hits, 50u);                 // ~160 expected
-    EXPECT_GT(want.size() - ptrr_hits, 50u);   // TRR fired too
-    EXPECT_EQ(s.targetedRefreshes(), want.size());
+    for (double sample_prob : {0.25, 0.3}) {
+        for (bool trr : {true, false}) {
+            for (bool ptrr : {true, false}) {
+                SCOPED_TRACE("sampleProb " + std::to_string(sample_prob)
+                             + (trr ? " TRR" : "") + (ptrr ? " pTRR" : ""));
+                TrrConfig cfg;
+                cfg.enabled = trr;
+                cfg.ptrr = ptrr;
+                cfg.sampleProb = sample_prob;
+                TrrSampler s(cfg, 2);
+                TrrModel model(cfg, 2);
+                std::vector<TrrDecision> got = driveTrr(s);
+                std::vector<TrrDecision> want = driveTrr(model);
+                ASSERT_EQ(got.size(), want.size());
+                for (std::size_t i = 0; i < want.size(); ++i)
+                    ASSERT_EQ(got[i], want[i]) << "decision " << i;
+                std::size_t ptrr_hits = std::count_if(
+                    want.begin(), want.end(),
+                    [](const TrrDecision &d) { return d.ptrr; });
+                // ~160 pTRR hits expected; TRR fires when enabled.
+                if (ptrr)
+                    EXPECT_GT(ptrr_hits, 50u);
+                else
+                    EXPECT_EQ(ptrr_hits, 0u);
+                if (trr)
+                    EXPECT_GT(want.size() - ptrr_hits, 50u);
+                else
+                    EXPECT_EQ(want.size(), ptrr_hits);
+                EXPECT_EQ(s.targetedRefreshes(), want.size());
+            }
+        }
+    }
 }
 
 TEST(TrrSampler, ResetReplaysFreshSampler)
