@@ -95,4 +95,27 @@ Gf2Matrix::nullBasis() const
     return Gf2Solver(*this).nullBasis();
 }
 
+bool
+sameFnSpan(const std::vector<std::uint64_t> &a,
+           const std::vector<std::uint64_t> &b, unsigned bits)
+{
+    if (a.size() != b.size())
+        return false;
+    Gf2Matrix ma(bits);
+    for (auto fn : a)
+        ma.addRow(fn);
+    unsigned rank_a = ma.rank();
+    if (rank_a != a.size())
+        return false;
+    // Equal-dimension spans are equal iff adding any vector of b does
+    // not increase the rank.
+    for (auto fn : b) {
+        Gf2Matrix ext = ma;
+        ext.addRow(fn);
+        if (ext.rank() != rank_a)
+            return false;
+    }
+    return true;
+}
+
 } // namespace rho

@@ -53,9 +53,6 @@ class Gf2Matrix
      */
     std::vector<std::uint64_t> nullBasis() const;
 
-    /** @return true iff the rows are linearly independent. */
-    bool rowsIndependent() const { return rank() == numRows(); }
-
   private:
     unsigned nCols;
     std::vector<std::uint64_t> rows;
@@ -89,6 +86,15 @@ class Gf2Solver
     std::vector<std::uint64_t> nullVecs;
     bool fullRowRank;
 };
+
+/**
+ * GF(2) span equality of two sets of `bits`-bit vectors, e.g. two bank
+ * function sets: a is linearly independent, b has as many vectors and
+ * every one of them lies in the span of a. Decides whether two
+ * mappings' bank functions induce the same bank partition.
+ */
+bool sameFnSpan(const std::vector<std::uint64_t> &a,
+                const std::vector<std::uint64_t> &b, unsigned bits);
 
 } // namespace rho
 

@@ -97,17 +97,6 @@ class CacheModel
         return l.flushDone;
     }
 
-    /** Lazily retire a completed flush (line becomes absent). */
-    void
-    expireFlush(std::uint32_t line, Ns t)
-    {
-        LineState &l = lines[line];
-        if (l.filled && l.flushDone >= 0.0 && l.flushDone <= t) {
-            l.filled = false;
-            l.flushDone = -1.0;
-        }
-    }
-
   private:
     struct LineState
     {

@@ -102,7 +102,6 @@ class FaultInjector
     int journalBitRot(std::size_t num_bits);
 
     const FaultStats &stats() const { return st; }
-    void clearStats() { st = FaultStats{}; }
 
     /**
      * Attach a tracer (nullptr detaches) for FaultDelivered events and

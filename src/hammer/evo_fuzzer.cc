@@ -87,14 +87,7 @@ evoJournalKey(const SystemSpec &spec, const HammerConfig &cfg,
     key = hashCombine(key, std::bit_cast<std::uint64_t>(
                                params.immigrantProb));
     key = hashCombine(key, params.locationsPerPattern);
-    key = hashCombine(key, params.patternParams.minPairs);
-    key = hashCombine(key, params.patternParams.maxPairs);
-    key = hashCombine(key, params.patternParams.minPeriodLog2);
-    key = hashCombine(key, params.patternParams.maxPeriodLog2);
-    key = hashCombine(key, params.patternParams.maxFreqLog2);
-    key = hashCombine(key, params.patternParams.maxAmpLog2);
-    key = hashCombine(key, params.patternParams.maxRowSpread);
-    return key;
+    return hashPatternParams(key, params.patternParams);
 }
 
 EvoResult

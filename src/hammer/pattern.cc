@@ -34,6 +34,17 @@ patternParamsError(const PatternParams &params)
     return "";
 }
 
+std::uint64_t
+hashPatternParams(std::uint64_t key, const PatternParams &params)
+{
+    for (unsigned v : {params.minPairs, params.maxPairs,
+                       params.minPeriodLog2, params.maxPeriodLog2,
+                       params.maxFreqLog2, params.maxAmpLog2,
+                       params.maxRowSpread})
+        key = hashCombine(key, v);
+    return key;
+}
+
 namespace
 {
 

@@ -55,6 +55,13 @@ struct PatternParams
  */
 std::string patternParamsError(const PatternParams &params);
 
+/**
+ * `key` with every PatternParams field folded in, in declaration order
+ * (the fuzz and evo journal keys end with it).
+ */
+std::uint64_t hashPatternParams(std::uint64_t key,
+                                const PatternParams &params);
+
 /** True when patternParamsError(params) is empty. */
 inline bool
 patternParamsOk(const PatternParams &params)

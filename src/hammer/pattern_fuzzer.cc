@@ -164,14 +164,7 @@ fuzzJournalKey(const SystemSpec &spec, const HammerConfig &cfg,
     std::uint64_t key = campaignKey(spec, cfg, seed);
     key = hashCombine(key, params.numPatterns);
     key = hashCombine(key, params.locationsPerPattern);
-    key = hashCombine(key, params.patternParams.minPairs);
-    key = hashCombine(key, params.patternParams.maxPairs);
-    key = hashCombine(key, params.patternParams.minPeriodLog2);
-    key = hashCombine(key, params.patternParams.maxPeriodLog2);
-    key = hashCombine(key, params.patternParams.maxFreqLog2);
-    key = hashCombine(key, params.patternParams.maxAmpLog2);
-    key = hashCombine(key, params.patternParams.maxRowSpread);
-    return key;
+    return hashPatternParams(key, params.patternParams);
 }
 
 FuzzResult

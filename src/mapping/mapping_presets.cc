@@ -91,12 +91,12 @@ masksOf(const std::vector<std::vector<unsigned>> &fns)
 AddressMapping
 make(unsigned phys_bits,
      std::vector<std::vector<unsigned>> fns,
-     unsigned row_lo, unsigned row_hi)
+     unsigned row_lo, unsigned row_hi, std::uint64_t region_offset = 0)
 {
     // Column bits are the low 13 bits (8 KiB row across the rank) in
     // all configurations of Table 4.
-    return AddressMapping(phys_bits, masksOf(fns),
-                          range(row_lo, row_hi), range(0, 12));
+    return AddressMapping(phys_bits, masksOf(fns), range(row_lo, row_hi),
+                          range(0, 12), region_offset);
 }
 
 /**
@@ -107,16 +107,6 @@ make(unsigned phys_bits,
  * XOR).
  */
 constexpr std::uint64_t zenRegionBase = 0xC0000000ULL;
-
-AddressMapping
-zenMake(unsigned phys_bits,
-        std::vector<std::vector<unsigned>> fns,
-        unsigned row_lo, unsigned row_hi)
-{
-    return AddressMapping(std::make_shared<ZenOffsetFamily>(
-        phys_bits, zenRegionBase, masksOf(fns),
-        range(row_lo, row_hi), range(0, 12)));
-}
 
 } // namespace
 
@@ -130,30 +120,30 @@ mappingFor(Arch arch, unsigned size_gib, unsigned ranks)
     // address bit — applied to the region-normalized address.
     if (arch == Arch::Zen3) {
         if (size_gib == 8 && ranks == 1) {
-            return zenMake(33,
-                           {{6, 13},
-                            {14, 18, 22, 26, 30},
-                            {15, 19, 23, 27, 31},
-                            {16, 20, 24, 28, 32}},
-                           17, 32);
+            return make(33,
+                        {{6, 13},
+                         {14, 18, 22, 26, 30},
+                         {15, 19, 23, 27, 31},
+                         {16, 20, 24, 28, 32}},
+                        17, 32, zenRegionBase);
         }
         if (size_gib == 16 && ranks == 2) {
-            return zenMake(34,
-                           {{6, 13},
-                            {14, 18, 22, 26, 30},
-                            {15, 19, 23, 27, 31},
-                            {16, 20, 24, 28, 32},
-                            {17, 21, 25, 29, 33}},
-                           18, 33);
+            return make(34,
+                        {{6, 13},
+                         {14, 18, 22, 26, 30},
+                         {15, 19, 23, 27, 31},
+                         {16, 20, 24, 28, 32},
+                         {17, 21, 25, 29, 33}},
+                        18, 33, zenRegionBase);
         }
         if (size_gib == 32 && ranks == 2) {
-            return zenMake(35,
-                           {{6, 13},
-                            {14, 18, 22, 26, 30, 34},
-                            {15, 19, 23, 27, 31},
-                            {16, 20, 24, 28, 32},
-                            {17, 21, 25, 29, 33}},
-                           18, 34);
+            return make(35,
+                        {{6, 13},
+                         {14, 18, 22, 26, 30, 34},
+                         {15, 19, 23, 27, 31},
+                         {16, 20, 24, 28, 32},
+                         {17, 21, 25, 29, 33}},
+                        18, 34, zenRegionBase);
         }
         fatal("mappingFor: unsupported geometry %u GiB x %u ranks",
               size_gib, ranks);

@@ -78,9 +78,9 @@ bool archRefBlocking(Arch arch);
  * Ground-truth mapping for an architecture and DRAM geometry.
  * Intel presets follow paper Table 4 (Comet/Rocket Lake share one
  * linear scheme; Alder/Raptor Lake another with wider, more numerous
- * bank functions). Zen 3 uses a ZenOffsetFamily: interleaved
- * XOR-of-hashed-bits functions applied after subtracting a region
- * base, so the end-to-end map is non-linear. Cortex-A72 boards use the
+ * bank functions). Zen 3 applies interleaved XOR-of-hashed-bits
+ * functions after subtracting a region base (a non-zero
+ * regionOffset()), so its end-to-end map is non-linear. Cortex-A72 boards use the
  * simple linear interleaving scheme.
  *
  * @param size_gib total DIMM capacity: 8, 16 or 32.

@@ -52,31 +52,6 @@ constexpr double kOffsetAcceptScore = 0.85; //!< consistency bar per mask
 
 } // namespace
 
-bool
-sameFnSpan(const std::vector<std::uint64_t> &a,
-           const std::vector<std::uint64_t> &b, unsigned bits)
-{
-    if (a.size() != b.size())
-        return false;
-    Gf2Matrix ma(bits);
-    for (auto fn : a)
-        ma.addRow(fn);
-    unsigned rank_a = ma.rank();
-    if (rank_a != a.size())
-        return false;
-    // Equal-dimension spans are equal iff adding any vector of b does
-    // not increase the rank.
-    for (auto fn : b) {
-        Gf2Matrix ext(bits);
-        for (auto f2 : a)
-            ext.addRow(f2);
-        ext.addRow(fn);
-        if (ext.rank() != rank_a)
-            return false;
-    }
-    return true;
-}
-
 MappingRecovery
 emptyPoolRecovery(Ns sim_time_ns)
 {

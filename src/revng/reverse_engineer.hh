@@ -65,10 +65,6 @@ struct MappingRecovery
  */
 MappingRecovery emptyPoolRecovery(Ns sim_time_ns);
 
-/** GF(2) span equality of two bank-function sets. */
-bool sameFnSpan(const std::vector<std::uint64_t> &a,
-                const std::vector<std::uint64_t> &b, unsigned bits);
-
 /** Algorithm 1. */
 class RhoReverseEngineer
 {

@@ -2,14 +2,14 @@
  * @file
  * Cross-backend differential suite for the multi-vendor ArchBackend
  * work: every modelled architecture (Intel linear GF(2) presets, AMD
- * Zen 3's offset non-linear family, ARM Cortex-A72 on LPDDR4) runs
- * the quickstart and TRR-evasion scenarios of tests/differential.hh
+ * Zen 3's non-linear region-offset mapping, ARM Cortex-A72 on LPDDR4)
+ * runs the quickstart and TRR-evasion scenarios of tests/differential.hh
  * over its engine matrix — {Flat, Reference} row store x {Blocked,
  * Reference} CPU replay x --jobs — and every cell must be
  * byte-identical to the reference cell; REF-synced campaigns must not
  * depend on --jobs. Alongside sit the backend property tests: arch
  * registry completeness, decode/encode bijectivity fuzz, same-bank-set
- * closure against the family's XOR structure, REF-sync detection
+ * closure against the mapping's XOR structure, REF-sync detection
  * determinism, Half-Double disturb bounds on LPDDR4, and reset parity
  * of the per-backend device state.
  */
@@ -72,11 +72,9 @@ TEST(ArchRegistry, FamilyKindsMatchVendor)
         for (Arch a : allArchs) {
             AddressMapping m = mappingFor(a, g.sizeGib, g.ranks);
             if (a == Arch::Zen3) {
-                EXPECT_EQ(m.familyKind(), MappingFamilyKind::ZenOffset);
                 EXPECT_NE(m.regionOffset(), 0u);
                 EXPECT_NE(m.describe().find("Offset"), std::string::npos);
             } else {
-                EXPECT_EQ(m.familyKind(), MappingFamilyKind::LinearGf2);
                 EXPECT_EQ(m.regionOffset(), 0u);
             }
         }
@@ -84,7 +82,7 @@ TEST(ArchRegistry, FamilyKindsMatchVendor)
 }
 
 // ---------------------------------------------------------------------
-// Mapping-family property tests
+// Mapping property tests
 // ---------------------------------------------------------------------
 
 class BackendProps : public ::testing::TestWithParam<Arch>
@@ -115,11 +113,11 @@ TEST_P(BackendProps, BijectivityFuzzTenThousandAddresses)
 TEST_P(BackendProps, SameBankSetClosureMatchesXorStructure)
 {
     // The bank partition induced by decode() must agree with the
-    // family's own published XOR structure *in normalized space*: two
+    // mapping's own published XOR structure *in normalized space*: two
     // addresses share a bank iff every bank function has equal parity
-    // on their normalized forms. For the Zen family this pins the
-    // mod-2^n offset transform of decode() to the one normalize()
-    // exposes; for linear families normalize() is the identity.
+    // on their normalized forms. For Zen 3 this pins the mod-2^n
+    // offset transform of decode() to the one normalize() exposes; for
+    // linear mappings normalize() is the identity.
     Arch arch = GetParam();
     AddressMapping m = mappingFor(arch, 8, 1);
     const auto &fns = m.bankFnMasks();

@@ -525,3 +525,27 @@ TEST(JournalPayloadPin, SweepFuzzEvoPayloadsAreByteStable)
     }
     std::remove(path.c_str());
 }
+
+TEST(JournalPayloadPin, FuzzAndEvoKeysAreStable)
+{
+    // A journal only resumes under the key it was written with, so both
+    // keys of one fixed spec are pinned. Every PatternParams field has
+    // a distinct value: reordering or dropping one changes the key.
+    SystemSpec spec(Arch::RaptorLake, DimmProfile::byId("S2"));
+    HammerConfig cfg = rhoConfig(Arch::RaptorLake, false, 30000);
+    PatternParams pp{3, 9, 4, 6, 2, 1, 33};
+
+    FuzzParams fp;
+    fp.numPatterns = 5;
+    fp.locationsPerPattern = 2;
+    fp.patternParams = pp;
+    EXPECT_EQ(fuzzJournalKey(spec, cfg, fp, 7), 0x6f361b9632edf576ULL);
+
+    EvoParams ep;
+    ep.populationSize = 4;
+    ep.generations = 3;
+    ep.elites = 1;
+    ep.locationsPerPattern = 1;
+    ep.patternParams = pp;
+    EXPECT_EQ(evoJournalKey(spec, cfg, ep, 7), 0x0fe157bf7e9ec0f9ULL);
+}

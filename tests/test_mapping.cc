@@ -129,8 +129,8 @@ TEST_P(PresetMapping, RoundTripAtAddressSpaceBoundaries)
     auto [arch, g] = GetParam();
     AddressMapping m = mappingFor(arch, g.sizeGib, g.ranks);
 
-    // Bottom and top cache lines of the physical space. On the Zen
-    // family the bottom sits BELOW the region base, so normalization
+    // Bottom and top cache lines of the physical space. On Zen 3 the
+    // bottom sits BELOW the region base, so normalization
     // wraps around the top of the address space — the decode must
     // still be a clean bijection there.
     std::vector<PhysAddr> edges;
@@ -139,7 +139,7 @@ TEST_P(PresetMapping, RoundTripAtAddressSpaceBoundaries)
         edges.push_back(m.memBytes() - 64 - d);
     }
     // The region base itself and its vicinity (no-op for linear
-    // families, which report offset 0).
+    // mappings, which report offset 0).
     if (std::uint64_t base = m.regionOffset()) {
         for (PhysAddr d = 0; d < 4096; d += 64) {
             edges.push_back(base + d);
@@ -229,6 +229,69 @@ TEST(MappingPresets, Table4ExactBankFunctions)
 TEST(MappingPresets, UnsupportedGeometryIsFatal)
 {
     EXPECT_DEATH(mappingFor(Arch::CometLake, 4, 1), "unsupported");
+}
+
+TEST(MappingChecks, MalformedMappingsAreFatal)
+{
+    // A valid 16-bit linear core: two bank functions, 8 row bits and
+    // 6 column bits.
+    auto build = [](unsigned phys_bits, std::uint64_t fn0,
+                    unsigned top_row, std::uint64_t offset) {
+        return AddressMapping(phys_bits, {fn0, 0x2080},
+                              {8, 9, 10, 11, 12, 14, 15, top_row},
+                              {0, 1, 2, 3, 4, 5}, offset);
+    };
+    EXPECT_TRUE(build(16, 0x1040, 13, 0).isBijective());
+    EXPECT_TRUE(build(16, 0x1040, 13, 0x3000).isBijective());
+
+    EXPECT_DEATH(build(64, 0x1040, 13, 0), "phys_bits 64 too large");
+    EXPECT_DEATH(build(17, 0x1040, 13, 0), "!= 17 phys bits");
+    // Offsets: outside the space, and a single set bit (an XOR).
+    EXPECT_DEATH(build(16, 0x1040, 13, 0x13000), "outside 16-bit space");
+    EXPECT_DEATH(build(16, 0x1040, 13, 0x4000), "single-bit offset");
+    // Every bank-function, row and column bit lies below phys_bits.
+    EXPECT_DEATH(build(16, 0x11040, 13, 0), "bank function 0x11040");
+    EXPECT_DEATH(build(16, 0x1040, 16, 0), "bit 16 outside 16-bit space");
+    EXPECT_DEATH(AddressMapping(16, {0x1040, 0x2080},
+                                {8, 9, 10, 11, 12, 13, 14, 15},
+                                {0, 1, 2, 3, 4, 40}),
+                 "bit 40 outside 16-bit space");
+}
+
+TEST(MappingPresets, DecodeEncodeDigestsArePinned)
+{
+    // One digest per preset over decode() and encode(decode()) of
+    // seeded addresses, half of them drawn from the full 64-bit range
+    // (bits at and above physBits must be ignored). Pins the exact
+    // function of every preset, Zen's region base included.
+    const std::uint64_t want[] = {
+        0xf4eb242e3b860414ULL, 0xb5adcfd1edc66f5cULL, 0x5708cd97773c3859ULL, // Comet Lake
+        0xddab380c576bfb80ULL, 0x65422f00fb792f9dULL, 0xccbc161422e8592eULL, // Rocket Lake
+        0x8654d07f2daca3ffULL, 0xb152c24d5b15919eULL, 0xdd18edc5953a995bULL, // Alder Lake
+        0x07fb7589d1ce0131ULL, 0x607d103bb9dfb91fULL, 0x66614f08e54e89eeULL, // Raptor Lake
+        0xf70d1e708955715aULL, 0x4abdd8725c449997ULL, 0x4308e8ce68e37a8cULL, // Zen 3
+        0x6dc9fe8ceadc3fc8ULL, 0xc994ca696f5ef36bULL, 0x5934527b1ae923e7ULL, // Cortex-A72
+    };
+    std::vector<PresetCase> presets = allPresets();
+    ASSERT_EQ(presets.size(), std::size(want));
+    for (std::size_t i = 0; i < presets.size(); ++i) {
+        auto [arch, g] = presets[i];
+        AddressMapping m = mappingFor(arch, g.sizeGib, g.ranks);
+        Rng rng(hashCombine(0xd19e57ULL, i));
+        std::uint64_t d = 0;
+        for (int k = 0; k < 4096; ++k) {
+            PhysAddr pa = rng.uniformInt(0, k % 2 ? ~0ULL
+                                                  : m.memBytes() - 1);
+            DramAddr da = m.decode(pa);
+            d = hashCombine(d, da.bank);
+            d = hashCombine(d, da.row);
+            d = hashCombine(d, da.col);
+            d = hashCombine(d, m.encode(da));
+        }
+        EXPECT_EQ(d, want[i]) << "preset " << i << " ("
+                              << archName(arch) << ", " << g.sizeGib
+                              << " GiB): 0x" << std::hex << d;
+    }
 }
 
 class RandomizedMapping : public ::testing::TestWithParam<unsigned>

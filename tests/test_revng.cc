@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/gf2.hh"
 #include "fault/fault_injector.hh"
 #include "revng/baseline_dare.hh"
 #include "revng/baseline_drama.hh"
